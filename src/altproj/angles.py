@@ -6,6 +6,12 @@ constraint direction space (here called ``nu``), and the sine of the Friedrichs
 angle between the two direction spaces (here called ``gamma``). The Friedrichs
 angle is the minimum angle after removing the intersection from both spaces.
 
+Both come from the principal sines between the direction spaces, the singular
+values of R = A - B (B^T A) for orthonormal bases A of U and B of V (see
+:func:`altproj.linalg.sine_svd`). The complement of V is never formed, so
+memory is O(d k), and small angles are computed from their sines rather than
+as sqrt(1 - cos^2).
+
 Convention: the cosine of an angle over an empty pair of (reduced) spaces is 0,
 so gamma = 1 when one direction space is contained in the other. This matches
 the supremum over an empty set; the reference definitions leave this case open.
@@ -18,6 +24,7 @@ import numpy as np
 from .validation import INTERSECTION_TOL, as_matrix, readonly
 from . import linalg
 from .subspace import require_canonical
+from .projector import nullspace_cutoff
 
 
 @dataclass(frozen=True)
@@ -87,22 +94,25 @@ def friedrichs_cos(a, b, tol=INTERSECTION_TOL):
 def compute_report(g, tol=INTERSECTION_TOL):
     """Full :class:`AngleReport` for a canonicalized geometry.
 
-    The complement of the constraint direction space is obtained by SVD, and
-    gamma is derived as sqrt(1 - friedrichs_cos^2).
+    ``nu``, ``gamma`` and ``intersection_dim`` come from the principal sines,
+    the singular values of the thin d x k_u matrix R = A - B (B^T A): ``nu``
+    is the largest sine, the sines at or below the null-space cutoff span the
+    intersection, and ``gamma`` is the smallest sine above it (1 if none).
+    ``friedrichs_cos`` is the principal cosine paired with ``gamma``.
     """
     require_canonical(g)
     u0 = g.u_space.basis
     w0 = g.w_space.basis
-    w0_perp = linalg.orthogonal_complement(w0)
 
     cosines = principal_cosines(u0, w0)
     theta_min = float(cosines[0]) if cosines.size else 0.0
 
-    nu_cos = principal_cosines(u0, w0_perp)
-    nu = float(nu_cos[0]) if nu_cos.size else 0.0
-
-    fc, dim_j = friedrichs_cos(g.u_space, g.w_space, tol=tol)
-    gamma = float(np.sqrt(max(0.0, 1.0 - fc * fc)))
+    sines = linalg.sine_svd(u0, w0)[1]
+    nu = float(sines[0]) if sines.size else 0.0
+    reduced = sines > nullspace_cutoff(tol)
+    dim_j = int(sines.size - np.count_nonzero(reduced))
+    gamma = float(sines[reduced].min()) if np.any(reduced) else 1.0
+    fc = float(cosines[dim_j]) if dim_j < cosines.size else 0.0
 
     return AngleReport(
         principal_cosines=cosines,

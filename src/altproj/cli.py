@@ -10,7 +10,8 @@ Scenario files are JSON with a top-level "version" field; all randomness must
 be seeded so a scenario fully determines its outputs. Trace CSVs have the
 fixed columns n, alpha_n, error_norm, residual_dW, rho_alpha_n.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (NaN detected).
+Exit codes: 0 success, 2 config error, 3 numerical failure (a non-finite
+error norm, an SVD that fails to converge, or a violated normal equation).
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
@@ -32,6 +33,8 @@ from .engine import contraction_factor, rate_bound, run_alternating
 from . import problems
 
 SCENARIO_VERSION = 1
+SCENARIO_KEYS = frozenset({"version", "comment", "geometry", "schedule", "u0", "max_iters",
+                           "conv_tol", "intersection_tol", "outputs"})
 
 
 class ConfigError(ValueError):
@@ -87,8 +90,13 @@ def run_scenario(path, out_dir=None):
     """Execute a scenario file end to end; returns the summary record dict and
     writes the configured output files."""
     cfg = _load_json(path) if not isinstance(path, dict) else path
+    if not isinstance(cfg, dict):
+        raise ConfigError("a scenario must be a JSON object")
     if cfg.get("version") != SCENARIO_VERSION:
         raise ConfigError(f"scenario version must be {SCENARIO_VERSION}")
+    unknown = sorted(set(cfg) - SCENARIO_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown scenario keys: {', '.join(unknown)}")
     out_dir = Path(out_dir) if out_dir is not None else Path.cwd()
 
     try:
@@ -98,6 +106,8 @@ def run_scenario(path, out_dir=None):
         max_iters = int(cfg.get("max_iters", 10_000))
         conv_tol = float(cfg.get("conv_tol", 1e-10))
         itol = float(cfg.get("intersection_tol", INTERSECTION_TOL))
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure, although LinAlgError is a ValueError
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -310,12 +320,13 @@ def main(argv=None):
     try:
         global_tol()  # fail fast on a malformed ALTPROJ_TOL
         return args.func(args)
+    # before ValueError: LinAlgError subclasses it
+    except (NumericalFailure, np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

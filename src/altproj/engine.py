@@ -150,8 +150,8 @@ def run_landweber(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
     the restricted projector directly. Same contract as :func:`run_alternating`;
     the two produce the same trace on the same problem."""
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
-    a, m = q.domain_basis, q.matrix
-    wc = q.codomain_basis.T @ w
+    a, m, x = q.domain_basis, q.matrix, q.codomain_basis
+    wc = x.T @ w
     u0, projected = _prepare_u0(a, u0)
     limit = proj.limit_point(q, w, u0)
 
@@ -160,7 +160,8 @@ def run_landweber(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
         return u + alpha * (a @ (m.T @ r))
 
     def residual(u):
-        return float(np.linalg.norm(wc - m @ (a.T @ u)))
+        # ambient: w may have a component outside the range of x
+        return float(np.linalg.norm(w - x @ (m @ (a.T @ u))))
 
     parts = _run_loop(
         step,

@@ -1,5 +1,6 @@
 """Dense real linear-algebra substrate: orthonormalization, SVD, pseudo-inverse,
-symmetric eigendecomposition and orthogonal complements.
+symmetric eigendecomposition, the thin factorization behind the principal
+sines, and orthogonal complements.
 
 Everything is backed by LAPACK via numpy.linalg; this module pins down the
 rank-tolerance conventions used throughout the package.
@@ -65,11 +66,26 @@ def sym_eig(m):
     return w[order], v[:, order]
 
 
+def sine_svd(a, b):
+    """Thin SVD (x, s, yt) of R = a - b (b^T a), the component of span(a)
+    orthogonal to span(b), for orthonormal bases a (d x k_a) and b (d x k_b).
+
+    R is the ambient form of the projection onto span(b)-perp restricted to
+    span(a). Its singular values are the sines of the principal angles
+    between the two spans, nonincreasing (when k_a > k_b, k_a - k_b of them
+    equal 1). Taking them from R rather than as sqrt(1 - cos^2) keeps small
+    angles accurate. Memory is O(d (k_a + k_b)); no d x d array is formed.
+    """
+    r = a - b @ (b.T @ a)
+    return np.linalg.svd(r, full_matrices=False)
+
+
 def orthogonal_complement(basis, tol=None):
     """Orthonormal basis of the orthogonal complement of span(basis) in R^d.
 
     Computed as the right null space of basis^T via a full SVD; an empty
-    basis yields the identity.
+    basis yields the identity. This costs O(d^2) memory and O(d^3) time;
+    the analysis itself uses :func:`sine_svd`.
     """
     b = as_matrix(basis)
     if tol is None:

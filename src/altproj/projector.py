@@ -1,10 +1,12 @@
 """The restricted projection operator at the heart of the analysis.
 
 For a canonicalized geometry (U linear, W = V + w with w = P_W 0 in V-perp),
-the operator maps U into V-perp by orthogonal projection; its adjoint projects
-back onto U. In orthonormal coordinates of domain and codomain it is the
-cross-Gram matrix of the two bases, whose singular values are exactly the
-principal cosines needed by the angle identities.
+the operator Q maps U into V-perp by orthogonal projection; its adjoint
+projects back onto U. With A an orthonormal basis of U and B one of V, its
+ambient form is the d x k_u matrix R = A - B (B^T A), and the thin SVD
+R = X S Y^T gives everything else: the singular values S are the principal
+sines between U and V, X spans the range of Q and Y gives the null space.
+Nothing of size d x d is formed, so memory is O(d k).
 
 The least-squares machinery built on top of it (minimum-norm solution, null
 space, affine solution set) serves as the independent oracle for the limit of
@@ -18,6 +20,7 @@ import numpy as np
 
 from .validation import INTERSECTION_TOL, as_vector, readonly
 from .subspace import project, require_canonical
+from . import linalg
 
 
 def nullspace_cutoff(tol):
@@ -31,16 +34,22 @@ def nullspace_cutoff(tol):
 @dataclass(frozen=True)
 class RestrictedProjector:
     """Projection of the iterate space into the complement of the constraint
-    directions, in orthonormal coordinates.
+    directions, as the thin factorization R = X S Y^T of its ambient form
+    R = A - B (B^T A).
 
     Attributes
     ----------
-    matrix : (k_c, k_u) ndarray
-        Coordinate representation: codomain_basis^T @ domain_basis.
+    matrix : (k_u, k_u) ndarray
+        S Y^T: the operator from coordinates in ``domain_basis`` to
+        coordinates in ``codomain_basis``, so codomain_basis @ matrix == R
+        and matrix^T @ matrix == R^T R.
     domain_basis : (d, k_u) ndarray
-        Orthonormal basis of the iterate direction space U.
-    codomain_basis : (d, k_c) ndarray
-        Orthonormal basis of V-perp.
+        Orthonormal basis A of the iterate direction space U.
+    codomain_basis : (d, k_u) ndarray
+        The left singular vectors X of R: orthonormal columns whose span
+        contains the range of the operator (a subspace of V-perp).
+    constraint_basis : (d, k_w) ndarray
+        Orthonormal basis B of the constraint direction space V.
     norm : float
         Operator norm (largest singular value), in [0, 1].
     reduced_min_modulus : float
@@ -52,13 +61,15 @@ class RestrictedProjector:
     matrix: np.ndarray
     domain_basis: np.ndarray
     codomain_basis: np.ndarray
+    constraint_basis: np.ndarray
     norm: float
     reduced_min_modulus: float
     nullspace_basis: np.ndarray
     tol: float
 
     def __post_init__(self):
-        for name in ("matrix", "domain_basis", "codomain_basis", "nullspace_basis"):
+        for name in ("matrix", "domain_basis", "codomain_basis", "constraint_basis",
+                     "nullspace_basis"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
@@ -78,33 +89,21 @@ class LeastSquaresSet:
 def build(g, tol=INTERSECTION_TOL):
     """Build the restricted projector for a canonicalized geometry."""
     require_canonical(g)
-    from . import linalg
-
     a = g.u_space.basis
-    c = linalg.orthogonal_complement(g.w_space.basis)
-    m = c.T @ a
-    k_u = a.shape[1]
+    b = g.w_space.basis
+    x, sigma, yt = linalg.sine_svd(a, b)
 
-    sigma = np.zeros(k_u)
-    if min(m.shape) > 0:
-        x, s, yt = np.linalg.svd(m, full_matrices=True)
-        sigma[: s.size] = s
-        right = yt.T
-    else:
-        right = np.eye(k_u)
-
-    cut = nullspace_cutoff(tol)
-    nonzero = sigma > cut
-    norm = float(sigma[0]) if k_u > 0 else 0.0
+    nonzero = sigma > nullspace_cutoff(tol)
+    norm = float(sigma[0]) if sigma.size else 0.0
     gamma = float(sigma[nonzero].min()) if np.any(nonzero) else 0.0
-    nullspace = a @ right[:, ~nonzero]
     return RestrictedProjector(
-        matrix=m,
+        matrix=sigma[:, None] * yt,
         domain_basis=a,
-        codomain_basis=c,
+        codomain_basis=x,
+        constraint_basis=b,
         norm=norm,
         reduced_min_modulus=gamma,
-        nullspace_basis=nullspace,
+        nullspace_basis=a @ yt[~nonzero].T,
         tol=tol,
     )
 
@@ -122,9 +121,8 @@ def adjoint_apply(q, v):
 
 
 def _check_in_codomain(q, w):
-    c = q.codomain_basis
-    resid = np.linalg.norm(w - c @ (c.T @ w))
-    if resid > 1e-10 * (1.0 + np.linalg.norm(w)):
+    # ||B^T w|| is the distance from w to V-perp
+    if np.linalg.norm(q.constraint_basis.T @ w) > 1e-10 * (1.0 + np.linalg.norm(w)):
         raise ValueError("w must lie in the codomain (the complement of the constraint directions)")
 
 
@@ -133,7 +131,9 @@ def least_squares_set(q, w):
 
     Returns the minimum-norm solution (via the pseudo-inverse of the
     coordinate matrix), the null-space basis, and the optimal residual norm.
-    The normal equation is verified internally.
+    The normal equation is verified internally. The residual is taken in
+    ambient coordinates, because w may have a component outside the range
+    of the codomain basis.
     """
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
     _check_in_codomain(q, w)
@@ -148,7 +148,7 @@ def least_squares_set(q, w):
     ne = np.linalg.norm(m.T @ (m @ sol_c) - m.T @ wc)
     if ne > 1e-10 * (1.0 + np.linalg.norm(wc)):
         raise ArithmeticError("normal equation violated beyond tolerance; ill-conditioned input")
-    residual = float(np.linalg.norm(wc - m @ sol_c))
+    residual = float(np.linalg.norm(w - q.codomain_basis @ (m @ sol_c)))
     return LeastSquaresSet(
         min_norm_solution=q.domain_basis @ sol_c,
         nullspace_basis=q.nullspace_basis,

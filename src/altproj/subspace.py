@@ -133,7 +133,11 @@ class ProblemGeometry:
 
     @property
     def is_canonical(self):
-        return np.linalg.norm(self.u_space.offset) <= _ORTHO_ATOL
+        """True when U passes exactly through the origin. An exact zero test
+        has no scale: any nonzero offset, however small, is shifted away by
+        :meth:`canonical`, which (like :meth:`AffineSubspace.linear`) yields an
+        exactly zero offset."""
+        return not np.any(self.u_space.offset)
 
     @property
     def w_offset(self):

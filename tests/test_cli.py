@@ -4,7 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from altproj import cli
+from altproj import cli, linalg
 
 
 def scenario_path(name):
@@ -59,6 +59,12 @@ class TestRunScenario:
     def test_wrong_version_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.run_scenario({"version": 2, "geometry": {}, "schedule": {}})
+
+    def test_non_object_scenario_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(cli.ConfigError):
+            cli.run_scenario(str(path))
 
     def test_missing_geometry_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -167,3 +173,37 @@ class TestMain:
         monkeypatch.setenv("ALTPROJ_TOL", "not-a-number")
         assert cli.main(["run", str(scenario_path("two_lines_30deg.json")),
                          "--out-dir", str(tmp_path)]) == 2
+
+    def test_unknown_scenario_key_gives_config_exit(self, tmp_path, capsys):
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["max_iter"] = 3  # typo for max_iters
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "unknown scenario keys: max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("holder, attr", [(np.linalg, "svd"), (linalg, "sine_svd")])
+    def test_svd_failure_gives_numerical_exit(self, tmp_path, monkeypatch, capsys,
+                                              holder, attr):
+        # numpy.linalg.svd fails first while the geometry is built; sine_svd
+        # fails once the geometry is ready
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(holder, attr, fail)
+        assert cli.main(["run", str(scenario_path("two_lines_30deg.json")),
+                         "--out-dir", str(tmp_path)]) == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+    def test_violated_normal_equation_gives_numerical_exit(self, tmp_path, monkeypatch, capsys):
+        cfg = {
+            "version": 1,
+            "geometry": {"type": "random", "dim": 6, "dim_u": 2, "dim_w": 2, "seed": 3},
+            "schedule": {"kind": "constant", "value": 1.0},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda m, rcond: 2.0 * pinv(m, rcond=rcond))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert "numerical failure: normal equation violated" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from altproj.angles import compute_report
+from altproj.linalg import orthogonal_complement
 from altproj.projector import (
     adjoint_apply,
     apply,
@@ -30,7 +31,11 @@ class TestBuild:
     def test_orthogonal_lines(self):
         g = ProblemGeometry(line([1, 0, 0]), line([0, 1, 0])).canonical()
         q = build(g)
-        assert q.matrix.shape == (2, 1)
+        a, c = g.u_space.basis, q.codomain_basis
+        vperp = orthogonal_complement(g.w_space.basis)
+        assert q.matrix.shape == (1, 1)  # k_u x k_u
+        assert np.allclose(c.T @ c, np.eye(1), atol=1e-12)
+        assert np.allclose(c @ q.matrix, vperp @ (vperp.T @ a), atol=1e-12)  # P_{V-perp} A
         assert q.norm == pytest.approx(1.0, abs=1e-12)
         assert q.reduced_min_modulus == pytest.approx(1.0, abs=1e-12)
         assert q.nullspace_basis.shape[1] == 0

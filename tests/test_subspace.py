@@ -154,6 +154,18 @@ class TestCanonicalize:
         assert np.linalg.norm(g.u_space.offset) < 1e-12
         assert g.is_canonical
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_canonical_verdict_is_scale_invariant(self, scale):
+        def scaled(g, c):
+            u, w = g.u_space, g.w_space
+            return ProblemGeometry(AffineSubspace(u.basis, c * u.offset),
+                                   AffineSubspace(w.basis, c * w.offset))
+
+        g = make_geometry(np.random.default_rng(500))
+        for h in (g, g.canonical(), scaled(g, 1e-12)):
+            assert scaled(h, scale).is_canonical == h.is_canonical
+        assert not scaled(g, 1e-12).is_canonical
+
 
 class TestValidation:
     def test_nonorthonormal_basis_rejected(self):

@@ -34,6 +34,7 @@ from .engine import (
     contraction_factor,
     error_recursion_check,
     estimate_rate,
+    geometric_step,
     rate_bound,
     run_alternating,
     run_landweber,
@@ -69,6 +70,7 @@ __all__ = [
     "contraction_factor",
     "error_recursion_check",
     "estimate_rate",
+    "geometric_step",
     "rate_bound",
     "run_alternating",
     "run_landweber",

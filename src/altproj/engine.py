@@ -1,13 +1,18 @@
 """The iteration engine.
 
-Runs the relaxed alternating-projection iteration in its two equivalent forms:
-the geometric form (project onto W with relaxation, then onto U) and the
-gradient form (a variable-step Landweber update through the restricted
-projector). Error norms are measured against the precomputed oracle limit,
-which is available in finite dimensions, rather than against successive
-differences.
+Runs the relaxed alternating-projection iteration as a variable-step
+Landweber iteration on the k_u coordinates c = A^T u of the iterate in an
+orthonormal basis A of U. With the restricted projector's thin factorization
+R = X M, one step is c <- c + alpha * M^T (X^T w - M c); it equals the
+geometric step P_U(u + alpha (P_W u - u)), which :func:`geometric_step` keeps
+as the reference the tests iterate. Both entry points, :func:`run_alternating`
+(from a geometry) and :func:`run_landweber` (from a projector), validate their
+inputs once and share one loop, whose cost per step does not depend on d.
+Error norms are measured against the precomputed oracle limit, which is
+available in finite dimensions, rather than against successive differences.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +29,9 @@ class IterationTrace:
     ``error_norms``, ``residuals`` have one entry per recorded iterate
     (n = 0 .. n_final); ``alphas_used`` one entry per step taken. Iterates are
     stored densely for the first ``thin_after`` steps, then thinned;
-    ``iterate_steps`` gives the step index of each stored iterate.
+    ``iterate_steps`` gives the step index of each stored iterate. A run that
+    stops as ``nonfinite`` took ``n_steps`` steps, and its last error norm or
+    residual, the first non-finite one, belongs to step ``n_steps``.
     """
 
     iterates: list
@@ -32,7 +39,8 @@ class IterationTrace:
     error_norms: np.ndarray
     residuals: np.ndarray
     alphas_used: np.ndarray
-    stop_reason: str  # converged | max_iters | stalled | diverged
+    # converged | max_iters | stalled | diverged | nonfinite | schedule_exhausted
+    stop_reason: str
     estimated_rate: float | None
     limit: np.ndarray
     u0_projected: bool
@@ -46,64 +54,92 @@ class IterationTrace:
         return float(self.error_norms[-1])
 
 
-def _run_loop(step, error_of, residual_of, u0, alphas, conv_tol,
-              stall_window, stall_rtol, divergence_cap, thin_after, thin_stride):
-    u = u0
-    errors = [error_of(u)]
-    residuals = [residual_of(u)]
-    iterates = [u.copy()]
-    iterate_steps = [0]
-    used = []
-    stop = "max_iters"
+def geometric_step(g, u, alpha):
+    """One step of the iteration in the paper's geometric form: the relaxed
+    projection onto W followed by the projection onto U. A reference for the
+    tests; the engine's loop runs the equivalent coordinate step."""
+    return project(g.u_space, project_relaxed(g.w_space, u, alpha))
+
+
+def _run_loop(q, w, schedule, u0, max_iters, conv_tol, stall_window, stall_rtol,
+              divergence_cap, thin_after, thin_stride, rate_window):
+    """The iteration in coordinates c = A^T u, for a validated data vector w
+    in the codomain. Per step it touches only k_u-vectors: the residual vector
+    rc = X^T w - M c gives both the step direction M^T rc and the distance to
+    W, hypot(||w - X X^T w||, ||rc||), which is exact because w lies in
+    V-perp and R = X M. Ambient iterates A c are formed once, at the end."""
+    a, m, x = q.domain_basis, q.matrix, q.codomain_basis
+    # limit_point validates u0; u0 and P_U u0 have the same null-space
+    # component, so both give the same limit
+    limit = proj.limit_point(q, w, u0)
+    u0 = np.asarray(u0, dtype=float)
+    c = a.T @ u0
+    projected = bool(np.linalg.norm(u0 - a @ c) > 1e-10 * (1.0 + np.linalg.norm(u0)))
+    c_lim = a.T @ limit
+    wc = x.T @ w
+    r_perp = float(np.linalg.norm(w - x @ wc))
+    mt = m.T
+
+    rc = wc - m @ c
+    d = c - c_lim
+    errors = [math.sqrt(d @ d)]
+    residuals = [math.hypot(r_perp, math.sqrt(rc @ rc))]
+    coords, iterate_steps, used = [c], [0], []
     e_ref = max(errors[0], 1e-300)
-
-    for n, alpha in enumerate(alphas):
-        e = errors[-1]
-        if e <= conv_tol:
-            stop = "converged"
-            break
-        if e > divergence_cap * e_ref:
-            stop = "diverged"
-            break
-        if len(errors) > stall_window:
-            e_back = errors[-1 - stall_window]
-            if e_back > 0 and abs(e_back - e) < stall_rtol * e_back:
-                stop = "stalled"
+    alphas = schedule.stream()
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            e = errors[-1]
+            if not (math.isfinite(e) and math.isfinite(residuals[-1])):
+                stop = "nonfinite"
                 break
-        u = step(u, alpha)
-        used.append(alpha)
-        errors.append(error_of(u))
-        residuals.append(residual_of(u))
-        k = n + 1
-        if k <= thin_after or k % thin_stride == 0:
-            iterates.append(u.copy())
-            iterate_steps.append(k)
-    else:
-        if errors[-1] <= conv_tol:
-            stop = "converged"
+            if e <= conv_tol:
+                stop = "converged"
+                break
+            if n == max_iters:
+                stop = "max_iters"
+                break
+            if e > divergence_cap * e_ref:
+                stop = "diverged"
+                break
+            if n >= stall_window:
+                e_back = errors[-1 - stall_window]
+                if e_back > 0 and abs(e_back - e) < stall_rtol * e_back:
+                    stop = "stalled"
+                    break
+            alpha = next(alphas, None)
+            if alpha is None:
+                stop = "schedule_exhausted"
+                break
+            c = c + alpha * (mt @ rc)
+            rc = wc - m @ c
+            d = c - c_lim
+            errors.append(math.sqrt(d @ d))
+            residuals.append(math.hypot(r_perp, math.sqrt(rc @ rc)))
+            used.append(alpha)
+            n += 1
+            if n <= thin_after or n % thin_stride == 0:
+                coords.append(c)
+                iterate_steps.append(n)
+        if iterate_steps[-1] != n:
+            coords.append(c)
+            iterate_steps.append(n)
+        iterates = list(np.array(coords) @ a.T)
 
-    if iterate_steps[-1] != len(used):
-        iterates.append(u.copy())
-        iterate_steps.append(len(used))
-
-    return iterates, iterate_steps, np.asarray(errors), np.asarray(residuals), np.asarray(used), stop
-
-
-def _finish(trace_parts, limit, u0_projected, rate_window):
-    iterates, steps, errors, residuals, used, stop = trace_parts
     trace = IterationTrace(
         iterates=iterates,
-        iterate_steps=steps,
-        error_norms=errors,
-        residuals=residuals,
-        alphas_used=used,
+        iterate_steps=iterate_steps,
+        error_norms=np.asarray(errors),
+        residuals=np.asarray(residuals),
+        alphas_used=np.asarray(used, dtype=float),
         stop_reason=stop,
         estimated_rate=None,
         limit=limit,
-        u0_projected=u0_projected,
+        u0_projected=projected,
     )
     window = min(rate_window, len(errors) - 1)
-    if window >= 1 and np.all(errors[-(window + 1):] >= 0):
+    if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):
         try:
             trace.estimated_rate = estimate_rate(trace, window)
         except ValueError:
@@ -111,66 +147,33 @@ def _finish(trace_parts, limit, u0_projected, rate_window):
     return trace
 
 
-def _prepare_u0(basis, u0):
-    u0 = as_vector(u0, dim=basis.shape[0], name="u0")
-    u0_in = basis @ (basis.T @ u0)
-    projected = np.linalg.norm(u0 - u0_in) > 1e-10 * (1.0 + np.linalg.norm(u0))
-    return (u0_in if projected else u0), projected
-
-
 def run_alternating(g, schedule, u0, max_iters=10_000, conv_tol=1e-10, tol=INTERSECTION_TOL,
                     stall_window=50, stall_rtol=1e-15, divergence_cap=1e9,
                     thin_after=1000, thin_stride=100, rate_window=50):
-    """Run the iteration in geometric form: relaxed projection onto W followed
-    by projection onto U. Requires a canonicalized geometry; an initial iterate
-    outside U is silently projected and flagged on the trace."""
+    """Run the iteration u <- P_U(u + alpha_n (P_W u - u)) on a canonicalized
+    geometry. An initial iterate outside U is silently projected and flagged
+    on the trace. The run stops when the error reaches *conv_tol*
+    ("converged"), after *max_iters* steps ("max_iters"), when the error grows
+    past *divergence_cap* times its initial value ("diverged"), when it
+    changes by less than *stall_rtol* relative over *stall_window* steps
+    ("stalled"), when an error norm or residual is not finite ("nonfinite"),
+    or when a finite schedule runs out of terms ("schedule_exhausted")."""
     require_canonical(g)
-    q = proj.build(g, tol=tol)
-    w = g.w_offset
-    u0, projected = _prepare_u0(g.u_space.basis, u0)
-    limit = proj.limit_point(q, w, u0)
-
-    def step(u, alpha):
-        return project(g.u_space, project_relaxed(g.w_space, u, alpha))
-
-    parts = _run_loop(
-        step,
-        lambda u: float(np.linalg.norm(u - limit)),
-        lambda u: proj.distance_to_w(g, u),
-        u0, schedule.alphas(max_iters), conv_tol,
-        stall_window, stall_rtol, divergence_cap, thin_after, thin_stride,
-    )
-    return _finish(parts, limit, projected, rate_window)
+    return _run_loop(proj.build(g, tol=tol), g.w_offset, schedule, u0, max_iters, conv_tol,
+                     stall_window, stall_rtol, divergence_cap, thin_after, thin_stride,
+                     rate_window)
 
 
 def run_landweber(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
                   stall_window=50, stall_rtol=1e-15, divergence_cap=1e9,
                   thin_after=1000, thin_stride=100, rate_window=50):
-    """Run the iteration in gradient form: u <- u + alpha * Q*(w - Qu), using
-    the restricted projector directly. Same contract as :func:`run_alternating`;
-    the two produce the same trace on the same problem."""
+    """Run the iteration in gradient form, u <- u + alpha_n Q*(w - Qu), from
+    the restricted projector and data w in its codomain. Same loop and stop
+    rules as :func:`run_alternating`, which is this run with w the offset
+    of W."""
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
-    a, m, x = q.domain_basis, q.matrix, q.codomain_basis
-    wc = x.T @ w
-    u0, projected = _prepare_u0(a, u0)
-    limit = proj.limit_point(q, w, u0)
-
-    def step(u, alpha):
-        r = wc - m @ (a.T @ u)
-        return u + alpha * (a @ (m.T @ r))
-
-    def residual(u):
-        # ambient: w may have a component outside the range of x
-        return float(np.linalg.norm(w - x @ (m @ (a.T @ u))))
-
-    parts = _run_loop(
-        step,
-        lambda u: float(np.linalg.norm(u - limit)),
-        residual,
-        u0, schedule.alphas(max_iters), conv_tol,
-        stall_window, stall_rtol, divergence_cap, thin_after, thin_stride,
-    )
-    return _finish(parts, limit, projected, rate_window)
+    return _run_loop(q, w, schedule, u0, max_iters, conv_tol, stall_window, stall_rtol,
+                     divergence_cap, thin_after, thin_stride, rate_window)
 
 
 def error_recursion_check(q, schedule, e0, n):
@@ -181,7 +184,6 @@ def error_recursion_check(q, schedule, e0, n):
     tolerance is rejected: the recursion keeps errors in that complement).
     """
     from .linalg import sym_eig
-    from .schedule import filter_poly
 
     e0 = as_vector(e0, dim=q.domain_basis.shape[0], name="e0")
     nb = q.nullspace_basis
@@ -200,7 +202,9 @@ def error_recursion_check(q, schedule, e0, n):
 
     evals, evecs = sym_eig(t) if t.shape[0] > 0 else (np.zeros(0), np.zeros((0, 0)))
     coeffs = evecs.T @ (a.T @ e0)
-    factors = np.array([filter_poly(schedule, lam, n) for lam in evals])
+    # the filter polynomials prod_j (1 - alpha_j lam_i) of every eigenvalue
+    # from one (n x r) array
+    factors = np.prod(1.0 - alphas[:, None] * evals[None, :], axis=0)
     spectral = a @ (evecs @ (factors * coeffs))
     return iterated, spectral
 

@@ -21,6 +21,9 @@ KINDS = (
     "random-uniform",
 )
 
+# Terms generated at a time by Schedule.stream.
+STREAM_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -84,29 +87,57 @@ class Schedule:
 
     # -- generation --------------------------------------------------------
 
+    @property
+    def length(self):
+        """Number of terms: finite only for an explicit schedule, else None."""
+        return len(self.params["values"]) if self.kind == "explicit" else None
+
     def alphas(self, n):
         """First *n* coefficients as an array (prefix-stable for every kind)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
+        if self.length is not None and n > self.length:
+            raise ValueError(f"explicit schedule has only {self.length} terms, {n} requested")
+        return self._terms(0, n, self._generator())
+
+    def stream(self):
+        """The coefficients one at a time, as floats, generated in chunks of
+        STREAM_CHUNK terms from one generator: islice(stream(), n) equals
+        alphas(n). Unbounded except for an explicit schedule, which ends
+        after its last term."""
+        rng = self._generator()
+        start = 0
+        while True:
+            chunk = self._terms(start, STREAM_CHUNK, rng)
+            yield from chunk.tolist()
+            if chunk.size < STREAM_CHUNK:
+                return
+            start += STREAM_CHUNK
+
+    def _generator(self):
+        # a fresh generator per call keeps generation pure; for PCG64,
+        # successive draws of n1 and n2 uniforms equal one draw of n1 + n2
+        return np.random.default_rng(self.params["seed"]) if self.kind == "random-uniform" else None
+
+    def _terms(self, start, n, rng):
+        """Terms start .. start + n - 1 (fewer past the end of an explicit
+        schedule); a random schedule draws them from *rng*, which must have
+        produced exactly the first *start* terms."""
         p = self.params
         if self.kind == "constant":
             return np.full(n, p["value"])
         if self.kind == "cyclic":
             vals = np.asarray(p["values"])
-            return np.resize(vals, n) if n else np.zeros(0)
+            return vals[np.arange(start, start + n) % vals.size]
         if self.kind == "harmonic-to-2":
-            idx = np.arange(n, dtype=float)
+            idx = np.arange(start, start + n, dtype=float)
             return 2.0 - 1.0 / (idx + 1.0 + p["offset"])
         if self.kind == "geometric-to-2":
-            idx = np.arange(n, dtype=float)
+            idx = np.arange(start, start + n, dtype=float)
             return 2.0 - p["gap"] * p["ratio"] ** idx
         if self.kind == "explicit":
-            vals = p["values"]
-            if n > len(vals):
-                raise ValueError(f"explicit schedule has only {len(vals)} terms, {n} requested")
-            return np.asarray(vals[:n])
+            return np.asarray(p["values"][start:start + n], dtype=float)
         if self.kind == "random-uniform":
-            rng = np.random.default_rng(p["seed"])
             return rng.uniform(p["lo"], p["hi"], n)
         raise AssertionError(self.kind)
 

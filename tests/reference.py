@@ -1,11 +1,15 @@
-"""Complement-based reference for the restricted projector and the angle report.
+"""Independent references for the tests.
 
-This is the dense algorithm the package used before it moved to the thin
+The complement-based reference for the restricted projector and the angle
+report is the dense algorithm the package used before it moved to the thin
 factorization R = A - B (B^T A): it forms an explicit orthonormal basis C of
 V-perp (a full d x d SVD), represents the operator by the cross-Gram matrix
 C^T A, and derives gamma as sqrt(1 - cos^2) from the Friedrichs cosine. It
 shares no step with :func:`altproj.linalg.sine_svd`, so the tests use it as
 an independent oracle.
+
+The geometric reference iterates the paper's step P_U(u + alpha (P_W u - u))
+on ambient vectors, which shares no step with the engine's coordinate loop.
 """
 
 from types import SimpleNamespace
@@ -13,8 +17,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from altproj.angles import friedrichs_cos, principal_cosines
+from altproj.engine import geometric_step
 from altproj.linalg import orthogonal_complement
-from altproj.projector import nullspace_cutoff
+from altproj.projector import distance_to_w, nullspace_cutoff
+from altproj.subspace import project
 from altproj.validation import INTERSECTION_TOL
 
 
@@ -70,3 +76,15 @@ def reference_report(g, tol=INTERSECTION_TOL):
         friedrichs_cos=fc,
         intersection_dim=dim_j,
     )
+
+
+def geometric_reference(g, schedule, u0, n):
+    """*n* steps of the geometric form from P_U u0: returns the iterates as
+    rows of an (n + 1, d) array and the distance of each to W."""
+    u = project(g.u_space, u0)
+    iterates, residuals = [u], [distance_to_w(g, u)]
+    for alpha in schedule.alphas(n):
+        u = geometric_step(g, u, alpha)
+        iterates.append(u)
+        residuals.append(distance_to_w(g, u))
+    return np.array(iterates), np.array(residuals)

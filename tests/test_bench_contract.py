@@ -1,0 +1,52 @@
+"""The names the benchmark's tracer patches on the package.
+
+``bench/tracing.py`` wraps module attributes by name, so renaming or removing
+one of them breaks the traced benchmark run. These tests install the tracer
+on the package, check what it measures on a small run, and remove it again.
+"""
+
+import json
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracing  # noqa: E402
+import worker  # noqa: E402
+from altproj import cli  # noqa: E402
+
+
+@pytest.fixture
+def tracer():
+    t = tracing.Tracer()
+    try:
+        tracing.install(t)  # KeyError when a patched name is missing
+        yield t
+    finally:
+        t.remove()
+    assert worker.still_wrapped() == []
+
+
+def test_every_patched_name_is_present_and_wrapped(tracer):
+    assert tracer._patches
+    for holder, attr, _ in tracer._patches:
+        assert getattr(vars(holder)[attr], "traced", False), f"{holder.__name__}.{attr}"
+
+
+def test_loop_makes_no_per_step_projection_or_validation(tracer, tmp_path):
+    cfg = json.loads((resources.files("altproj") / "scenarios" / "two_lines_30deg.json")
+                     .read_text())
+    cfg["conv_tol"] = 0.0  # run the whole horizon
+    cfg["max_iters"] = 200
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+    m = tracing.layer_metrics(tracer)
+    assert m["engine.steps"] == 200
+    assert m["subspace.project.calls_per_step"] == 0
+    assert m["validation.as_vector.calls_per_step"] == 0
+    assert m["engine.contraction_factor.calls"] == 0
+    assert m["cli.write.bytes"] > 0

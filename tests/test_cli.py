@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 
@@ -5,6 +6,13 @@ import numpy as np
 import pytest
 
 from altproj import cli, linalg
+from altproj.engine import contraction_factor, run_alternating
+from altproj.problems import random_geometry
+from altproj.projector import build
+from altproj.schedule import Schedule
+from altproj.subspace import canonicalize
+
+from helpers import random_u0
 
 
 def scenario_path(name):
@@ -55,6 +63,47 @@ class TestRunScenario:
         assert (tmp_path / "a" / "s.json").read_bytes() == (tmp_path / "b" / "s.json").read_bytes()
         header = (tmp_path / "a" / "t.csv").read_text().splitlines()[0]
         assert header == "n,alpha_n,error_norm,residual_dW,rho_alpha_n"
+
+    def test_trace_csv_matches_per_row_form(self, tmp_path):
+        # the writer as it was, one contraction_factor call and one csv row
+        # per step, is the reference for the vectorized one
+        g = canonicalize(random_geometry(7, 3, 3, 5))
+        q = build(g)
+        sched = Schedule.random_uniform(0.0, 2.5 / q.norm ** 2, seed=9)
+        trace = run_alternating(g, sched, random_u0(g, 11), max_iters=200)
+        assert trace.n_steps > 20
+        cli._write_trace_csv(tmp_path / "t.csv", trace, q)
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "alpha_n", "error_norm", "residual_dW", "rho_alpha_n"])
+            for n, alpha in enumerate(trace.alphas_used):
+                writer.writerow([n, cli._fmt(float(alpha)), cli._fmt(float(trace.error_norms[n])),
+                                 cli._fmt(float(trace.residuals[n])),
+                                 cli._fmt(contraction_factor(q, float(alpha)))])
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_zero_operator_has_no_bound_or_verdict(self, tmp_path):
+        # U's directions lie in V, so nu is rounding noise (~1e-15)
+        cfg = {
+            "version": 1,
+            "geometry": {"type": "random", "dim": 6, "dim_u": 2, "dim_w": 4, "seed": 1,
+                         "shared_dims": 2},
+            "schedule": {"kind": "constant", "value": 1.0},
+        }
+        summary = cli.run_scenario(cfg, out_dir=tmp_path)
+        assert summary["nu"] < 1e-12
+        assert summary["theoretical_bound"] is None
+        assert summary["schedule_verdict"] == "indeterminate"
+
+    def test_short_explicit_schedule_runs_to_exhaustion(self, tmp_path):
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["schedule"] = {"kind": "explicit", "values": [1.0, 1.5]}
+        del cfg["max_iters"]
+        summary = cli.run_scenario(cfg, out_dir=tmp_path)
+        assert summary["stop_reason"] == "schedule_exhausted"
+        assert summary["iters"] == 2
+        rows = (tmp_path / "two_lines_30deg_trace.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["1", "1.5"]
 
     def test_wrong_version_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -181,6 +230,14 @@ class TestMain:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "unknown scenario keys: max_iter" in capsys.readouterr().err
+
+    def test_overflowing_iterate_gives_numerical_exit(self, tmp_path, capsys):
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["schedule"] = {"kind": "constant", "value": 1e308}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert "non-finite error norm or residual at step 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("holder, attr", [(np.linalg, "svd"), (linalg, "sine_svd")])
     def test_svd_failure_gives_numerical_exit(self, tmp_path, monkeypatch, capsys,

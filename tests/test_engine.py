@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altproj.engine import (
     contraction_factor,
@@ -10,11 +11,12 @@ from altproj.engine import (
     run_landweber,
 )
 from altproj.linalg import sym_eig
-from altproj.projector import build
-from altproj.schedule import Schedule
+from altproj.projector import build, distance_to_w, limit_point
+from altproj.schedule import Schedule, filter_poly
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
 from helpers import canonical_controlled, canonical_random, random_u0, well_conditioned_problem
+from reference import geometric_reference
 
 
 def one_step_geometry():
@@ -83,6 +85,36 @@ class TestRunAlternating:
         assert trace.iterate_steps[11:] == [50, 100, 150, 200, 250]
         assert len(trace.error_norms) == 251  # error norms stay dense
 
+    def test_overflow_stops_as_nonfinite(self):
+        # the first step overflows the iterate to -inf; the run stops there
+        # instead of raising or burning its horizon
+        g = one_step_geometry()
+        sched, u0 = Schedule.constant(1e308), np.array([2.0, 0.0, 0.0])
+        for trace in (run_alternating(g, sched, u0),
+                      run_landweber(build(g), g.w_offset, sched, u0)):
+            assert trace.stop_reason == "nonfinite"
+            assert trace.n_steps == 1
+            assert np.isfinite(trace.error_norms[0]) and not np.isfinite(trace.final_error)
+            assert not np.all(np.isfinite(trace.iterates[-1]))
+            assert trace.estimated_rate is None
+
+    def test_short_explicit_schedule_runs_all_terms(self):
+        g = one_step_geometry()
+        trace = run_alternating(g, Schedule.explicit([0.5, 0.5, 0.5]), np.array([1.0, 0.0, 0.0]),
+                                max_iters=100)
+        assert trace.stop_reason == "schedule_exhausted"
+        assert trace.n_steps == 3
+        assert np.allclose(trace.error_norms, 0.5 ** np.arange(4), atol=1e-15)
+        assert trace.iterate_steps == [0, 1, 2, 3]
+
+    def test_explicit_schedule_as_long_as_horizon_stops_at_max_iters(self):
+        g = one_step_geometry()
+        u0 = np.array([1.0, 0.0, 0.0])
+        trace = run_alternating(g, Schedule.explicit([0.5] * 4), u0, max_iters=4)
+        assert trace.stop_reason == "max_iters" and trace.n_steps == 4
+        trace = run_alternating(g, Schedule.explicit([]), u0, max_iters=4)
+        assert trace.stop_reason == "schedule_exhausted" and trace.n_steps == 0
+
     @pytest.mark.parametrize("seed", range(4))
     def test_converges_to_oracle_limit(self, seed):
         g = well_conditioned_problem(seed)
@@ -99,14 +131,16 @@ class TestRunLandweber:
         q = build(g)
         u0 = random_u0(g, 500 + seed)
         sched = Schedule.random_uniform(0.2, 1.8, seed=seed)
-        kw = dict(max_iters=60, conv_tol=-1.0, stall_rtol=0.0)
-        ta = run_alternating(g, sched, u0, **kw)
-        tl = run_landweber(q, g.w_offset, sched, u0, **kw)
-        assert ta.n_steps == tl.n_steps == 60
-        assert np.allclose(ta.error_norms, tl.error_norms, atol=1e-11)
-        assert np.allclose(ta.residuals, tl.residuals, atol=1e-11)
-        assert np.allclose(ta.iterates[-1], tl.iterates[-1], atol=1e-11)
-        assert np.allclose(ta.limit, tl.limit, atol=1e-12)
+        tl = run_landweber(q, g.w_offset, sched, u0, max_iters=60, conv_tol=-1.0,
+                           stall_rtol=0.0)
+        ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 60)
+        limit = limit_point(q, g.w_offset, ref_iterates[0])
+        assert tl.n_steps == 60
+        assert np.allclose(tl.error_norms, np.linalg.norm(ref_iterates - limit, axis=1),
+                           atol=1e-11)
+        assert np.allclose(tl.residuals, ref_residuals, atol=1e-11)
+        assert np.allclose(tl.iterates[-1], ref_iterates[-1], atol=1e-11)
+        assert np.allclose(tl.limit, limit, atol=1e-12)
 
     def test_null_component_of_start_survives_in_limit(self):
         g = canonical_random(2, dim=8, dim_u=4, dim_w=4, shared_dims=2)
@@ -135,6 +169,49 @@ class TestRunLandweber:
         for u, _ in zip(trace.iterates, trace.iterate_steps):
             comp = q.nullspace_basis.T @ (u - trace.limit)
             assert np.linalg.norm(comp) < 1e-10
+
+
+@st.composite
+def property_geometries(draw):
+    """Nested (one direction space inside the other), intersecting, or
+    near-parallel (a principal angle of 1e-6 to 1e-2 rad) canonical
+    geometries."""
+    kind = draw(st.sampled_from(["nested", "intersecting", "near-parallel"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "near-parallel":
+        angles = [draw(st.floats(1e-6, 1e-2)), draw(st.floats(0.2, np.pi / 2))]
+        return canonical_controlled(angles, offset_norm=draw(st.floats(0.0, 2.0)),
+                                    extra_dims=draw(st.integers(0, 4)), rotation_seed=seed)
+    dim = draw(st.integers(3, 12))
+    dim_u, dim_w = draw(st.integers(1, dim - 1)), draw(st.integers(1, dim - 1))
+    k = min(dim_u, dim_w)
+    shared = k if kind == "nested" else draw(st.integers(1, k))
+    return canonical_random(seed, dim=dim, dim_u=dim_u, dim_w=dim_w, shared_dims=shared,
+                            offset_scale=draw(st.floats(0.1, 10.0)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(property_geometries(), st.integers(0, 2**31 - 1), st.floats(0.1, 10.0))
+def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
+    q = build(g)
+    alpha_hi = 2.0 / max(q.norm, 0.1) ** 2
+    sched = Schedule.random_uniform(0.0, alpha_hi, seed=seed)
+    u0 = random_u0(g, seed, scale=u0_scale)
+    w = g.w_offset
+    trace = run_alternating(g, sched, u0, max_iters=20, conv_tol=-1.0, stall_rtol=0.0,
+                            divergence_cap=np.inf)
+    ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 20)
+    limit = limit_point(q, w, u0)
+    assert trace.n_steps == 20 and trace.iterate_steps == list(range(21))
+    # rounding of ~20 steps, each of size up to (1 + alpha) times the data
+    scale = max(1.0, np.linalg.norm(u0), np.linalg.norm(w))
+    tol = 1e-12 * (1.0 + alpha_hi) * scale
+    assert np.max(np.abs(trace.error_norms - np.linalg.norm(ref_iterates - limit, axis=1))) <= tol
+    assert np.max(np.abs(trace.residuals - ref_residuals)) <= tol
+    assert np.max(np.linalg.norm(np.array(trace.iterates) - ref_iterates, axis=1)) <= tol
+    # residual_dW is the distance of the ambient iterate A c to W, exactly
+    for r, u in zip(trace.residuals, trace.iterates):
+        assert abs(r - distance_to_w(g, u)) <= 1e-13 * max(1.0, np.linalg.norm(u), np.linalg.norm(w))
 
 
 class TestErrorRecursion:
@@ -168,6 +245,22 @@ class TestErrorRecursion:
         sched = Schedule.random_uniform(0.1, 1.9, seed=seed + 30)
         it, sp = error_recursion_check(q, sched, e0, 50)
         assert np.allclose(it, sp, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spectral_factors_match_filter_polynomials(self, seed):
+        # the per-eigenvalue filter_poly form the check used to take; the
+        # product order differs, so agreement is to rounding, not exact
+        rng = np.random.default_rng(seed)
+        g = canonical_random(seed, dim=12, dim_u=5, dim_w=5)
+        q = build(g)
+        e0 = g.u_space.basis @ rng.standard_normal(5)
+        sched = Schedule.random_uniform(0.1, 1.9, seed=seed + 60)
+        _, spectral = error_recursion_check(q, sched, e0, 40)
+        a, t = q.domain_basis, q.matrix.T @ q.matrix
+        evals, evecs = sym_eig(t)
+        factors = np.array([filter_poly(sched, lam, 40) for lam in evals])
+        expected = a @ (evecs @ (factors * (evecs.T @ (a.T @ e0))))
+        assert np.allclose(spectral, expected, rtol=0.0, atol=1e-14 * np.linalg.norm(e0))
 
     def test_rejects_nullspace_component(self):
         g = canonical_random(1, dim=8, dim_u=4, dim_w=4, shared_dims=1)

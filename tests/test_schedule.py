@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,34 @@ class TestConstruction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Schedule.from_dict({"kind": "mystery"})
+
+
+ALL_KINDS = [
+    Schedule.constant(1.2),
+    Schedule.cyclic([0.5, 1.0, 1.5]),
+    Schedule.harmonic_to_2(offset=1),
+    Schedule.geometric_to_2(gap=0.5, ratio=0.999),
+    Schedule.explicit(np.linspace(0.1, 1.9, 10_000)),
+    Schedule.random_uniform(0.0, 2.0, seed=3),
+]
+
+
+class TestStream:
+    @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
+    def test_prefix_equals_alphas(self, s):
+        # 10 000 terms span several generation chunks
+        n = 10_000
+        streamed = np.fromiter(islice(s.stream(), n), dtype=float, count=n)
+        assert np.array_equal(streamed, s.alphas(n))
+
+    def test_explicit_stream_ends_after_last_term(self):
+        s = Schedule.explicit([0.5, 1.0, 1.5])
+        assert list(s.stream()) == [0.5, 1.0, 1.5]
+        assert list(Schedule.explicit([]).stream()) == []
+
+    def test_length(self):
+        assert Schedule.explicit([0.5, 1.0]).length == 2
+        assert Schedule.constant(1.0).length is None
 
 
 class TestDiagnose:

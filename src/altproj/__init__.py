@@ -37,7 +37,6 @@ from .engine import (
     geometric_step,
     rate_bound,
     run_alternating,
-    run_landweber,
 )
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "geometric_step",
     "rate_bound",
     "run_alternating",
-    "run_landweber",
 ]
 
 __version__ = "0.1.0"

@@ -6,11 +6,13 @@ constraint direction space (here called ``nu``), and the sine of the Friedrichs
 angle between the two direction spaces (here called ``gamma``). The Friedrichs
 angle is the minimum angle after removing the intersection from both spaces.
 
-Both come from the principal sines between the direction spaces, the singular
-values of R = A - B (B^T A) for orthonormal bases A of U and B of V (see
-:func:`altproj.linalg.sine_svd`). The complement of V is never formed, so
-memory is O(d k), and small angles are computed from their sines rather than
-as sqrt(1 - cos^2).
+Both are read from the principal sines between the direction spaces, which
+the restricted projector stores: the singular values of R = A - B (B^T A) for
+orthonormal bases A of U and B of V (see :func:`altproj.projector.build`).
+The report factorizes nothing beyond the small cross-Gram matrix A^T B of the
+principal cosines. The complement of V is never formed, so memory is O(d k),
+and small angles are computed from their sines rather than as
+sqrt(1 - cos^2).
 
 Convention: the cosine of an angle over an empty pair of (reduced) spaces is 0,
 so gamma = 1 when one direction space is contained in the other. This matches
@@ -22,9 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .validation import INTERSECTION_TOL, as_matrix, readonly
-from . import linalg
-from .subspace import require_canonical
-from .projector import nullspace_cutoff
 
 
 @dataclass(frozen=True)
@@ -91,35 +90,25 @@ def friedrichs_cos(a, b, tol=INTERSECTION_TOL):
     return (float(cos[0]) if cos.size else 0.0), dim_j
 
 
-def compute_report(g, tol=INTERSECTION_TOL):
-    """Full :class:`AngleReport` for a canonicalized geometry.
+def compute_report(q):
+    """Full :class:`AngleReport` for the restricted projector *q* of a
+    canonicalized geometry (:func:`altproj.projector.build`).
 
-    ``nu``, ``gamma`` and ``intersection_dim`` come from the principal sines,
-    the singular values of the thin d x k_u matrix R = A - B (B^T A): ``nu``
-    is the largest sine, the sines at or below the null-space cutoff span the
-    intersection, and ``gamma`` is the smallest sine above it (1 if none).
-    ``friedrichs_cos`` is the principal cosine paired with ``gamma``.
+    ``nu``, ``gamma`` and ``intersection_dim`` are read from the principal
+    sines that *q* stores: ``nu`` is the largest sine (the operator norm),
+    the sines at or below the null-space cutoff span the intersection, and
+    ``gamma`` is the smallest sine above it (the reduced minimum modulus,
+    or 1 if there is none). ``friedrichs_cos`` is the principal cosine
+    paired with ``gamma``.
     """
-    require_canonical(g)
-    u0 = g.u_space.basis
-    w0 = g.w_space.basis
-
-    cosines = principal_cosines(u0, w0)
-    theta_min = float(cosines[0]) if cosines.size else 0.0
-
-    sines = linalg.sine_svd(u0, w0)[1]
-    nu = float(sines[0]) if sines.size else 0.0
-    reduced = sines > nullspace_cutoff(tol)
-    dim_j = int(sines.size - np.count_nonzero(reduced))
-    gamma = float(sines[reduced].min()) if np.any(reduced) else 1.0
-    fc = float(cosines[dim_j]) if dim_j < cosines.size else 0.0
-
+    cosines = principal_cosines(q.domain_basis, q.constraint_basis)
+    dim_j = q.nullspace_basis.shape[1]
     return AngleReport(
         principal_cosines=cosines,
-        theta_min_cos=theta_min,
-        friedrichs_cos=fc,
-        nu=nu,
-        gamma=gamma,
+        theta_min_cos=float(cosines[0]) if cosines.size else 0.0,
+        friedrichs_cos=float(cosines[dim_j]) if dim_j < cosines.size else 0.0,
+        nu=q.norm,
+        gamma=q.reduced_min_modulus or 1.0,
         intersection_dim=dim_j,
-        tol=tol,
+        tol=q.tol,
     )

@@ -119,9 +119,9 @@ def run_scenario(path, out_dir=None):
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    report = compute_report(g, tol=itol)
     q = build(g, tol=itol)
-    trace = run_alternating(g, sched, u0, max_iters=max_iters, conv_tol=conv_tol, tol=itol)
+    report = compute_report(q)
+    trace = run_alternating(q, g.w_offset, sched, u0, max_iters=max_iters, conv_tol=conv_tol)
     lss = least_squares_set(q, g.w_offset)
 
     if trace.stop_reason == "nonfinite":
@@ -180,7 +180,7 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000, conv_tol=1e-9):
     for alpha in alphas:
         if alpha < 0:
             raise ConfigError("alpha grid values must be nonnegative")
-        trace = run_alternating(g, Schedule.constant(alpha), u0,
+        trace = run_alternating(q, g.w_offset, Schedule.constant(alpha), u0,
                                 max_iters=max_iters, conv_tol=conv_tol,
                                 divergence_cap=1e6)
         e = trace.error_norms

@@ -5,9 +5,10 @@ Landweber iteration on the k_u coordinates c = A^T u of the iterate in an
 orthonormal basis A of U. With the restricted projector's thin factorization
 R = X M, one step is c <- c + alpha * M^T (X^T w - M c); it equals the
 geometric step P_U(u + alpha (P_W u - u)), which :func:`geometric_step` keeps
-as the reference the tests iterate. Both entry points, :func:`run_alternating`
-(from a geometry) and :func:`run_landweber` (from a projector), validate their
-inputs once and share one loop, whose cost per step does not depend on d.
+as the reference the tests iterate. The one entry point,
+:func:`run_alternating`, takes the projector of an analyzed problem and the
+data w, validates its inputs once, and runs a loop whose cost per step does
+not depend on d.
 Error norms are measured against the precomputed oracle limit, which is
 available in finite dimensions, rather than against successive differences.
 """
@@ -17,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import INTERSECTION_TOL, as_vector
-from .subspace import project, project_relaxed, require_canonical
+from .validation import as_vector
+from .subspace import project, project_relaxed
 from . import projector as proj
+
+# Steps over which a run whose error changes by less than its stall_rtol
+# counts as stalled.
+STALL_WINDOW = 50
+# Trailing steps the empirical rate is fitted over.
+RATE_WINDOW = 50
 
 
 @dataclass
@@ -61,18 +68,33 @@ def geometric_step(g, u, alpha):
     return project(g.u_space, project_relaxed(g.w_space, u, alpha))
 
 
-def _run_loop(q, w, schedule, u0, max_iters, conv_tol, stall_window, stall_rtol,
-              divergence_cap, thin_after, thin_stride, rate_window):
-    """The iteration in coordinates c = A^T u, for a validated data vector w
-    in the codomain. Per step it touches only k_u-vectors: the residual vector
-    rc = X^T w - M c gives both the step direction M^T rc and the distance to
-    W, hypot(||w - X X^T w||, ||rc||), which is exact because w lies in
-    V-perp and R = X M. Ambient iterates A c are formed once, at the end."""
+def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_rtol=1e-15,
+                    divergence_cap=1e9, thin_after=1000, thin_stride=100):
+    """Run the iteration u <- u + alpha_n Q*(w - Qu) from the restricted
+    projector *q* (:func:`altproj.projector.build`) and data *w* in its
+    codomain. With *w* the offset of W of a canonicalized geometry this is
+    the alternating iteration u <- P_U(u + alpha_n (P_W u - u)).
+
+    An initial iterate outside U is silently projected and flagged on the
+    trace. The run stops when the error reaches *conv_tol* ("converged"),
+    after *max_iters* steps ("max_iters"), when the error grows past
+    *divergence_cap* times its initial value ("diverged"), when it changes by
+    less than *stall_rtol* relative over STALL_WINDOW steps ("stalled"), when
+    an error norm or residual is not finite ("nonfinite"), or when a finite
+    schedule runs out of terms ("schedule_exhausted").
+
+    The loop works on the coordinates c = A^T u and touches only
+    k_u-vectors: the residual vector rc = X^T w - M c gives both the step
+    direction M^T rc and the distance to W, hypot(||w - X X^T w||, ||rc||),
+    which is exact because w lies in V-perp and R = X M. Ambient iterates
+    A c are formed once, at the end.
+    """
     a, m, x = q.domain_basis, q.matrix, q.codomain_basis
-    # limit_point validates u0; u0 and P_U u0 have the same null-space
+    # limit_point validates u0 and w; u0 and P_U u0 have the same null-space
     # component, so both give the same limit
     limit = proj.limit_point(q, w, u0)
     u0 = np.asarray(u0, dtype=float)
+    w = np.asarray(w, dtype=float)
     c = a.T @ u0
     projected = bool(np.linalg.norm(u0 - a @ c) > 1e-10 * (1.0 + np.linalg.norm(u0)))
     c_lim = a.T @ limit
@@ -103,8 +125,8 @@ def _run_loop(q, w, schedule, u0, max_iters, conv_tol, stall_window, stall_rtol,
             if e > divergence_cap * e_ref:
                 stop = "diverged"
                 break
-            if n >= stall_window:
-                e_back = errors[-1 - stall_window]
+            if n >= STALL_WINDOW:
+                e_back = errors[-1 - STALL_WINDOW]
                 if e_back > 0 and abs(e_back - e) < stall_rtol * e_back:
                     stop = "stalled"
                     break
@@ -138,42 +160,13 @@ def _run_loop(q, w, schedule, u0, max_iters, conv_tol, stall_window, stall_rtol,
         limit=limit,
         u0_projected=projected,
     )
-    window = min(rate_window, len(errors) - 1)
+    window = min(RATE_WINDOW, len(errors) - 1)
     if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):
         try:
             trace.estimated_rate = estimate_rate(trace, window)
         except ValueError:
             trace.estimated_rate = None
     return trace
-
-
-def run_alternating(g, schedule, u0, max_iters=10_000, conv_tol=1e-10, tol=INTERSECTION_TOL,
-                    stall_window=50, stall_rtol=1e-15, divergence_cap=1e9,
-                    thin_after=1000, thin_stride=100, rate_window=50):
-    """Run the iteration u <- P_U(u + alpha_n (P_W u - u)) on a canonicalized
-    geometry. An initial iterate outside U is silently projected and flagged
-    on the trace. The run stops when the error reaches *conv_tol*
-    ("converged"), after *max_iters* steps ("max_iters"), when the error grows
-    past *divergence_cap* times its initial value ("diverged"), when it
-    changes by less than *stall_rtol* relative over *stall_window* steps
-    ("stalled"), when an error norm or residual is not finite ("nonfinite"),
-    or when a finite schedule runs out of terms ("schedule_exhausted")."""
-    require_canonical(g)
-    return _run_loop(proj.build(g, tol=tol), g.w_offset, schedule, u0, max_iters, conv_tol,
-                     stall_window, stall_rtol, divergence_cap, thin_after, thin_stride,
-                     rate_window)
-
-
-def run_landweber(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
-                  stall_window=50, stall_rtol=1e-15, divergence_cap=1e9,
-                  thin_after=1000, thin_stride=100, rate_window=50):
-    """Run the iteration in gradient form, u <- u + alpha_n Q*(w - Qu), from
-    the restricted projector and data w in its codomain. Same loop and stop
-    rules as :func:`run_alternating`, which is this run with w the offset
-    of W."""
-    w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
-    return _run_loop(q, w, schedule, u0, max_iters, conv_tol, stall_window, stall_rtol,
-                     divergence_cap, thin_after, thin_stride, rate_window)
 
 
 def error_recursion_check(q, schedule, e0, n):

@@ -1,6 +1,7 @@
-"""Dense real linear-algebra substrate: orthonormalization, SVD, pseudo-inverse,
-symmetric eigendecomposition, the thin factorization behind the principal
-sines, and orthogonal complements.
+"""Dense real linear-algebra substrate: orthonormalization, symmetric
+eigendecomposition, the thin factorization behind the principal sines (the
+one SVD a problem's analysis takes), and orthogonal complements (for the
+tests' reference only).
 
 Everything is backed by LAPACK via numpy.linalg; this module pins down the
 rank-tolerance conventions used throughout the package.
@@ -31,21 +32,6 @@ def orthonormalize(columns, tol=None):
         return np.zeros((a.shape[0], 0))
     rank = int(np.count_nonzero(s > tol * s[0]))
     return u[:, :rank]
-
-
-def svd(m):
-    """Thin SVD (u, s, vt) with nonincreasing, nonnegative singular values."""
-    return np.linalg.svd(as_matrix(m), full_matrices=False)
-
-
-def pinv(m, tol=None):
-    """Moore-Penrose pseudo-inverse with singular values below ``tol * s_max``
-    truncated to zero."""
-    if tol is None:
-        tol = global_tol()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return np.linalg.pinv(as_matrix(m), rcond=tol)
 
 
 def sym_eig(m):

@@ -35,7 +35,8 @@ def nullspace_cutoff(tol):
 class RestrictedProjector:
     """Projection of the iterate space into the complement of the constraint
     directions, as the thin factorization R = X S Y^T of its ambient form
-    R = A - B (B^T A).
+    R = A - B (B^T A). It is the one analysis of a problem: the angle
+    report, the least-squares set, the limit and the iteration all read it.
 
     Attributes
     ----------
@@ -50,10 +51,9 @@ class RestrictedProjector:
         contains the range of the operator (a subspace of V-perp).
     constraint_basis : (d, k_w) ndarray
         Orthonormal basis B of the constraint direction space V.
-    norm : float
-        Operator norm (largest singular value), in [0, 1].
-    reduced_min_modulus : float
-        Smallest singular value above the nullspace cutoff; 0 if none.
+    sines : (k_u,) ndarray
+        The singular values S, nonincreasing: the principal sines between
+        U and V. Those at or below ``nullspace_cutoff(tol)`` count as zero.
     nullspace_basis : (d, k_n) ndarray
         Orthonormal basis of the null space, in ambient coordinates.
     """
@@ -62,15 +62,30 @@ class RestrictedProjector:
     domain_basis: np.ndarray
     codomain_basis: np.ndarray
     constraint_basis: np.ndarray
-    norm: float
-    reduced_min_modulus: float
+    sines: np.ndarray
     nullspace_basis: np.ndarray
     tol: float
 
     def __post_init__(self):
         for name in ("matrix", "domain_basis", "codomain_basis", "constraint_basis",
-                     "nullspace_basis"):
+                     "sines", "nullspace_basis"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
+
+    @property
+    def kept(self):
+        """Mask of the sines above the null-space cutoff."""
+        return self.sines > nullspace_cutoff(self.tol)
+
+    @property
+    def norm(self):
+        """Operator norm (largest singular value), in [0, 1]."""
+        return float(self.sines[0]) if self.sines.size else 0.0
+
+    @property
+    def reduced_min_modulus(self):
+        """Smallest singular value above the null-space cutoff; 0 if none."""
+        kept = self.sines[self.kept]
+        return float(kept.min()) if kept.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -87,23 +102,20 @@ class LeastSquaresSet:
 
 
 def build(g, tol=INTERSECTION_TOL):
-    """Build the restricted projector for a canonicalized geometry."""
+    """Analyze a canonicalized geometry: the restricted projector from one
+    thin SVD. *tol* is the intersection tolerance; sines at or below
+    ``nullspace_cutoff(tol)`` span the null space."""
     require_canonical(g)
     a = g.u_space.basis
     b = g.w_space.basis
     x, sigma, yt = linalg.sine_svd(a, b)
-
-    nonzero = sigma > nullspace_cutoff(tol)
-    norm = float(sigma[0]) if sigma.size else 0.0
-    gamma = float(sigma[nonzero].min()) if np.any(nonzero) else 0.0
     return RestrictedProjector(
         matrix=sigma[:, None] * yt,
         domain_basis=a,
         codomain_basis=x,
         constraint_basis=b,
-        norm=norm,
-        reduced_min_modulus=gamma,
-        nullspace_basis=a @ yt[~nonzero].T,
+        sines=sigma,
+        nullspace_basis=a @ yt[sigma <= nullspace_cutoff(tol)].T,
         tol=tol,
     )
 
@@ -129,26 +141,26 @@ def _check_in_codomain(q, w):
 def least_squares_set(q, w):
     """Least-squares solutions of 'Qu = w' as an affine set.
 
-    Returns the minimum-norm solution (via the pseudo-inverse of the
-    coordinate matrix), the null-space basis, and the optimal residual norm.
-    The normal equation is verified internally. The residual is taken in
-    ambient coordinates, because w may have a component outside the range
-    of the codomain basis.
+    Returns the minimum-norm solution, the null-space basis, and the optimal
+    residual norm. The solution comes from the stored factorization: with
+    the sines S_k above the null-space cutoff and their rows M_k = S_k Y_k^T
+    of the matrix, it is Y_k S_k^-1 X_k^T w = M_k^T S_k^-2 X_k^T w. The
+    normal equation is verified on that truncated operator M_k. The
+    residual is taken in ambient coordinates, because w may have a component
+    outside the range of the codomain basis.
     """
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
     _check_in_codomain(q, w)
-    m = q.matrix
+    kept = q.kept
+    m_k, s_k = q.matrix[kept], q.sines[kept]
     wc = q.codomain_basis.T @ w
-    if min(m.shape) > 0 and q.norm > 0.0:
-        rcond = nullspace_cutoff(q.tol) / q.norm
-        sol_c = np.linalg.pinv(m, rcond=rcond) @ wc
-    else:
-        sol_c = np.zeros(m.shape[1])
-    # normal equation: M^T M s = M^T wc
-    ne = np.linalg.norm(m.T @ (m @ sol_c) - m.T @ wc)
+    wc_k = wc[kept]
+    sol_c = m_k.T @ (wc_k / s_k / s_k)
+    # normal equation: M_k^T M_k s = M_k^T wc_k
+    ne = np.linalg.norm(m_k.T @ (m_k @ sol_c - wc_k))
     if ne > 1e-10 * (1.0 + np.linalg.norm(wc)):
         raise ArithmeticError("normal equation violated beyond tolerance; ill-conditioned input")
-    residual = float(np.linalg.norm(w - q.codomain_basis @ (m @ sol_c)))
+    residual = float(np.linalg.norm(w - q.codomain_basis @ (q.matrix @ sol_c)))
     return LeastSquaresSet(
         min_norm_solution=q.domain_basis @ sol_c,
         nullspace_basis=q.nullspace_basis,

@@ -25,6 +25,15 @@ KINDS = (
 STREAM_CHUNK = 4096
 
 
+def _coefficients(values):
+    """*values* as floats, each finite and nonnegative (NaN and infinities,
+    which a JSON scenario can carry, are rejected)."""
+    vals = [float(v) for v in values]
+    if not all(math.isfinite(v) and v >= 0 for v in vals):
+        raise ValueError("coefficients must be finite and nonnegative")
+    return vals
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Immutable description of a relaxation sequence; generation is pure
@@ -41,15 +50,13 @@ class Schedule:
 
     @classmethod
     def constant(cls, value):
-        if value < 0:
-            raise ValueError("coefficient must be nonnegative")
-        return cls("constant", {"value": float(value)})
+        return cls("constant", {"value": _coefficients([value])[0]})
 
     @classmethod
     def cyclic(cls, values):
-        vals = [float(v) for v in values]
-        if not vals or min(vals) < 0:
-            raise ValueError("cyclic schedule needs a nonempty list of nonnegative values")
+        vals = _coefficients(values)
+        if not vals:
+            raise ValueError("cyclic schedule needs a nonempty list of values")
         return cls("cyclic", {"values": vals})
 
     @classmethod
@@ -72,18 +79,16 @@ class Schedule:
 
     @classmethod
     def explicit(cls, values):
-        vals = [float(v) for v in values]
-        if vals and min(vals) < 0:
-            raise ValueError("coefficients must be nonnegative")
-        return cls("explicit", {"values": vals})
+        return cls("explicit", {"values": _coefficients(values)})
 
     @classmethod
     def random_uniform(cls, lo, hi, seed):
-        if lo < 0 or hi < lo:
+        lo, hi = _coefficients([lo, hi])
+        if hi < lo:
             raise ValueError("need 0 <= lo <= hi")
         if seed is None:
             raise ValueError("random schedules require a seed for reproducibility")
-        return cls("random-uniform", {"lo": float(lo), "hi": float(hi), "seed": int(seed)})
+        return cls("random-uniform", {"lo": lo, "hi": hi, "seed": int(seed)})
 
     # -- generation --------------------------------------------------------
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from altproj.angles import compute_report, friedrichs_cos, min_angle_cos, principal_cosines
+from altproj.projector import build
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
 from helpers import canonical_random
@@ -85,14 +86,14 @@ class TestFriedrichs:
 class TestReport:
     def test_orthogonal_lines_in_r3(self):
         g = ProblemGeometry(line([1, 0, 0]), line([0, 1, 0])).canonical()
-        rep = compute_report(g)
+        rep = compute_report(build(g))
         assert rep.nu == pytest.approx(1.0, abs=1e-12)  # e1 lies in the complement
         assert rep.gamma == pytest.approx(1.0, abs=1e-12)
         assert rep.intersection_dim == 0
 
     def test_parallel_spaces(self):
         g = ProblemGeometry(line([1, 0, 0]), line([1, 0, 0])).canonical()
-        rep = compute_report(g)
+        rep = compute_report(build(g))
         assert rep.nu == pytest.approx(0.0, abs=1e-12)
         assert rep.gamma == pytest.approx(1.0, abs=1e-12)
         assert rep.intersection_dim == 1
@@ -100,7 +101,7 @@ class TestReport:
     def test_tilted_line_pair(self):
         phi = np.deg2rad(30)
         g = ProblemGeometry(line([1, 0, 0]), line([np.cos(phi), np.sin(phi), 0])).canonical()
-        rep = compute_report(g)
+        rep = compute_report(build(g))
         assert rep.nu == pytest.approx(np.sin(phi), abs=1e-12)
         assert rep.gamma == pytest.approx(np.sin(phi), abs=1e-12)
         assert rep.theta_min_cos == pytest.approx(np.cos(phi), abs=1e-12)
@@ -108,14 +109,14 @@ class TestReport:
     def test_requires_canonical_geometry(self):
         u = AffineSubspace.from_span(np.array([[1.0], [0.0]]), point=[0.0, 1.0])
         g = ProblemGeometry(u, line([0, 1]))
-        with pytest.raises(ValueError):
-            compute_report(g)
+        with pytest.raises(ValueError):  # from build
+            compute_report(build(g))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_pythagorean_identity(self, seed):
         g = canonical_random(seed, dim=9, dim_u=3, dim_w=4,
                              shared_dims=seed % 3)
-        rep = compute_report(g)
+        rep = compute_report(build(g))
         assert rep.gamma**2 + rep.friedrichs_cos**2 == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= rep.friedrichs_cos <= rep.theta_min_cos + 1e-12 <= 1.0 + 1e-12
         assert 0.0 <= rep.nu <= 1.0 and 0.0 <= rep.gamma <= 1.0

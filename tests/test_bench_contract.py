@@ -50,3 +50,13 @@ def test_loop_makes_no_per_step_projection_or_validation(tracer, tmp_path):
     assert m["validation.as_vector.calls_per_step"] == 0
     assert m["engine.contraction_factor.calls"] == 0
     assert m["cli.write.bytes"] > 0
+    # one analysis per run: the report, the least-squares set and the loop
+    # all read the projector that run_scenario builds
+    assert m["projector.build.calls"] == 1
+
+
+def test_overrelaxation_study_builds_once(tracer):
+    rows = cli.overrelaxation_study(0.5, [0.5, 1.0, 2.0, 3.0], seed=1, max_iters=200)
+    assert len(rows) == 4
+    m = tracing.layer_metrics(tracer)
+    assert m["projector.build.calls"] == 1

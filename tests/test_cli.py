@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from importlib import resources
 
@@ -7,12 +8,13 @@ import pytest
 
 from altproj import cli, linalg
 from altproj.engine import contraction_factor, run_alternating
-from altproj.problems import random_geometry
+from altproj.problems import geometry_from_config, random_geometry
 from altproj.projector import build
 from altproj.schedule import Schedule
 from altproj.subspace import canonicalize
 
 from helpers import random_u0
+from reference import reference_build, reference_report
 
 
 def scenario_path(name):
@@ -70,7 +72,7 @@ class TestRunScenario:
         g = canonicalize(random_geometry(7, 3, 3, 5))
         q = build(g)
         sched = Schedule.random_uniform(0.0, 2.5 / q.norm ** 2, seed=9)
-        trace = run_alternating(g, sched, random_u0(g, 11), max_iters=200)
+        trace = run_alternating(build(g), g.w_offset, sched, random_u0(g, 11), max_iters=200)
         assert trace.n_steps > 20
         cli._write_trace_csv(tmp_path / "t.csv", trace, q)
         with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
@@ -138,9 +140,29 @@ class TestRunScenario:
             "max_iters": 3000,
         }
         summary = cli.run_scenario(cfg, out_dir=tmp_path)
-        assert abs(summary["nu"] - summary["norm_Q"]) <= 1e-9
-        assert abs(summary["gamma"] - summary["gamma_Q"]) <= 1e-7
+        # the run reads the angles and the operator from one factorization;
+        # the complement-based references share no step with it
+        g = canonicalize(geometry_from_config(cfg["geometry"]))
+        ref, ref_report = reference_build(g), reference_report(g)
+        assert abs(summary["nu"] - ref.norm) <= 1e-9
+        assert abs(summary["norm_Q"] - ref_report.nu) <= 1e-9
+        assert abs(summary["gamma"] - ref.reduced_min_modulus) <= 1e-7
+        assert abs(summary["gamma_Q"] - ref_report.gamma) <= 1e-7
         assert 0.0 <= summary["theoretical_bound"] <= 1.0
+
+    def test_sine_below_cutoff_is_not_a_numerical_failure(self, tmp_path):
+        # sines 0.507 and 1.9e-6: the second lies below the null-space
+        # cutoff; the normal-equation check once kept it while the solve
+        # dropped it, and the run failed as "normal equation violated"
+        cfg = {
+            "version": 1,
+            "geometry": {"type": "random", "dim": 10, "dim_u": 4, "dim_w": 8,
+                         "seed": 1160396831, "shared_dims": 2},
+            "schedule": {"kind": "constant", "value": 1.0},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
 
 
 class TestOverrelaxation:
@@ -260,7 +282,25 @@ class TestMain:
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
-        pinv = np.linalg.pinv
-        monkeypatch.setattr(np.linalg, "pinv", lambda m, rcond: 2.0 * pinv(m, rcond=rcond))
+
+        def tampered_build(g, tol):
+            # an operator that disagrees with the stored sines, so the
+            # solve taken from the sines misses the operator's normal equation
+            q = build(g, tol)
+            return dataclasses.replace(q, matrix=2.0 * q.matrix)
+
+        monkeypatch.setattr(cli, "build", tampered_build)
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
         assert "numerical failure: normal equation violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_schedule_coefficient_gives_config_exit(self, tmp_path, capsys, value):
+        # json reads NaN and Infinity; such a coefficient is a configuration
+        # error, not a run that stops as nonfinite (exit 3)
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["schedule"] = {"kind": "explicit", "values": [0.5, float(value), 0.5]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))  # writes the bare NaN / Infinity tokens
+        assert value in path.read_text()
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "coefficients must be finite and nonnegative" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from altproj.engine import (
     estimate_rate,
     rate_bound,
     run_alternating,
-    run_landweber,
 )
 from altproj.linalg import sym_eig
 from altproj.projector import build, distance_to_w, limit_point
@@ -30,7 +29,8 @@ def one_step_geometry():
 class TestRunAlternating:
     def test_one_full_step_converges(self):
         g = one_step_geometry()
-        trace = run_alternating(g, Schedule.constant(1.0), np.array([2.0, 0.0, 0.0]))
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(1.0),
+                                np.array([2.0, 0.0, 0.0]))
         assert trace.stop_reason == "converged"
         assert trace.n_steps == 1
         assert np.allclose(trace.limit, 0.0, atol=1e-14)
@@ -38,27 +38,28 @@ class TestRunAlternating:
 
     def test_half_step_geometric_decay(self):
         g = one_step_geometry()
-        trace = run_alternating(g, Schedule.constant(0.5), np.array([1.0, 0.0, 0.0]),
-                                max_iters=30, conv_tol=-1.0, stall_rtol=0.0)
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
+                                np.array([1.0, 0.0, 0.0]), max_iters=30, conv_tol=-1.0,
+                                stall_rtol=0.0)
         assert np.allclose(trace.error_norms, 0.5 ** np.arange(31), atol=1e-14)
         assert trace.estimated_rate == pytest.approx(0.5, abs=1e-8)
 
     def test_start_at_limit_takes_no_steps(self):
         g = one_step_geometry()
-        trace = run_alternating(g, Schedule.constant(1.0), np.zeros(3))
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(1.0), np.zeros(3))
         assert trace.stop_reason == "converged"
         assert trace.n_steps == 0
 
     def test_zero_schedule_stalls(self):
         g = one_step_geometry()
-        trace = run_alternating(g, Schedule.constant(0.0), np.array([1.0, 0.0, 0.0]),
-                                max_iters=500)
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.0),
+                                np.array([1.0, 0.0, 0.0]), max_iters=500)
         assert trace.stop_reason == "stalled"
         assert trace.final_error == pytest.approx(1.0)
 
     def test_inadmissible_step_diverges(self):
         g = canonical_controlled([np.pi / 2])  # norm 1, so alpha > 2 grows
-        trace = run_alternating(g, Schedule.constant(2.5), random_u0(g, 0),
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(2.5), random_u0(g, 0),
                                 max_iters=1000, divergence_cap=1e3)
         assert trace.stop_reason == "diverged"
         assert np.all(np.diff(trace.error_norms) >= 0)
@@ -66,21 +67,22 @@ class TestRunAlternating:
     def test_requires_canonical_geometry(self):
         u = AffineSubspace.from_span(np.eye(2)[:, :1], point=[0.0, 1.0])
         g = ProblemGeometry(u, AffineSubspace.linear(np.eye(2)[:, 1:]))
-        with pytest.raises(ValueError):
-            run_alternating(g, Schedule.constant(1.0), np.zeros(2))
+        with pytest.raises(ValueError):  # from build, before any step
+            run_alternating(build(g), g.w_offset, Schedule.constant(1.0), np.zeros(2))
 
     def test_initial_point_outside_domain_is_projected_and_flagged(self):
         g = one_step_geometry()
-        trace = run_alternating(g, Schedule.constant(0.5), np.array([1.0, 2.0, 3.0]),
-                                max_iters=5, conv_tol=-1.0, stall_rtol=0.0)
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
+                                np.array([1.0, 2.0, 3.0]), max_iters=5, conv_tol=-1.0,
+                                stall_rtol=0.0)
         assert trace.u0_projected
         assert np.allclose(trace.iterates[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_iterate_thinning(self):
         g = one_step_geometry()
-        trace = run_alternating(g, Schedule.constant(0.5), np.array([1.0, 0.0, 0.0]),
-                                max_iters=250, conv_tol=-1.0, stall_rtol=0.0,
-                                thin_after=10, thin_stride=50)
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
+                                np.array([1.0, 0.0, 0.0]), max_iters=250, conv_tol=-1.0,
+                                stall_rtol=0.0, thin_after=10, thin_stride=50)
         assert trace.iterate_steps[:11] == list(range(11))
         assert trace.iterate_steps[11:] == [50, 100, 150, 200, 250]
         assert len(trace.error_norms) == 251  # error norms stay dense
@@ -90,18 +92,17 @@ class TestRunAlternating:
         # instead of raising or burning its horizon
         g = one_step_geometry()
         sched, u0 = Schedule.constant(1e308), np.array([2.0, 0.0, 0.0])
-        for trace in (run_alternating(g, sched, u0),
-                      run_landweber(build(g), g.w_offset, sched, u0)):
-            assert trace.stop_reason == "nonfinite"
-            assert trace.n_steps == 1
-            assert np.isfinite(trace.error_norms[0]) and not np.isfinite(trace.final_error)
-            assert not np.all(np.isfinite(trace.iterates[-1]))
-            assert trace.estimated_rate is None
+        trace = run_alternating(build(g), g.w_offset, sched, u0)
+        assert trace.stop_reason == "nonfinite"
+        assert trace.n_steps == 1
+        assert np.isfinite(trace.error_norms[0]) and not np.isfinite(trace.final_error)
+        assert not np.all(np.isfinite(trace.iterates[-1]))
+        assert trace.estimated_rate is None
 
     def test_short_explicit_schedule_runs_all_terms(self):
         g = one_step_geometry()
-        trace = run_alternating(g, Schedule.explicit([0.5, 0.5, 0.5]), np.array([1.0, 0.0, 0.0]),
-                                max_iters=100)
+        trace = run_alternating(build(g), g.w_offset, Schedule.explicit([0.5, 0.5, 0.5]),
+                                np.array([1.0, 0.0, 0.0]), max_iters=100)
         assert trace.stop_reason == "schedule_exhausted"
         assert trace.n_steps == 3
         assert np.allclose(trace.error_norms, 0.5 ** np.arange(4), atol=1e-15)
@@ -109,30 +110,33 @@ class TestRunAlternating:
 
     def test_explicit_schedule_as_long_as_horizon_stops_at_max_iters(self):
         g = one_step_geometry()
-        u0 = np.array([1.0, 0.0, 0.0])
-        trace = run_alternating(g, Schedule.explicit([0.5] * 4), u0, max_iters=4)
+        q, u0 = build(g), np.array([1.0, 0.0, 0.0])
+        trace = run_alternating(q, g.w_offset, Schedule.explicit([0.5] * 4), u0, max_iters=4)
         assert trace.stop_reason == "max_iters" and trace.n_steps == 4
-        trace = run_alternating(g, Schedule.explicit([]), u0, max_iters=4)
+        trace = run_alternating(q, g.w_offset, Schedule.explicit([]), u0, max_iters=4)
         assert trace.stop_reason == "schedule_exhausted" and trace.n_steps == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_converges_to_oracle_limit(self, seed):
         g = well_conditioned_problem(seed)
-        trace = run_alternating(g, Schedule.constant(1.0), random_u0(g, seed + 1),
-                                max_iters=5000, conv_tol=1e-12)
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(1.0),
+                                random_u0(g, seed + 1), max_iters=5000, conv_tol=1e-12)
         assert trace.stop_reason == "converged"
         assert np.linalg.norm(trace.iterates[-1] - trace.limit) < 1e-10
 
 
 class TestRunLandweber:
+    """The gradient (Landweber) form: the run from a projector and data w in
+    its codomain, which need not be the offset of W."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_geometric_form_step_by_step(self, seed):
         g = canonical_random(seed, dim=10, dim_u=4, dim_w=4, shared_dims=seed % 2)
         q = build(g)
         u0 = random_u0(g, 500 + seed)
         sched = Schedule.random_uniform(0.2, 1.8, seed=seed)
-        tl = run_landweber(q, g.w_offset, sched, u0, max_iters=60, conv_tol=-1.0,
-                           stall_rtol=0.0)
+        tl = run_alternating(q, g.w_offset, sched, u0, max_iters=60, conv_tol=-1.0,
+                             stall_rtol=0.0)
         ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 60)
         limit = limit_point(q, g.w_offset, ref_iterates[0])
         assert tl.n_steps == 60
@@ -147,15 +151,15 @@ class TestRunLandweber:
         q = build(g)
         u0 = random_u0(g, 7)
         n_vec = q.nullspace_basis[:, 0]
-        t1 = run_landweber(q, g.w_offset, Schedule.constant(1.0), u0, max_iters=2)
-        t2 = run_landweber(q, g.w_offset, Schedule.constant(1.0), u0 + 3.0 * n_vec, max_iters=2)
+        t1 = run_alternating(q, g.w_offset, Schedule.constant(1.0), u0, max_iters=2)
+        t2 = run_alternating(q, g.w_offset, Schedule.constant(1.0), u0 + 3.0 * n_vec, max_iters=2)
         assert np.allclose(t2.limit, t1.limit + 3.0 * n_vec, atol=1e-11)
 
     def test_zero_data_from_nullspace_start(self):
         g = canonical_random(4, dim=8, dim_u=4, dim_w=4, shared_dims=1)
         q = build(g)
         u0 = 2.0 * q.nullspace_basis[:, 0]
-        trace = run_landweber(q, np.zeros(8), Schedule.constant(1.0), u0)
+        trace = run_alternating(q, np.zeros(8), Schedule.constant(1.0), u0)
         assert trace.stop_reason == "converged"
         assert trace.n_steps == 0
         assert np.allclose(trace.limit, u0, atol=1e-12)
@@ -164,8 +168,8 @@ class TestRunLandweber:
     def test_errors_stay_off_the_nullspace(self, seed):
         g = canonical_random(seed, dim=8, dim_u=4, dim_w=4, shared_dims=2)
         q = build(g)
-        trace = run_landweber(q, g.w_offset, Schedule.constant(0.8), random_u0(g, seed),
-                              max_iters=40, conv_tol=-1.0, stall_rtol=0.0)
+        trace = run_alternating(q, g.w_offset, Schedule.constant(0.8), random_u0(g, seed),
+                                max_iters=40, conv_tol=-1.0, stall_rtol=0.0)
         for u, _ in zip(trace.iterates, trace.iterate_steps):
             comp = q.nullspace_basis.T @ (u - trace.limit)
             assert np.linalg.norm(comp) < 1e-10
@@ -198,7 +202,7 @@ def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
     sched = Schedule.random_uniform(0.0, alpha_hi, seed=seed)
     u0 = random_u0(g, seed, scale=u0_scale)
     w = g.w_offset
-    trace = run_alternating(g, sched, u0, max_iters=20, conv_tol=-1.0, stall_rtol=0.0,
+    trace = run_alternating(q, w, sched, u0, max_iters=20, conv_tol=-1.0, stall_rtol=0.0,
                             divergence_cap=np.inf)
     ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 20)
     limit = limit_point(q, w, u0)
@@ -307,8 +311,8 @@ class TestContractionFactor:
         g = well_conditioned_problem(seed)
         q = build(g)
         alpha = 0.9
-        trace = run_landweber(q, g.w_offset, Schedule.constant(alpha), random_u0(g, seed),
-                              max_iters=200, conv_tol=-1.0, stall_rtol=0.0)
+        trace = run_alternating(q, g.w_offset, Schedule.constant(alpha), random_u0(g, seed),
+                                max_iters=200, conv_tol=-1.0, stall_rtol=0.0)
         rho = contraction_factor(q, alpha)
         e = trace.error_norms
         assert np.all(e[1:] <= rho * e[:-1] + 1e-12 * e[0])
@@ -350,8 +354,8 @@ class TestRateBound:
         g = well_conditioned_problem(seed)
         q = build(g)
         sched = Schedule.random_uniform(0.3, 1.7, seed=seed)
-        trace = run_landweber(q, g.w_offset, sched, random_u0(g, seed + 90),
-                              max_iters=300, conv_tol=-1.0, stall_rtol=0.0)
+        trace = run_alternating(q, g.w_offset, sched, random_u0(g, seed + 90),
+                                max_iters=300, conv_tol=-1.0, stall_rtol=0.0)
         rb = rate_bound(q.norm, q.reduced_min_modulus, sched.alphas(300))
         assert rb.bound < 1.0
         if trace.estimated_rate is not None and trace.final_error > 1e-14 * trace.error_norms[0]:

@@ -17,6 +17,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Schedule.constant(-0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: Schedule.constant(v),
+        lambda v: Schedule.cyclic([0.5, v]),
+        lambda v: Schedule.explicit([0.5, v, 0.5]),
+        lambda v: Schedule.random_uniform(v, 2.0, seed=1),
+        lambda v: Schedule.random_uniform(0.0, v, seed=1),
+    ], ids=["constant", "cyclic", "explicit", "random-lo", "random-hi"])
+    def test_non_finite_coefficient_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            make(bad)
+
+    def test_non_finite_coefficient_rejected_from_dict(self):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Schedule.from_dict({"kind": "explicit", "values": [1.0, float("nan")]})
+
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):
             Schedule.random_uniform(0.0, 2.0, None)

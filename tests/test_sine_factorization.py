@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from altproj.angles import compute_report
 from altproj.linalg import orthogonal_complement
-from altproj.projector import build, least_squares_set
+from altproj.projector import build, least_squares_set, limit_point, nullspace_cutoff
 
 from helpers import canonical_controlled, canonical_random
 from reference import reference_build, reference_least_squares, reference_report
@@ -63,7 +63,7 @@ def assert_matches_reference(g, seed=0):
     assert np.linalg.norm(lss.min_norm_solution - sol_ref) <= rtol * (1.0 + np.linalg.norm(sol_ref))
     assert lss.residual_norm == pytest.approx(residual_ref, abs=1e-10 * (1.0 + np.linalg.norm(w)))
 
-    rep, rep_ref = compute_report(g), reference_report(g)
+    rep, rep_ref = compute_report(q), reference_report(g)
     assert rep.nu == pytest.approx(rep_ref.nu, abs=1e-12)
     # the reference takes gamma as sqrt(1 - fc^2), which is off by up to
     # ~eps / gamma near small angles
@@ -93,8 +93,9 @@ def test_generated_geometries_match_complement_reference(dim, dim_u, dim_w, shar
 def test_small_angle_gamma_is_accurate(rotation_seed):
     phi = 2e-4
     g = canonical_controlled([phi], offset_norm=0.5, extra_dims=3, rotation_seed=rotation_seed)
-    assert compute_report(g).gamma == pytest.approx(np.sin(phi), rel=1e-12, abs=0.0)
-    assert build(g).reduced_min_modulus == pytest.approx(np.sin(phi), rel=1e-12, abs=0.0)
+    q = build(g)
+    assert compute_report(q).gamma == pytest.approx(np.sin(phi), rel=1e-12, abs=0.0)
+    assert q.reduced_min_modulus == pytest.approx(np.sin(phi), rel=1e-12, abs=0.0)
 
 
 def test_projector_fields_are_thin():
@@ -109,4 +110,23 @@ def test_projector_fields_are_thin():
     r = vperp @ (vperp.T @ a)
     assert np.allclose(x @ q.matrix, r, atol=1e-12)
     assert np.allclose(q.matrix.T @ q.matrix, r.T @ r, atol=1e-12)
+    assert np.allclose(q.sines, np.linalg.svd(r, compute_uv=False), atol=1e-12)
 
+
+
+def test_sine_below_cutoff_is_dropped_from_solve_and_check():
+    # sines 0.507 and 1.9e-6 (plus two rounding zeros): the second lies
+    # below the null-space cutoff, so the solve and the normal-equation check
+    # both drop it; the check once kept it and rejected the problem
+    g = canonical_random(1160396831, dim=10, dim_u=4, dim_w=8, shared_dims=2)
+    q, ref = build(g), reference_build(g)
+    assert 1e-8 < q.sines[1] <= nullspace_cutoff(q.tol) < q.sines[0]
+    assert q.nullspace_basis.shape[1] == 3
+    sol_ref, residual_ref = reference_least_squares(ref, g.w_offset)
+    lss = least_squares_set(q, g.w_offset)
+    assert np.linalg.norm(lss.min_norm_solution - sol_ref) <= 1e-12 * (1.0 + np.linalg.norm(sol_ref))
+    assert lss.residual_norm == pytest.approx(residual_ref, abs=1e-12)
+    u0 = g.u_space.basis @ np.random.default_rng(0).standard_normal(4)
+    n_ref = ref.nullspace_basis
+    assert np.allclose(limit_point(q, g.w_offset, u0), sol_ref + n_ref @ (n_ref.T @ u0),
+                       atol=1e-12)

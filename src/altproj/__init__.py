@@ -24,6 +24,7 @@ from .schedule import (
     Schedule,
     ScheduleDiagnostics,
     diagnose,
+    filter_pair,
     filter_poly,
     max_admissible_constant,
     product_lemma_check,
@@ -61,6 +62,7 @@ __all__ = [
     "Schedule",
     "ScheduleDiagnostics",
     "diagnose",
+    "filter_pair",
     "filter_poly",
     "max_admissible_constant",
     "product_lemma_check",

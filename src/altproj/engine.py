@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedule import filter_poly
 from .validation import as_vector
 from .subspace import project, project_relaxed
 from . import projector as proj
@@ -171,7 +172,8 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_
 
 def error_recursion_check(q, schedule, e0, n):
     """Propagate an initial error n steps by the direct recursion and by the
-    spectral expansion; returns the pair (iterated, spectral) for comparison.
+    spectral expansion, which multiplies each eigencomponent by its filter
+    polynomial F_n; returns the pair (iterated, spectral) for comparison.
 
     The initial error must be orthogonal to the null space (a component above
     tolerance is rejected: the recursion keeps errors in that complement).
@@ -184,21 +186,17 @@ def error_recursion_check(q, schedule, e0, n):
         comp = np.linalg.norm(nb.T @ e0)
         if comp > 1e-10 * (1.0 + np.linalg.norm(e0)):
             raise ValueError("e0 has a null-space component above tolerance")
-    alphas = schedule.alphas(n)
     a = q.domain_basis
     t = q.matrix.T @ q.matrix
 
     c = a.T @ e0
-    for alpha in alphas:
+    for alpha in schedule.alphas(n):
         c = c - alpha * (t @ c)
     iterated = a @ c
 
     evals, evecs = sym_eig(t) if t.shape[0] > 0 else (np.zeros(0), np.zeros((0, 0)))
     coeffs = evecs.T @ (a.T @ e0)
-    # the filter polynomials prod_j (1 - alpha_j lam_i) of every eigenvalue
-    # from one (n x r) array
-    factors = np.prod(1.0 - alphas[:, None] * evals[None, :], axis=0)
-    spectral = a @ (evecs @ (factors * coeffs))
+    spectral = a @ (evecs @ (filter_poly(schedule, evals, n) * coeffs))
     return iterated, spectral
 
 
@@ -229,13 +227,12 @@ def estimate_rate(trace, window=50):
 @dataclass(frozen=True)
 class RateBound:
     """Theoretical linear-rate bound 1 - eps * gamma^2 / nu^2 for a scaled
-    schedule confined to [eps, 2 - eps], with the per-step factors."""
+    schedule confined to [eps, 2 - eps]."""
 
     epsilon: float
     nu: float
     gamma: float
     bound: float
-    per_step_factors: np.ndarray
 
 
 def rate_bound(nu, gamma, alphas):
@@ -248,6 +245,4 @@ def rate_bound(nu, gamma, alphas):
     s = alphas * nu * nu
     eps = float(max(0.0, min(np.min(s), 2.0 - np.max(s)))) if s.size else 0.0
     bound = 1.0 - eps * (gamma * gamma) / (nu * nu)
-    factors = np.maximum(1.0 - alphas * gamma * gamma, alphas * nu * nu - 1.0)
-    return RateBound(epsilon=eps, nu=float(nu), gamma=float(gamma), bound=float(bound),
-                     per_step_factors=factors)
+    return RateBound(epsilon=eps, nu=float(nu), gamma=float(gamma), bound=float(bound))

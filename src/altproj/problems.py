@@ -9,6 +9,7 @@ angles create intersection directions.
 
 import numpy as np
 
+from .schedule import filter_pair
 from .subspace import AffineSubspace, ProblemGeometry
 from .validation import as_vector
 
@@ -111,15 +112,13 @@ def diagonal_truncation_norms(p, r, dims):
 
 
 def run_diagonal_landweber(p, r, d, schedule, max_iters):
-    """Variable-step gradient iteration on the diagonal model, vectorized over
-    the d coordinates; returns the final iterate."""
+    """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
+    from u = 0 on the diagonal model, in closed form through the filter
+    polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i."""
     i = np.arange(1, int(d) + 1, dtype=float)
     sigma = i ** (-float(p))
     w = i ** (-float(r))
-    u = np.zeros(int(d))
-    for alpha in schedule.alphas(int(max_iters)):
-        u = u + alpha * sigma * (w - sigma * u)
-    return u
+    return filter_pair(schedule, sigma * sigma, int(max_iters))[1] * w / sigma
 
 
 def _require(cond, msg):

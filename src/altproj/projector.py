@@ -103,8 +103,10 @@ class LeastSquaresSet:
 
 def build(g, tol=INTERSECTION_TOL):
     """Analyze a canonicalized geometry: the restricted projector from one
-    thin SVD. *tol* is the intersection tolerance; sines at or below
-    ``nullspace_cutoff(tol)`` span the null space."""
+    thin SVD. *tol* is the intersection tolerance, in (0, 1); sines at or
+    below ``nullspace_cutoff(tol)`` span the null space."""
+    if not 0.0 < tol < 1.0:  # also rejects NaN
+        raise ValueError(f"intersection tolerance must lie in (0, 1), got {tol!r}")
     require_canonical(g)
     a = g.u_space.basis
     b = g.w_space.basis

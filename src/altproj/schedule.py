@@ -155,18 +155,10 @@ class Schedule:
     def from_dict(cls, data):
         data = dict(data)
         kind = data.pop("kind", None)
-        builders = {
-            "constant": cls.constant,
-            "cyclic": cls.cyclic,
-            "harmonic-to-2": cls.harmonic_to_2,
-            "geometric-to-2": cls.geometric_to_2,
-            "explicit": cls.explicit,
-            "random-uniform": cls.random_uniform,
-        }
-        if kind not in builders:
+        if kind not in KINDS:
             raise ValueError(f"unknown schedule kind {kind!r}")
-        try:
-            return builders[kind](**data)
+        try:  # each kind is built by the constructor of the same name
+            return getattr(cls, kind.replace("-", "_"))(**data)
         except TypeError as exc:
             raise ValueError(f"bad parameters for schedule kind {kind!r}: {exc}") from exc
 
@@ -233,12 +225,26 @@ def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0, growth_fractio
 
 
 def filter_poly(schedule, lam, n):
-    """The filter polynomial prod_{j<n} (1 - alpha_j * lam); equals 1 at n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1.0
-    return float(np.prod(1.0 - schedule.alphas(n) * lam))
+    """The filter polynomial F_n(lam) = prod_{j<n} (1 - alpha_j * lam): the
+    factor by which n steps multiply the error component of eigenvalue lam;
+    equals 1 at n = 0."""
+    return filter_pair(schedule, lam, n)[0]
+
+
+def filter_pair(schedule, lam, n):
+    """(F_n(lam), 1 - F_n(lam)) from one running product over the n steps, in
+    O(len lam) memory; a scalar *lam* gives floats, an array of them arrays
+    of its shape. 1 - F_n, the share of the minimum-norm solution that n
+    steps from zero reach, is summed as sum_j alpha_j lam F_j(lam), so it
+    keeps its relative accuracy where F_n rounds to 1."""
+    lam = np.asarray(lam, dtype=float)
+    # one scratch array: alpha_j lam is formed twice rather than kept
+    f, g, buf = np.ones_like(lam), np.zeros_like(lam), np.empty_like(lam)
+    for alpha in schedule.alphas(n).tolist():
+        np.multiply(lam, alpha, out=buf)
+        g += np.multiply(buf, f, out=buf)  # alpha_j lam F_j, what step j moves to 1 - F
+        f *= np.subtract(1.0, np.multiply(lam, alpha, out=buf), out=buf)
+    return (float(f), float(g)) if f.ndim == 0 else (f, g)
 
 
 def product_lemma_check(s_values, horizon=None):

@@ -76,10 +76,6 @@ class AffineSubspace:
         off = self.offset + s - self.basis @ (self.basis.T @ s)
         return AffineSubspace(self.basis, off)
 
-    def contains(self, u, atol=1e-10):
-        u = as_vector(u, dim=self.dim_ambient)
-        return np.linalg.norm(u - project(self, u)) <= atol * (1.0 + np.linalg.norm(u))
-
 
 def project(a, u):
     """Orthogonal projection of *u* onto the affine subspace *a*."""

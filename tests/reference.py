@@ -10,6 +10,10 @@ an independent oracle.
 
 The geometric reference iterates the paper's step P_U(u + alpha (P_W u - u))
 on ambient vectors, which shares no step with the engine's coordinate loop.
+
+The diagonal Landweber reference iterates u <- u + alpha sigma (w - sigma u)
+step by step, which shares no step with the closed form through the filter
+polynomial that :func:`altproj.problems.run_diagonal_landweber` evaluates.
 """
 
 from types import SimpleNamespace
@@ -88,3 +92,15 @@ def geometric_reference(g, schedule, u0, n):
         iterates.append(u)
         residuals.append(distance_to_w(g, u))
     return np.array(iterates), np.array(residuals)
+
+
+def diagonal_landweber_reference(p, r, d, schedule, max_iters):
+    """*max_iters* steps of the gradient iteration on the diagonal model with
+    singular values i^-p and data i^-r, from u = 0, one step at a time."""
+    i = np.arange(1, int(d) + 1, dtype=float)
+    sigma = i ** (-float(p))
+    w = i ** (-float(r))
+    u = np.zeros(int(d))
+    for alpha in schedule.alphas(int(max_iters)):
+        u = u + alpha * sigma * (w - sigma * u)
+    return u

@@ -5,16 +5,17 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altproj import cli, linalg
 from altproj.engine import contraction_factor, run_alternating
-from altproj.problems import geometry_from_config, random_geometry
+from altproj.problems import geometry_from_config, random_geometry, run_diagonal_landweber
 from altproj.projector import build
 from altproj.schedule import Schedule
 from altproj.subspace import canonicalize
 
 from helpers import random_u0
-from reference import reference_build, reference_report
+from reference import diagonal_landweber_reference, reference_build, reference_report
 
 
 def scenario_path(name):
@@ -198,6 +199,33 @@ class TestTruncation:
         rows = cli.truncation_study(0.5, 1.0, [5], max_iters=5000)
         assert rows[0]["iterate_norm"] == pytest.approx(rows[0]["limit_norm"], rel=1e-6)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(0.1, 3.0), st.floats(-1.0, 2.0), st.integers(1, 2000), st.data())
+    def test_closed_form_matches_step_by_step_iteration(self, p, r, d, data):
+        # coefficients up to 1.95 against sigma_1^2 = 1 reach alpha sigma^2 > 1,
+        # where factors 1 - alpha sigma^2 change sign
+        n = data.draw(st.integers(0, 200), label="max_iters")
+        alpha = st.floats(0.0, 1.95)
+        kind = data.draw(st.sampled_from(["constant", "cyclic", "explicit", "random-uniform"]),
+                         label="kind")
+        if kind == "constant":
+            sched = Schedule.constant(data.draw(alpha))
+        elif kind == "cyclic":
+            sched = Schedule.cyclic(data.draw(st.lists(alpha, min_size=1, max_size=5)))
+        elif kind == "explicit":
+            sched = Schedule.explicit(data.draw(st.lists(alpha, min_size=n, max_size=n)))
+        else:
+            lo = data.draw(alpha)
+            sched = Schedule.random_uniform(lo, data.draw(st.floats(lo, 1.95)),
+                                            seed=data.draw(st.integers(0, 2**31 - 1)))
+        u = run_diagonal_landweber(p, r, d, sched, n)
+        ref = diagonal_landweber_reference(p, r, d, sched, n)
+        assert u.shape == (d,)
+        # componentwise, so components the iteration has barely reached
+        # (u_i ~ n alpha sigma_i w_i, far below w_i / sigma_i) count as much
+        # as the ones it has
+        np.testing.assert_allclose(u, ref, rtol=1e-12, atol=0)
+
 
 class TestMain:
     def test_run_verb(self, tmp_path, capsys):
@@ -292,6 +320,18 @@ class TestMain:
         monkeypatch.setattr(cli, "build", tampered_build)
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
         assert "numerical failure: normal equation violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "1.5", "-1e-8"])
+    def test_bad_intersection_tol_gives_config_exit(self, tmp_path, capsys, value):
+        # a tolerance outside (0, 1) would set the null-space cutoff to NaN,
+        # to 0 or above real sines, or fail in sqrt
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["intersection_tol"] = float(value)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "intersection tolerance must lie in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "two_lines_30deg_summary.json").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_schedule_coefficient_gives_config_exit(self, tmp_path, capsys, value):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from altproj.angles import compute_report
 from altproj.engine import (
     contraction_factor,
     error_recursion_check,
@@ -10,11 +11,12 @@ from altproj.engine import (
     run_alternating,
 )
 from altproj.linalg import sym_eig
-from altproj.projector import build, distance_to_w, limit_point
-from altproj.schedule import Schedule, filter_poly
+from altproj.projector import build, distance_to_w, limit_point, nullspace_cutoff
+from altproj.schedule import Schedule
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
-from helpers import canonical_controlled, canonical_random, random_u0, well_conditioned_problem
+from helpers import (canonical_controlled, canonical_random, property_geometries, random_u0,
+                     well_conditioned_problem)
 from reference import geometric_reference
 
 
@@ -175,25 +177,6 @@ class TestRunLandweber:
             assert np.linalg.norm(comp) < 1e-10
 
 
-@st.composite
-def property_geometries(draw):
-    """Nested (one direction space inside the other), intersecting, or
-    near-parallel (a principal angle of 1e-6 to 1e-2 rad) canonical
-    geometries."""
-    kind = draw(st.sampled_from(["nested", "intersecting", "near-parallel"]))
-    seed = draw(st.integers(0, 2**31 - 1))
-    if kind == "near-parallel":
-        angles = [draw(st.floats(1e-6, 1e-2)), draw(st.floats(0.2, np.pi / 2))]
-        return canonical_controlled(angles, offset_norm=draw(st.floats(0.0, 2.0)),
-                                    extra_dims=draw(st.integers(0, 4)), rotation_seed=seed)
-    dim = draw(st.integers(3, 12))
-    dim_u, dim_w = draw(st.integers(1, dim - 1)), draw(st.integers(1, dim - 1))
-    k = min(dim_u, dim_w)
-    shared = k if kind == "nested" else draw(st.integers(1, k))
-    return canonical_random(seed, dim=dim, dim_u=dim_u, dim_w=dim_w, shared_dims=shared,
-                            offset_scale=draw(st.floats(0.1, 10.0)))
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(property_geometries(), st.integers(0, 2**31 - 1), st.floats(0.1, 10.0))
 def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
@@ -216,6 +199,32 @@ def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
     # residual_dW is the distance of the ambient iterate A c to W, exactly
     for r, u in zip(trace.residuals, trace.iterates):
         assert abs(r - distance_to_w(g, u)) <= 1e-13 * max(1.0, np.linalg.norm(u), np.linalg.norm(w))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(property_geometries(), st.floats(0.05, 1.0), st.integers(0, 2**31 - 1))
+def test_empirical_rate_within_rate_bound(g, eps, seed):
+    # every step scales the error by at most max_i |1 - alpha sigma_i^2| over the
+    # sines sigma_i in [gamma, nu], which s_n = alpha_n nu^2 in [eps, 2 - eps]
+    # keeps below 1 - eps gamma^2 / nu^2; the fitted rate is a weighted mean
+    # of the per-step log ratios, so it obeys the same bound
+    q = build(g)
+    report = compute_report(q)
+    assume(report.nu > nullspace_cutoff(q.tol))  # a zero operator has no bound
+    nu2 = report.nu ** 2
+    sched = Schedule.random_uniform(eps / nu2, (2.0 - eps) / nu2, seed=seed)
+    u0 = random_u0(g, seed)
+    scale = max(1.0, np.linalg.norm(u0), np.linalg.norm(limit_point(q, g.w_offset, u0)))
+    conv_tol = 1e-6 * scale
+    trace = run_alternating(q, g.w_offset, sched, u0, max_iters=300, conv_tol=conv_tol)
+    assume(trace.n_steps > 0)
+    bound = rate_bound(report.nu, report.gamma, trace.alphas_used)
+    assert bound.epsilon >= eps * (1.0 - 1e-12)
+    # every ratio but the last is taken above conv_tol; the last step may land
+    # on rounding, O(1e-14) of the scale, so its ratio may exceed the bound
+    # by that over conv_tol
+    assert trace.estimated_rate is not None
+    assert trace.estimated_rate <= bound.bound + 1e-14 * scale / conv_tol
 
 
 class TestErrorRecursion:
@@ -252,8 +261,9 @@ class TestErrorRecursion:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_spectral_factors_match_filter_polynomials(self, seed):
-        # the per-eigenvalue filter_poly form the check used to take; the
-        # product order differs, so agreement is to rounding, not exact
+        # each eigenvalue's filter polynomial as its own product over the
+        # drawn coefficients, not through filter_poly, which the check uses;
+        # the product order differs, so agreement is to rounding, not exact
         rng = np.random.default_rng(seed)
         g = canonical_random(seed, dim=12, dim_u=5, dim_w=5)
         q = build(g)
@@ -262,7 +272,8 @@ class TestErrorRecursion:
         _, spectral = error_recursion_check(q, sched, e0, 40)
         a, t = q.domain_basis, q.matrix.T @ q.matrix
         evals, evecs = sym_eig(t)
-        factors = np.array([filter_poly(sched, lam, 40) for lam in evals])
+        alphas = sched.alphas(40)
+        factors = np.array([np.prod(1.0 - alphas * lam) for lam in evals])
         expected = a @ (evecs @ (factors * (evecs.T @ (a.T @ e0))))
         assert np.allclose(spectral, expected, rtol=0.0, atol=1e-14 * np.linalg.norm(e0))
 

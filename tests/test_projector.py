@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from altproj.angles import compute_report
 from altproj.linalg import orthogonal_complement
 from altproj.projector import (
     adjoint_apply,
@@ -10,9 +12,9 @@ from altproj.projector import (
     least_squares_set,
     limit_point,
 )
-from altproj.subspace import AffineSubspace, ProblemGeometry, project
+from altproj.subspace import AffineSubspace, ProblemGeometry, canonicalize, project
 
-from helpers import canonical_controlled, canonical_random, random_u0
+from helpers import canonical_controlled, canonical_random, property_geometries, random_u0
 from reference import reference_report
 
 
@@ -233,3 +235,29 @@ class TestAngleIdentities:
         ref = reference_report(g)
         assert abs(q.norm - ref.nu) <= 1e-10
         assert abs(q.reduced_min_modulus - ref.gamma) <= 1e-8
+
+
+def rescaled(g, c):
+    """The geometry with every point multiplied by *c*: each subspace rebuilt
+    from its spanning vectors and offset, both scaled by c, then
+    canonicalized."""
+    def scale(a):
+        return AffineSubspace.from_span(c * a.basis, point=c * a.offset)
+
+    return canonicalize(ProblemGeometry(scale(g.u_space), scale(g.w_space)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(property_geometries(), st.floats(1e-6, 1e6))
+def test_rescaling_keeps_angles_and_scales_residual(g, c):
+    # rank and intersection decisions are relative, so a rescaled geometry has
+    # the same angles and null space, and its distances scale with it
+    gc = rescaled(g, c)
+    q, qc = build(g), build(gc)
+    report, report_c = compute_report(q), compute_report(qc)
+    assert report_c.intersection_dim == report.intersection_dim
+    assert report_c.nu == pytest.approx(report.nu, abs=1e-13)
+    assert report_c.gamma == pytest.approx(report.gamma, abs=1e-13)
+    res = least_squares_set(q, g.w_offset).residual_norm
+    res_c = least_squares_set(qc, gc.w_offset).residual_norm
+    assert abs(res_c - c * res) <= 1e-12 * c * (1.0 + np.linalg.norm(g.w_offset))

@@ -6,6 +6,7 @@ import pytest
 from altproj.schedule import (
     Schedule,
     diagnose,
+    filter_pair,
     filter_poly,
     max_admissible_constant,
     product_lemma_check,
@@ -149,6 +150,42 @@ class TestFilterPoly:
         for lam in np.linspace(1e-3, mu, 7):
             for n in (1, 5, 20, 100):
                 assert abs(filter_poly(s, lam, n)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_array_matches_per_value_products(self, seed):
+        # coefficients up to 1.9 on lam up to 1 flip the sign of some factors
+        s = Schedule.random_uniform(0.0, 1.9, seed=seed)
+        lam = np.random.default_rng(seed).uniform(0.0, 1.0, (3, 4))
+        got = filter_poly(s, lam, 60)
+        assert isinstance(got, np.ndarray) and got.shape == lam.shape
+        expected = [np.prod(1.0 - s.alphas(60) * v) for v in lam.ravel()]
+        assert np.allclose(got.ravel(), expected, rtol=1e-13, atol=1e-300)
+        assert np.array_equal(filter_poly(s, lam, 0), np.ones_like(lam))
+        assert filter_poly(s, np.zeros(0), 60).shape == (0,)
+
+    def test_scalar_gives_float(self):
+        value = filter_poly(Schedule.cyclic([0.5, 1.5]), 0.3, 7)
+        assert type(value) is float
+        assert value == pytest.approx(0.85 ** 4 * 0.55 ** 3, rel=1e-14)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            filter_poly(Schedule.constant(1.0), 0.5, -1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_is_filter_and_its_complement(self, seed):
+        s = Schedule.random_uniform(0.0, 1.9, seed=seed)
+        lam = np.random.default_rng(seed).uniform(0.0, 1.0, 12)
+        f, g = filter_pair(s, lam, 60)
+        assert np.array_equal(f, filter_poly(s, lam, 60))
+        assert np.allclose(g, 1.0 - f, rtol=0, atol=1e-14)
+        assert np.array_equal(filter_pair(s, lam, 0)[1], np.zeros_like(lam))
+
+    def test_complement_keeps_accuracy_where_filter_rounds_to_one(self):
+        # F_100(1e-20) = 1 - 1e-18 rounds to 1, so 1 - F would give 0
+        f, g = filter_pair(Schedule.constant(1.0), 1e-20, 100)
+        assert f == 1.0 and type(g) is float
+        assert g == pytest.approx(1e-18, rel=1e-14)
 
     def test_divergent_schedule_drives_filter_to_zero(self):
         s = Schedule.constant(1.0)

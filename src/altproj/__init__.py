@@ -8,13 +8,11 @@ from .subspace import (
     canonicalize,
     project,
     project_relaxed,
-    relaxed_w_projection_formula,
 )
-from .angles import AngleReport, compute_report, friedrichs_cos, min_angle_cos, principal_cosines
+from .angles import AngleReport, compute_report
 from .projector import (
     LeastSquaresSet,
     RestrictedProjector,
-    adjoint_apply,
     build,
     distance_to_w,
     least_squares_set,
@@ -26,8 +24,6 @@ from .schedule import (
     diagnose,
     filter_pair,
     filter_poly,
-    max_admissible_constant,
-    product_lemma_check,
 )
 from .engine import (
     IterationTrace,
@@ -46,15 +42,10 @@ __all__ = [
     "canonicalize",
     "project",
     "project_relaxed",
-    "relaxed_w_projection_formula",
     "AngleReport",
     "compute_report",
-    "friedrichs_cos",
-    "min_angle_cos",
-    "principal_cosines",
     "LeastSquaresSet",
     "RestrictedProjector",
-    "adjoint_apply",
     "build",
     "distance_to_w",
     "least_squares_set",
@@ -64,8 +55,6 @@ __all__ = [
     "diagnose",
     "filter_pair",
     "filter_poly",
-    "max_admissible_constant",
-    "product_lemma_check",
     "IterationTrace",
     "RateBound",
     "contraction_factor",

@@ -9,10 +9,10 @@ angle is the minimum angle after removing the intersection from both spaces.
 Both are read from the principal sines between the direction spaces, which
 the restricted projector stores: the singular values of R = A - B (B^T A) for
 orthonormal bases A of U and B of V (see :func:`altproj.projector.build`).
-The report factorizes nothing beyond the small cross-Gram matrix A^T B of the
-principal cosines. The complement of V is never formed, so memory is O(d k),
-and small angles are computed from their sines rather than as
-sqrt(1 - cos^2).
+The principal cosines, the singular values of B^T A, are stored beside them,
+so the report is a read of the projector and factorizes nothing. The
+complement of V is never formed, so memory is O(d k), and small angles are
+computed from their sines rather than as sqrt(1 - cos^2).
 
 Convention: the cosine of an angle over an empty pair of (reduced) spaces is 0,
 so gamma = 1 when one direction space is contained in the other. This matches
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import INTERSECTION_TOL, as_matrix, readonly
+from .validation import readonly
 
 
 @dataclass(frozen=True)
@@ -47,61 +47,18 @@ class AngleReport:
         object.__setattr__(self, "principal_cosines", readonly(self.principal_cosines))
 
 
-def principal_cosines(a_basis, b_basis):
-    """Nonincreasing singular values of the cross-Gram matrix a^T b, clipped
-    to [0, 1]. Either basis empty yields an empty list."""
-    a = as_matrix(a_basis, name="a_basis")
-    b = as_matrix(b_basis, rows=a.shape[0], name="b_basis")
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(a.T @ b, compute_uv=False)
-    return np.clip(s, 0.0, 1.0)
-
-
-def min_angle_cos(a, b):
-    """Cosine of the minimum angle between the direction spaces of *a* and *b*
-    (largest principal cosine); 0 when either space is trivial."""
-    cos = principal_cosines(a.basis, b.basis)
-    return float(cos[0]) if cos.size else 0.0
-
-
-def _reduced_pair(a_basis, b_basis, tol):
-    """Split off the intersection: returns (a_reduced, b_reduced, dim_intersection)
-    where the reduced bases span a ∩ J-perp and b ∩ J-perp for J = a ∩ b."""
-    a = as_matrix(a_basis)
-    b = as_matrix(b_basis, rows=a.shape[0])
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return a, b, 0
-    x, s, yt = np.linalg.svd(a.T @ b, full_matrices=True)
-    j = int(np.count_nonzero(s >= 1.0 - tol))
-    return a @ x[:, j:], b @ yt.T[:, j:], j
-
-
-def friedrichs_cos(a, b, tol=INTERSECTION_TOL):
-    """Cosine of the Friedrichs angle between the direction spaces of *a* and
-    *b*, together with the dimension of their intersection.
-
-    The intersection is detected as the span of principal-vector pairs with
-    cosine >= 1 - tol; the Friedrichs cosine is the largest principal cosine
-    between the reduced spaces (0 if either reduced space is trivial).
-    """
-    a_red, b_red, dim_j = _reduced_pair(a.basis, b.basis, tol)
-    cos = principal_cosines(a_red, b_red)
-    return (float(cos[0]) if cos.size else 0.0), dim_j
-
-
 def compute_report(q):
     """Full :class:`AngleReport` for the restricted projector *q* of a
     canonicalized geometry (:func:`altproj.projector.build`).
 
-    ``nu``, ``gamma`` and ``intersection_dim`` are read from the principal
-    sines that *q* stores: ``nu`` is the largest sine (the operator norm),
-    the sines at or below the null-space cutoff span the intersection, and
-    ``gamma`` is the smallest sine above it (the reduced minimum modulus,
-    or 1 if there is none). ``friedrichs_cos`` is the principal cosine
-    paired with ``gamma``.
+    Every field is read from *q*; nothing is factorized. ``nu``, ``gamma``
+    and ``intersection_dim`` come from the principal sines: ``nu`` is the
+    largest sine (the operator norm), the sines at or below the null-space
+    cutoff span the intersection, and ``gamma`` is the smallest sine above
+    it (the reduced minimum modulus, or 1 if there is none). The cosines are
+    those *q* stores; ``friedrichs_cos`` is the one paired with ``gamma``.
     """
-    cosines = principal_cosines(q.domain_basis, q.constraint_basis)
+    cosines = q.cosines
     dim_j = q.nullspace_basis.shape[1]
     return AngleReport(
         principal_cosines=cosines,

@@ -84,9 +84,7 @@ _TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g\r\n"
 def _write_trace_csv(path, trace, q):
     alphas = trace.alphas_used
     n = alphas.size
-    # contraction_factor(q, alpha) for the whole column, same expression
-    g2, n2 = q.reduced_min_modulus ** 2, q.norm ** 2
-    rho = np.maximum(1.0 - alphas * g2, alphas * n2 - 1.0)
+    rho = contraction_factor(q, alphas)
     rows = zip(range(n), alphas.tolist(), trace.error_norms[:n].tolist(),
                trace.residuals[:n].tolist(), rho.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:

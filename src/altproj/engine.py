@@ -28,6 +28,10 @@ from . import projector as proj
 STALL_WINDOW = 50
 # Trailing steps the empirical rate is fitted over.
 RATE_WINDOW = 50
+# A trace stores the iterate of every step up to THIN_AFTER, then of every
+# THIN_STRIDE-th step (and always the last one).
+THIN_AFTER = 1000
+THIN_STRIDE = 100
 
 
 @dataclass
@@ -36,13 +40,15 @@ class IterationTrace:
 
     ``error_norms``, ``residuals`` have one entry per recorded iterate
     (n = 0 .. n_final); ``alphas_used`` one entry per step taken. Iterates are
-    stored densely for the first ``thin_after`` steps, then thinned;
-    ``iterate_steps`` gives the step index of each stored iterate. A run that
-    stops as ``nonfinite`` took ``n_steps`` steps, and its last error norm or
-    residual, the first non-finite one, belongs to step ``n_steps``.
+    stored as rows of ``coords`` in the orthonormal ``basis`` A of U, densely
+    for THIN_AFTER steps, then thinned; ``iterate_steps`` gives the step
+    index of each stored iterate. A run that stops as ``nonfinite`` took
+    ``n_steps`` steps, and its last error norm or residual, the first
+    non-finite one, belongs to step ``n_steps``.
     """
 
-    iterates: list
+    coords: np.ndarray
+    basis: np.ndarray
     iterate_steps: list
     error_norms: np.ndarray
     residuals: np.ndarray
@@ -52,6 +58,13 @@ class IterationTrace:
     estimated_rate: float | None
     limit: np.ndarray
     u0_projected: bool
+
+    @property
+    def iterates(self):
+        """The stored iterates A c as rows of an (n_stored, d) array, formed
+        on each access."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.coords @ self.basis.T
 
     @property
     def n_steps(self):
@@ -70,7 +83,7 @@ def geometric_step(g, u, alpha):
 
 
 def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_rtol=1e-15,
-                    divergence_cap=1e9, thin_after=1000, thin_stride=100):
+                    divergence_cap=1e9):
     """Run the iteration u <- u + alpha_n Q*(w - Qu) from the restricted
     projector *q* (:func:`altproj.projector.build`) and data *w* in its
     codomain. With *w* the offset of W of a canonicalized geometry this is
@@ -87,8 +100,8 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_
     The loop works on the coordinates c = A^T u and touches only
     k_u-vectors: the residual vector rc = X^T w - M c gives both the step
     direction M^T rc and the distance to W, hypot(||w - X X^T w||, ||rc||),
-    which is exact because w lies in V-perp and R = X M. Ambient iterates
-    A c are formed once, at the end.
+    which is exact because w lies in V-perp and R = X M. The trace keeps
+    the coordinates; ambient iterates A c are formed only when read.
     """
     a, m, x = q.domain_basis, q.matrix, q.codomain_basis
     # limit_point validates u0 and w; u0 and P_U u0 have the same null-space
@@ -142,16 +155,16 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_
             residuals.append(math.hypot(r_perp, math.sqrt(rc @ rc)))
             used.append(alpha)
             n += 1
-            if n <= thin_after or n % thin_stride == 0:
+            if n <= THIN_AFTER or n % THIN_STRIDE == 0:
                 coords.append(c)
                 iterate_steps.append(n)
-        if iterate_steps[-1] != n:
-            coords.append(c)
-            iterate_steps.append(n)
-        iterates = list(np.array(coords) @ a.T)
+    if iterate_steps[-1] != n:
+        coords.append(c)
+        iterate_steps.append(n)
 
     trace = IterationTrace(
-        iterates=iterates,
+        coords=np.array(coords),
+        basis=a,
         iterate_steps=iterate_steps,
         error_norms=np.asarray(errors),
         residuals=np.asarray(residuals),
@@ -202,12 +215,15 @@ def error_recursion_check(q, schedule, e0, n):
 
 def contraction_factor(q, alpha):
     """Worst-case per-step error factor on the complement of the null space:
-    max(1 - alpha * gamma^2, alpha * norm^2 - 1)."""
-    if alpha < 0:
+    max(1 - alpha * gamma^2, alpha * norm^2 - 1). A scalar *alpha* gives a
+    float, an array of them an array of its shape."""
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha < 0):
         raise ValueError("alpha must be nonnegative")
     g2 = q.reduced_min_modulus ** 2
     n2 = q.norm ** 2
-    return max(1.0 - alpha * g2, alpha * n2 - 1.0)
+    rho = np.maximum(1.0 - alpha * g2, alpha * n2 - 1.0)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def estimate_rate(trace, window=50):

@@ -1,7 +1,7 @@
 """Dense real linear-algebra substrate: orthonormalization, symmetric
-eigendecomposition, the thin factorization behind the principal sines (the
-one SVD a problem's analysis takes), and orthogonal complements (for the
-tests' reference only).
+eigendecomposition, the thin factorization behind the principal sines and
+cosines (the one factorization a problem's analysis takes), and orthogonal
+complements (for the tests' reference only).
 
 Everything is backed by LAPACK via numpy.linalg; this module pins down the
 rank-tolerance conventions used throughout the package.
@@ -54,16 +54,21 @@ def sym_eig(m):
 
 def sine_svd(a, b):
     """Thin SVD (x, s, yt) of R = a - b (b^T a), the component of span(a)
-    orthogonal to span(b), for orthonormal bases a (d x k_a) and b (d x k_b).
+    orthogonal to span(b), for orthonormal bases a (d x k_a) and b (d x k_b),
+    and the principal cosines: the min(k_a, k_b) singular values of the
+    cross-Gram matrix b^T a, nonincreasing and clipped to [0, 1].
 
     R is the ambient form of the projection onto span(b)-perp restricted to
     span(a). Its singular values are the sines of the principal angles
     between the two spans, nonincreasing (when k_a > k_b, k_a - k_b of them
     equal 1). Taking them from R rather than as sqrt(1 - cos^2) keeps small
     angles accurate. Memory is O(d (k_a + k_b)); no d x d array is formed.
+    Returns (x, s, yt, cosines).
     """
-    r = a - b @ (b.T @ a)
-    return np.linalg.svd(r, full_matrices=False)
+    bta = b.T @ a
+    x, s, yt = np.linalg.svd(a - b @ bta, full_matrices=False)
+    cosines = np.clip(np.linalg.svd(bta, compute_uv=False), 0.0, 1.0)
+    return x, s, yt, cosines
 
 
 def orthogonal_complement(basis, tol=None):

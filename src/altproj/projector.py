@@ -6,6 +6,8 @@ projects back onto U. With A an orthonormal basis of U and B one of V, its
 ambient form is the d x k_u matrix R = A - B (B^T A), and the thin SVD
 R = X S Y^T gives everything else: the singular values S are the principal
 sines between U and V, X spans the range of Q and Y gives the null space.
+The principal cosines, the singular values of the k_w x k_u product B^T A
+that R is formed from, are kept beside them for the angle report.
 Nothing of size d x d is formed, so memory is O(d k).
 
 The least-squares machinery built on top of it (minimum-norm solution, null
@@ -54,6 +56,9 @@ class RestrictedProjector:
     sines : (k_u,) ndarray
         The singular values S, nonincreasing: the principal sines between
         U and V. Those at or below ``nullspace_cutoff(tol)`` count as zero.
+    cosines : (min(k_u, k_w),) ndarray
+        The principal cosines between U and V, nonincreasing: the singular
+        values of B^T A, the product R is formed from.
     nullspace_basis : (d, k_n) ndarray
         Orthonormal basis of the null space, in ambient coordinates.
     """
@@ -63,12 +68,13 @@ class RestrictedProjector:
     codomain_basis: np.ndarray
     constraint_basis: np.ndarray
     sines: np.ndarray
+    cosines: np.ndarray
     nullspace_basis: np.ndarray
     tol: float
 
     def __post_init__(self):
         for name in ("matrix", "domain_basis", "codomain_basis", "constraint_basis",
-                     "sines", "nullspace_basis"):
+                     "sines", "cosines", "nullspace_basis"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
@@ -103,35 +109,25 @@ class LeastSquaresSet:
 
 def build(g, tol=INTERSECTION_TOL):
     """Analyze a canonicalized geometry: the restricted projector from one
-    thin SVD. *tol* is the intersection tolerance, in (0, 1); sines at or
-    below ``nullspace_cutoff(tol)`` span the null space."""
+    thin factorization (:func:`altproj.linalg.sine_svd`). *tol* is the
+    intersection tolerance, in (0, 1); sines at or below
+    ``nullspace_cutoff(tol)`` span the null space."""
     if not 0.0 < tol < 1.0:  # also rejects NaN
         raise ValueError(f"intersection tolerance must lie in (0, 1), got {tol!r}")
     require_canonical(g)
     a = g.u_space.basis
     b = g.w_space.basis
-    x, sigma, yt = linalg.sine_svd(a, b)
+    x, sigma, yt, cosines = linalg.sine_svd(a, b)
     return RestrictedProjector(
         matrix=sigma[:, None] * yt,
         domain_basis=a,
         codomain_basis=x,
         constraint_basis=b,
         sines=sigma,
+        cosines=cosines,
         nullspace_basis=a @ yt[sigma <= nullspace_cutoff(tol)].T,
         tol=tol,
     )
-
-
-def apply(q, u):
-    """Image of an ambient vector of U under the operator, in ambient coordinates."""
-    u = as_vector(u, dim=q.domain_basis.shape[0], name="u")
-    return q.codomain_basis @ (q.matrix @ (q.domain_basis.T @ u))
-
-
-def adjoint_apply(q, v):
-    """Adjoint applied to an ambient vector of V-perp: the projection onto U."""
-    v = as_vector(v, dim=q.codomain_basis.shape[0], name="v")
-    return q.domain_basis @ (q.matrix.T @ (q.codomain_basis.T @ v))
 
 
 def _check_in_codomain(q, w):

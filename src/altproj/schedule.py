@@ -245,26 +245,3 @@ def filter_pair(schedule, lam, n):
         g += np.multiply(buf, f, out=buf)  # alpha_j lam F_j, what step j moves to 1 - F
         f *= np.subtract(1.0, np.multiply(lam, alpha, out=buf), out=buf)
     return (float(f), float(g)) if f.ndim == 0 else (f, g)
-
-
-def product_lemma_check(s_values, horizon=None):
-    """For a sequence in [0, 2], returns (sum of s*(2-s), product of |1-s|)
-    over the first *horizon* terms. Out-of-range values are rejected."""
-    s = np.asarray(s_values, dtype=float)
-    if horizon is not None:
-        s = s[:horizon]
-    if s.size and (s.min() < 0 or s.max() > 2):
-        raise ValueError("sequence values must lie in [0, 2]")
-    partial_sum = float(np.sum(s * (2.0 - s)))
-    abs_product = float(np.prod(np.abs(1.0 - s)))
-    return partial_sum, abs_product
-
-
-def max_admissible_constant(nu, eps):
-    """Largest constant relaxation with alpha * nu^2 <= 2 - eps; may exceed 2
-    when nu < 1, which is the whole point of the scaled condition."""
-    if not (0 < nu <= 1):
-        raise ValueError("nu must be in (0, 1]")
-    if not (0 < eps <= 1):
-        raise ValueError("eps must be in (0, 1]")
-    return (2.0 - eps) / (nu * nu)

@@ -93,16 +93,6 @@ def project_relaxed(a, u, alpha):
     return u + alpha * (project(a, u) - u)
 
 
-def translate_identity_check(a, s, u):
-    """Both sides of the projection translation identity, for tests:
-    returns (P_{a+s} u, P_a(u - s) + s)."""
-    s = as_vector(s, dim=a.dim_ambient, name="s")
-    u = as_vector(u, dim=a.dim_ambient, name="u")
-    lhs = project(a.translate(s), u)
-    rhs = project(a, u - s) + s
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class ProblemGeometry:
     """A pair of affine subspaces: the iterate space U and the constraint set W.
@@ -153,15 +143,6 @@ class ProblemGeometry:
 def canonicalize(g):
     """See :meth:`ProblemGeometry.canonical`."""
     return g.canonical()
-
-
-def relaxed_w_projection_formula(g, u, alpha):
-    """Relaxed projection onto W in the explicit form u + alpha*(w - P_{V-perp} u),
-    with w the canonical offset of W and V its direction space."""
-    u = as_vector(u, dim=g.dim_ambient, name="u")
-    bv = g.w_space.basis
-    p_vperp_u = u - bv @ (bv.T @ u)
-    return u + alpha * (g.w_offset - p_vperp_u)
 
 
 def require_canonical(g):

@@ -14,18 +14,105 @@ on ambient vectors, which shares no step with the engine's coordinate loop.
 The diagonal Landweber reference iterates u <- u + alpha sigma (w - sigma u)
 step by step, which shares no step with the closed form through the filter
 polynomial that :func:`altproj.problems.run_diagonal_landweber` evaluates.
+
+The principal cosines are recomputed here from the cross-Gram matrix a^T b,
+and the Friedrichs cosine from an explicit split of the intersection, which
+shares no step with the cosines :func:`altproj.projector.build` stores. The
+remaining helpers state identities of the paper in their explicit form (the
+relaxed projection onto W, the translation of a projection, the operator and
+its adjoint on ambient vectors, the product lemma) for the tests to check the
+package against.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from altproj.angles import friedrichs_cos, principal_cosines
 from altproj.engine import geometric_step
 from altproj.linalg import orthogonal_complement
 from altproj.projector import distance_to_w, nullspace_cutoff
 from altproj.subspace import project
-from altproj.validation import INTERSECTION_TOL
+from altproj.validation import INTERSECTION_TOL, as_matrix, as_vector
+
+
+def principal_cosines(a_basis, b_basis):
+    """Nonincreasing singular values of the cross-Gram matrix a^T b, clipped
+    to [0, 1]. Either basis empty yields an empty list."""
+    a = as_matrix(a_basis, name="a_basis")
+    b = as_matrix(b_basis, rows=a.shape[0], name="b_basis")
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros(0)
+    s = np.linalg.svd(a.T @ b, compute_uv=False)
+    return np.clip(s, 0.0, 1.0)
+
+
+def _reduced_pair(a_basis, b_basis, tol):
+    """Split off the intersection: returns (a_reduced, b_reduced, dim_intersection)
+    where the reduced bases span a ∩ J-perp and b ∩ J-perp for J = a ∩ b."""
+    a = as_matrix(a_basis)
+    b = as_matrix(b_basis, rows=a.shape[0])
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return a, b, 0
+    x, s, yt = np.linalg.svd(a.T @ b, full_matrices=True)
+    j = int(np.count_nonzero(s >= 1.0 - tol))
+    return a @ x[:, j:], b @ yt.T[:, j:], j
+
+
+def friedrichs_cos(a, b, tol=INTERSECTION_TOL):
+    """Cosine of the Friedrichs angle between the direction spaces of *a* and
+    *b*, together with the dimension of their intersection.
+
+    The intersection is detected as the span of principal-vector pairs with
+    cosine >= 1 - tol; the Friedrichs cosine is the largest principal cosine
+    between the reduced spaces (0 if either reduced space is trivial).
+    """
+    a_red, b_red, dim_j = _reduced_pair(a.basis, b.basis, tol)
+    cos = principal_cosines(a_red, b_red)
+    return (float(cos[0]) if cos.size else 0.0), dim_j
+
+
+def translate_identity_check(a, s, u):
+    """Both sides of the projection translation identity:
+    returns (P_{a+s} u, P_a(u - s) + s)."""
+    s = as_vector(s, dim=a.dim_ambient, name="s")
+    u = as_vector(u, dim=a.dim_ambient, name="u")
+    lhs = project(a.translate(s), u)
+    rhs = project(a, u - s) + s
+    return lhs, rhs
+
+
+def relaxed_w_projection_formula(g, u, alpha):
+    """Relaxed projection onto W in the explicit form u + alpha*(w - P_{V-perp} u),
+    with w the canonical offset of W and V its direction space."""
+    u = as_vector(u, dim=g.dim_ambient, name="u")
+    bv = g.w_space.basis
+    p_vperp_u = u - bv @ (bv.T @ u)
+    return u + alpha * (g.w_offset - p_vperp_u)
+
+
+def apply(q, u):
+    """Image of an ambient vector of U under the operator, in ambient coordinates."""
+    u = as_vector(u, dim=q.domain_basis.shape[0], name="u")
+    return q.codomain_basis @ (q.matrix @ (q.domain_basis.T @ u))
+
+
+def adjoint_apply(q, v):
+    """Adjoint applied to an ambient vector of V-perp: the projection onto U."""
+    v = as_vector(v, dim=q.codomain_basis.shape[0], name="v")
+    return q.domain_basis @ (q.matrix.T @ (q.codomain_basis.T @ v))
+
+
+def product_lemma_check(s_values, horizon=None):
+    """For a sequence in [0, 2], returns (sum of s*(2-s), product of |1-s|)
+    over the first *horizon* terms. Out-of-range values are rejected."""
+    s = np.asarray(s_values, dtype=float)
+    if horizon is not None:
+        s = s[:horizon]
+    if s.size and (s.min() < 0 or s.max() > 2):
+        raise ValueError("sequence values must lie in [0, 2]")
+    partial_sum = float(np.sum(s * (2.0 - s)))
+    abs_product = float(np.prod(np.abs(1.0 - s)))
+    return partial_sum, abs_product
 
 
 def reference_build(g, tol=INTERSECTION_TOL):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from altproj.angles import compute_report, friedrichs_cos, min_angle_cos, principal_cosines
+from altproj.angles import compute_report
 from altproj.projector import build
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
 from helpers import canonical_random
+from reference import friedrichs_cos, principal_cosines
 
 
 def line(direction):
@@ -42,6 +43,12 @@ class TestPrincipalCosines:
         a, b = g.u_space.basis, g.w_space.basis
         del rng
         assert np.allclose(principal_cosines(a, b), principal_cosines(b, a), atol=1e-12)
+
+
+def min_angle_cos(a, b):
+    """The report's minimum-angle cosine between the direction spaces of the
+    linear subspaces *a* and *b*: the largest cosine the projector stores."""
+    return compute_report(build(ProblemGeometry(a, b))).theta_min_cos
 
 
 class TestMinAngle:

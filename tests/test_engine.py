@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from altproj import engine
 from altproj.angles import compute_report
 from altproj.engine import (
     contraction_factor,
@@ -80,11 +81,13 @@ class TestRunAlternating:
         assert trace.u0_projected
         assert np.allclose(trace.iterates[0], [1.0, 0.0, 0.0], atol=1e-12)
 
-    def test_iterate_thinning(self):
+    def test_iterate_thinning(self, monkeypatch):
+        monkeypatch.setattr(engine, "THIN_AFTER", 10)
+        monkeypatch.setattr(engine, "THIN_STRIDE", 50)
         g = one_step_geometry()
         trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
                                 np.array([1.0, 0.0, 0.0]), max_iters=250, conv_tol=-1.0,
-                                stall_rtol=0.0, thin_after=10, thin_stride=50)
+                                stall_rtol=0.0)
         assert trace.iterate_steps[:11] == list(range(11))
         assert trace.iterate_steps[11:] == [50, 100, 150, 200, 250]
         assert len(trace.error_norms) == 251  # error norms stay dense

@@ -4,18 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from altproj.angles import compute_report
 from altproj.linalg import orthogonal_complement
-from altproj.projector import (
-    adjoint_apply,
-    apply,
-    build,
-    distance_to_w,
-    least_squares_set,
-    limit_point,
-)
+from altproj.projector import build, distance_to_w, least_squares_set, limit_point
 from altproj.subspace import AffineSubspace, ProblemGeometry, canonicalize, project
 
 from helpers import canonical_controlled, canonical_random, property_geometries, random_u0
-from reference import reference_report
+from reference import adjoint_apply, apply, reference_report
 
 
 def line(direction, point=None):

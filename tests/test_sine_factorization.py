@@ -1,6 +1,6 @@
-"""The thin factorization R = A - B (B^T A) against the complement-based
-reference in ``reference.py``, on geometries that cover every shape the
-factorization must handle."""
+"""The thin factorization R = A - B (B^T A), and the principal cosines
+stored beside it, against the independent references in ``reference.py``,
+on geometries that cover every shape the factorization must handle."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,9 @@ from altproj.angles import compute_report
 from altproj.linalg import orthogonal_complement
 from altproj.projector import build, least_squares_set, limit_point, nullspace_cutoff
 
-from helpers import canonical_controlled, canonical_random
-from reference import reference_build, reference_least_squares, reference_report
+from helpers import canonical_controlled, canonical_random, property_geometries
+from reference import (principal_cosines, reference_build, reference_least_squares,
+                       reference_report)
 
 SMALL_ANGLES = [2e-4, 1e-3, 0.5]
 
@@ -46,8 +47,15 @@ def reachable_data(g, ref, seed):
     return g.w_offset + c @ (c.T @ u)
 
 
+def assert_cosines_match_reference(q, g):
+    cos_ref = principal_cosines(g.u_space.basis, g.w_space.basis)
+    assert q.cosines.shape == cos_ref.shape
+    assert np.max(np.abs(q.cosines - cos_ref), initial=0.0) <= 1e-12
+
+
 def assert_matches_reference(g, seed=0):
     q, ref = build(g), reference_build(g)
+    assert_cosines_match_reference(q, g)
     assert q.norm == pytest.approx(ref.norm, abs=1e-12)
     assert q.reduced_min_modulus == pytest.approx(ref.reduced_min_modulus, abs=1e-12)
     n, n_ref = q.nullspace_basis, ref.nullspace_basis
@@ -87,6 +95,29 @@ def test_generated_geometries_match_complement_reference(dim, dim_u, dim_w, shar
     shared = min(shared, dim_u, dim_w)
     g = canonical_random(seed, dim=dim, dim_u=dim_u, dim_w=dim_w, shared_dims=shared)
     assert_matches_reference(g, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(property_geometries())
+def test_stored_cosines_match_reference_on_property_geometries(g):
+    assert_cosines_match_reference(build(g), g)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_factorizes_nothing(name, monkeypatch):
+    q = build(CASES[name][0]())
+    expected = compute_report(q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_report called a numpy.linalg factorization")
+
+    for routine in ("svd", "eigh", "eig", "qr", "pinv", "lstsq"):
+        monkeypatch.setattr(np.linalg, routine, refuse)
+    rep = compute_report(q)
+    assert np.array_equal(rep.principal_cosines, expected.principal_cosines)
+    assert (rep.theta_min_cos, rep.friedrichs_cos, rep.nu, rep.gamma, rep.intersection_dim,
+            rep.tol) == (expected.theta_min_cos, expected.friedrichs_cos, expected.nu,
+                         expected.gamma, expected.intersection_dim, expected.tol)
 
 
 @pytest.mark.parametrize("rotation_seed", [None, 1])

@@ -7,9 +7,9 @@ from altproj.subspace import (
     canonicalize,
     project,
     project_relaxed,
-    relaxed_w_projection_formula,
-    translate_identity_check,
 )
+
+from reference import relaxed_w_projection_formula, translate_identity_check
 
 X_AXIS = AffineSubspace.linear(np.array([[1.0], [0.0]]))
 # the vertical line {(0, s, 1) : s real} in R^3

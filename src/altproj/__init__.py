@@ -23,7 +23,6 @@ from .schedule import (
     ScheduleDiagnostics,
     diagnose,
     filter_pair,
-    filter_poly,
 )
 from .engine import (
     IterationTrace,
@@ -54,7 +53,6 @@ __all__ = [
     "ScheduleDiagnostics",
     "diagnose",
     "filter_pair",
-    "filter_poly",
     "IterationTrace",
     "RateBound",
     "contraction_factor",

@@ -92,6 +92,16 @@ def _write_trace_csv(path, trace, q):
         fh.writelines(_TRACE_ROW % row for row in rows)
 
 
+def _horizon(value):
+    """A scenario's max_iters as an int: a JSON integer, or a float with an
+    integral value, that is nonnegative."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"max_iters must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def run_scenario(path, out_dir=None):
     """Execute a scenario file end to end; returns the summary record dict and
     writes the configured output files."""
@@ -109,8 +119,10 @@ def run_scenario(path, out_dir=None):
         g = canonicalize(problems.geometry_from_config(cfg["geometry"]))
         sched = Schedule.from_dict(cfg["schedule"])
         u0 = _build_u0(cfg.get("u0", {"type": "zero"}), g.u_space)
-        max_iters = int(cfg.get("max_iters", 10_000))
+        max_iters = _horizon(cfg.get("max_iters", 10_000))
         conv_tol = float(cfg.get("conv_tol", 1e-10))
+        if not (math.isfinite(conv_tol) and conv_tol >= 0.0):  # also rejects NaN
+            raise ValueError(f"conv_tol must be finite and nonnegative, got {conv_tol!r}")
         itol = float(cfg.get("intersection_tol", INTERSECTION_TOL))
     except np.linalg.LinAlgError:
         raise  # a numerical failure, although LinAlgError is a ValueError

@@ -1,31 +1,34 @@
 """The iteration engine.
 
 Runs the relaxed alternating-projection iteration as a variable-step
-Landweber iteration on the k_u coordinates c = A^T u of the iterate in an
-orthonormal basis A of U. With the restricted projector's thin factorization
-R = X M, one step is c <- c + alpha * M^T (X^T w - M c); it equals the
-geometric step P_U(u + alpha (P_W u - u)), which :func:`geometric_step` keeps
-as the reference the tests iterate. The one entry point,
-:func:`run_alternating`, takes the projector of an analyzed problem and the
-data w, validates its inputs once, and runs a loop whose cost per step does
-not depend on d.
+Landweber iteration on the k_u coordinates z = Y^T A^T u of the iterate in
+the right singular basis A Y of the restricted projector's thin
+factorization R = X S Y^T. There the operator is diagonal, so one step,
+z <- z + alpha * s * (X^T w - s * z), is elementwise on k_u-vectors; it
+equals the geometric step P_U(u + alpha (P_W u - u)), which
+:func:`geometric_step` keeps as the reference the tests iterate. The one
+entry point, :func:`run_alternating`, takes the projector of an analyzed
+problem and the data w, validates its inputs once, and runs a loop whose
+cost per step does not depend on d and is linear in k_u.
 Error norms are measured against the precomputed oracle limit, which is
 available in finite dimensions, rather than against successive differences.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import filter_poly
+from .schedule import filter_pair
 from .validation import as_vector
 from .subspace import project, project_relaxed
 from . import projector as proj
 
-# Steps over which a run whose error changes by less than its stall_rtol
-# counts as stalled.
+# A run whose error changes by less than STALL_RTOL relative over
+# STALL_WINDOW steps counts as stalled.
 STALL_WINDOW = 50
+STALL_RTOL = 1e-15
 # Trailing steps the empirical rate is fitted over.
 RATE_WINDOW = 50
 # A trace stores the iterate of every step up to THIN_AFTER, then of every
@@ -40,15 +43,17 @@ class IterationTrace:
 
     ``error_norms``, ``residuals`` have one entry per recorded iterate
     (n = 0 .. n_final); ``alphas_used`` one entry per step taken. Iterates are
-    stored as rows of ``coords`` in the orthonormal ``basis`` A of U, densely
-    for THIN_AFTER steps, then thinned; ``iterate_steps`` gives the step
-    index of each stored iterate. A run that stops as ``nonfinite`` took
+    stored as rows z of ``coords`` in the orthonormal basis A Y of U, with A
+    the ``basis`` and Y^T the projector's ``right_vectors``, densely for
+    THIN_AFTER steps, then thinned; ``iterate_steps`` gives the step index
+    of each stored iterate. A run that stops as ``nonfinite`` took
     ``n_steps`` steps, and its last error norm or residual, the first
     non-finite one, belongs to step ``n_steps``.
     """
 
     coords: np.ndarray
     basis: np.ndarray
+    right_vectors: np.ndarray
     iterate_steps: list
     error_norms: np.ndarray
     residuals: np.ndarray
@@ -61,10 +66,10 @@ class IterationTrace:
 
     @property
     def iterates(self):
-        """The stored iterates A c as rows of an (n_stored, d) array, formed
-        on each access."""
+        """The stored iterates A Y z as rows of an (n_stored, d) array,
+        formed on each access."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.coords @ self.basis.T
+            return (self.coords @ self.right_vectors) @ self.basis.T
 
     @property
     def n_steps(self):
@@ -82,8 +87,7 @@ def geometric_step(g, u, alpha):
     return project(g.u_space, project_relaxed(g.w_space, u, alpha))
 
 
-def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_rtol=1e-15,
-                    divergence_cap=1e9):
+def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, divergence_cap=1e9):
     """Run the iteration u <- u + alpha_n Q*(w - Qu) from the restricted
     projector *q* (:func:`altproj.projector.build`) and data *w* in its
     codomain. With *w* the offset of W of a canonicalized geometry this is
@@ -93,17 +97,25 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_
     trace. The run stops when the error reaches *conv_tol* ("converged"),
     after *max_iters* steps ("max_iters"), when the error grows past
     *divergence_cap* times its initial value ("diverged"), when it changes by
-    less than *stall_rtol* relative over STALL_WINDOW steps ("stalled"), when
+    less than STALL_RTOL relative over STALL_WINDOW steps ("stalled"), when
     an error norm or residual is not finite ("nonfinite"), or when a finite
-    schedule runs out of terms ("schedule_exhausted").
+    schedule runs out of terms ("schedule_exhausted"). *max_iters* must be a
+    nonnegative integer and *conv_tol* not NaN; a negative *conv_tol* runs
+    the whole horizon.
 
-    The loop works on the coordinates c = A^T u and touches only
-    k_u-vectors: the residual vector rc = X^T w - M c gives both the step
-    direction M^T rc and the distance to W, hypot(||w - X X^T w||, ||rc||),
-    which is exact because w lies in V-perp and R = X M. The trace keeps
-    the coordinates; ambient iterates A c are formed only when read.
+    The loop works on the coordinates z = Y^T A^T u and touches only
+    k_u-vectors, elementwise: the residual vector rz = X^T w - s z gives
+    both the step direction s rz and the distance to W,
+    hypot(||w - X X^T w||, ||rz||), which is exact because w lies in V-perp
+    and R = X S Y^T. Since Y is orthogonal, ||z - z_lim|| is the error of
+    the iterate. The trace keeps the coordinates; ambient iterates A Y z are
+    formed only when read.
     """
-    a, m, x = q.domain_basis, q.matrix, q.codomain_basis
+    if not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
+    if math.isnan(conv_tol):
+        raise ValueError("conv_tol must not be NaN")
+    a, yt, s, x = q.domain_basis, q.right_vectors, q.sines, q.codomain_basis
     # limit_point validates u0 and w; u0 and P_U u0 have the same null-space
     # component, so both give the same limit
     limit = proj.limit_point(q, w, u0)
@@ -111,16 +123,16 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_
     w = np.asarray(w, dtype=float)
     c = a.T @ u0
     projected = bool(np.linalg.norm(u0 - a @ c) > 1e-10 * (1.0 + np.linalg.norm(u0)))
-    c_lim = a.T @ limit
+    z = yt @ c
+    z_lim = yt @ (a.T @ limit)
     wc = x.T @ w
     r_perp = float(np.linalg.norm(w - x @ wc))
-    mt = m.T
 
-    rc = wc - m @ c
-    d = c - c_lim
+    rz = wc - s * z
+    d = z - z_lim
     errors = [math.sqrt(d @ d)]
-    residuals = [math.hypot(r_perp, math.sqrt(rc @ rc))]
-    coords, iterate_steps, used = [c], [0], []
+    residuals = [math.hypot(r_perp, math.sqrt(rz @ rz))]
+    coords, iterate_steps, used = [z], [0], []
     e_ref = max(errors[0], 1e-300)
     alphas = schedule.stream()
     n = 0
@@ -141,30 +153,31 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_
                 break
             if n >= STALL_WINDOW:
                 e_back = errors[-1 - STALL_WINDOW]
-                if e_back > 0 and abs(e_back - e) < stall_rtol * e_back:
+                if e_back > 0 and abs(e_back - e) < STALL_RTOL * e_back:
                     stop = "stalled"
                     break
             alpha = next(alphas, None)
             if alpha is None:
                 stop = "schedule_exhausted"
                 break
-            c = c + alpha * (mt @ rc)
-            rc = wc - m @ c
-            d = c - c_lim
+            z = z + alpha * (s * rz)
+            rz = wc - s * z
+            d = z - z_lim
             errors.append(math.sqrt(d @ d))
-            residuals.append(math.hypot(r_perp, math.sqrt(rc @ rc)))
+            residuals.append(math.hypot(r_perp, math.sqrt(rz @ rz)))
             used.append(alpha)
             n += 1
             if n <= THIN_AFTER or n % THIN_STRIDE == 0:
-                coords.append(c)
+                coords.append(z)
                 iterate_steps.append(n)
     if iterate_steps[-1] != n:
-        coords.append(c)
+        coords.append(z)
         iterate_steps.append(n)
 
     trace = IterationTrace(
         coords=np.array(coords),
         basis=a,
+        right_vectors=yt,
         iterate_steps=iterate_steps,
         error_norms=np.asarray(errors),
         residuals=np.asarray(residuals),
@@ -184,32 +197,32 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, stall_
 
 
 def error_recursion_check(q, schedule, e0, n):
-    """Propagate an initial error n steps by the direct recursion and by the
-    spectral expansion, which multiplies each eigencomponent by its filter
-    polynomial F_n; returns the pair (iterated, spectral) for comparison.
+    """Propagate an initial error n steps by the direct recursion with the
+    dense k_u x k_u matrix R^T R, and by the spectral expansion, which
+    multiplies each component in the stored right singular basis by its
+    filter polynomial F_n(s_i^2); returns the pair (iterated, spectral) for
+    comparison. Neither side factorizes anything.
 
     The initial error must be orthogonal to the null space (a component above
     tolerance is rejected: the recursion keeps errors in that complement).
     """
-    from .linalg import sym_eig
-
     e0 = as_vector(e0, dim=q.domain_basis.shape[0], name="e0")
     nb = q.nullspace_basis
     if nb.shape[1] > 0:
         comp = np.linalg.norm(nb.T @ e0)
         if comp > 1e-10 * (1.0 + np.linalg.norm(e0)):
             raise ValueError("e0 has a null-space component above tolerance")
-    a = q.domain_basis
-    t = q.matrix.T @ q.matrix
+    a, yt = q.domain_basis, q.right_vectors
+    m = q.matrix
+    t = m.T @ m
 
     c = a.T @ e0
     for alpha in schedule.alphas(n):
         c = c - alpha * (t @ c)
     iterated = a @ c
 
-    evals, evecs = sym_eig(t) if t.shape[0] > 0 else (np.zeros(0), np.zeros((0, 0)))
-    coeffs = evecs.T @ (a.T @ e0)
-    spectral = a @ (evecs @ (filter_poly(schedule, evals, n) * coeffs))
+    factors = filter_pair(schedule, q.sines ** 2, n)[0]
+    spectral = a @ (yt.T @ (factors * (yt @ (a.T @ e0))))
     return iterated, spectral
 
 

@@ -1,7 +1,8 @@
-"""Dense real linear-algebra substrate: orthonormalization, symmetric
-eigendecomposition, the thin factorization behind the principal sines and
-cosines (the one factorization a problem's analysis takes), and orthogonal
-complements (for the tests' reference only).
+"""Dense real linear-algebra substrate: orthonormalization, the thin
+factorization behind the principal sines and cosines (the one factorization
+a problem's analysis takes: the angle report, least squares, the limit, the
+loop and the spectral check all read its singular values and vectors), and
+orthogonal complements (for the tests' reference only).
 
 Everything is backed by LAPACK via numpy.linalg; this module pins down the
 rank-tolerance conventions used throughout the package.
@@ -32,24 +33,6 @@ def orthonormalize(columns, tol=None):
         return np.zeros((a.shape[0], 0))
     rank = int(np.count_nonzero(s > tol * s[0]))
     return u[:, :rank]
-
-
-def sym_eig(m):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues nonincreasing and
-    orthonormal eigenvector columns. Non-symmetric input signals a caller
-    bug and is rejected.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > 1e-12 * max(scale, 1e-300):
-        raise ValueError("matrix is not symmetric to relative tolerance 1e-12")
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
 
 
 def sine_svd(a, b):

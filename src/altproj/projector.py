@@ -6,8 +6,11 @@ projects back onto U. With A an orthonormal basis of U and B one of V, its
 ambient form is the d x k_u matrix R = A - B (B^T A), and the thin SVD
 R = X S Y^T gives everything else: the singular values S are the principal
 sines between U and V, X spans the range of Q and Y gives the null space.
-The principal cosines, the singular values of the k_w x k_u product B^T A
-that R is formed from, are kept beside them for the angle report.
+In the basis A Y of U the operator is diagonal, so the iteration and the
+spectral check step elementwise on the sines; no second factorization (of
+R^T R, say) is taken. The principal cosines, the singular values of the
+k_w x k_u product B^T A that R is formed from, are kept beside them for the
+angle report.
 Nothing of size d x d is formed, so memory is O(d k).
 
 The least-squares machinery built on top of it (minimum-norm solution, null
@@ -38,14 +41,15 @@ class RestrictedProjector:
     """Projection of the iterate space into the complement of the constraint
     directions, as the thin factorization R = X S Y^T of its ambient form
     R = A - B (B^T A). It is the one analysis of a problem: the angle
-    report, the least-squares set, the limit and the iteration all read it.
+    report, the least-squares set, the limit, the iteration and the spectral
+    check all read it.
 
     Attributes
     ----------
-    matrix : (k_u, k_u) ndarray
-        S Y^T: the operator from coordinates in ``domain_basis`` to
-        coordinates in ``codomain_basis``, so codomain_basis @ matrix == R
-        and matrix^T @ matrix == R^T R.
+    right_vectors : (k_u, k_u) ndarray
+        Y^T: orthonormal rows, the right singular vectors of R in
+        coordinates of ``domain_basis``. In the basis A Y the operator is
+        diagonal, with the sines on its diagonal.
     domain_basis : (d, k_u) ndarray
         Orthonormal basis A of the iterate direction space U.
     codomain_basis : (d, k_u) ndarray
@@ -63,7 +67,7 @@ class RestrictedProjector:
         Orthonormal basis of the null space, in ambient coordinates.
     """
 
-    matrix: np.ndarray
+    right_vectors: np.ndarray
     domain_basis: np.ndarray
     codomain_basis: np.ndarray
     constraint_basis: np.ndarray
@@ -73,9 +77,16 @@ class RestrictedProjector:
     tol: float
 
     def __post_init__(self):
-        for name in ("matrix", "domain_basis", "codomain_basis", "constraint_basis",
+        for name in ("right_vectors", "domain_basis", "codomain_basis", "constraint_basis",
                      "sines", "cosines", "nullspace_basis"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
+
+    @property
+    def matrix(self):
+        """S Y^T, formed on each access: the operator from coordinates in
+        ``domain_basis`` to coordinates in ``codomain_basis``, so
+        codomain_basis @ matrix == R and matrix^T @ matrix == R^T R."""
+        return self.sines[:, None] * self.right_vectors
 
     @property
     def kept(self):
@@ -119,7 +130,7 @@ def build(g, tol=INTERSECTION_TOL):
     b = g.w_space.basis
     x, sigma, yt, cosines = linalg.sine_svd(a, b)
     return RestrictedProjector(
-        matrix=sigma[:, None] * yt,
+        right_vectors=yt,
         domain_basis=a,
         codomain_basis=x,
         constraint_basis=b,
@@ -141,20 +152,21 @@ def least_squares_set(q, w):
 
     Returns the minimum-norm solution, the null-space basis, and the optimal
     residual norm. The solution comes from the stored factorization: with
-    the sines S_k above the null-space cutoff and their rows M_k = S_k Y_k^T
-    of the matrix, it is Y_k S_k^-1 X_k^T w = M_k^T S_k^-2 X_k^T w. The
-    normal equation is verified on that truncated operator M_k. The
-    residual is taken in ambient coordinates, because w may have a component
-    outside the range of the codomain basis.
+    the sines S_k above the null-space cutoff and their right singular
+    vectors Y_k, it is Y_k S_k^-1 X_k^T w. The normal equation is verified on
+    the truncated operator M_k = S_k Y_k^T. The residual is taken in ambient
+    coordinates, because w may have a component outside the range of the
+    codomain basis.
     """
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
     _check_in_codomain(q, w)
     kept = q.kept
-    m_k, s_k = q.matrix[kept], q.sines[kept]
+    yt_k, s_k = q.right_vectors[kept], q.sines[kept]
     wc = q.codomain_basis.T @ w
     wc_k = wc[kept]
-    sol_c = m_k.T @ (wc_k / s_k / s_k)
+    sol_c = yt_k.T @ (wc_k / s_k)
     # normal equation: M_k^T M_k s = M_k^T wc_k
+    m_k = s_k[:, None] * yt_k
     ne = np.linalg.norm(m_k.T @ (m_k @ sol_c - wc_k))
     if ne > 1e-10 * (1.0 + np.linalg.norm(wc)):
         raise ArithmeticError("normal equation violated beyond tolerance; ill-conditioned input")

@@ -224,19 +224,15 @@ def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0, growth_fractio
     )
 
 
-def filter_poly(schedule, lam, n):
-    """The filter polynomial F_n(lam) = prod_{j<n} (1 - alpha_j * lam): the
-    factor by which n steps multiply the error component of eigenvalue lam;
-    equals 1 at n = 0."""
-    return filter_pair(schedule, lam, n)[0]
-
-
 def filter_pair(schedule, lam, n):
-    """(F_n(lam), 1 - F_n(lam)) from one running product over the n steps, in
-    O(len lam) memory; a scalar *lam* gives floats, an array of them arrays
-    of its shape. 1 - F_n, the share of the minimum-norm solution that n
-    steps from zero reach, is summed as sum_j alpha_j lam F_j(lam), so it
-    keeps its relative accuracy where F_n rounds to 1."""
+    """(F_n(lam), 1 - F_n(lam)) for the filter polynomial
+    F_n(lam) = prod_{j<n} (1 - alpha_j * lam), the factor by which n steps
+    multiply the error component of eigenvalue lam (1 at n = 0). Both come
+    from one running product over the n steps, in O(len lam) memory; a
+    scalar *lam* gives floats, an array of them arrays of its shape.
+    1 - F_n, the share of the minimum-norm solution that n steps from zero
+    reach, is summed as sum_j alpha_j lam F_j(lam), so it keeps its relative
+    accuracy where F_n rounds to 1."""
     lam = np.asarray(lam, dtype=float)
     # one scratch array: alpha_j lam is formed twice rather than kept
     f, g, buf = np.ones_like(lam), np.zeros_like(lam), np.empty_like(lam)

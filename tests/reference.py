@@ -15,6 +15,10 @@ The diagonal Landweber reference iterates u <- u + alpha sigma (w - sigma u)
 step by step, which shares no step with the closed form through the filter
 polynomial that :func:`altproj.problems.run_diagonal_landweber` evaluates.
 
+The symmetric eigendecomposition :func:`sym_eig` is the eigen-oracle for
+R^T R: the package reads the eigenpairs (s^2, Y) from its one SVD and
+factorizes nothing else.
+
 The principal cosines are recomputed here from the cross-Gram matrix a^T b,
 and the Friedrichs cosine from an explicit split of the intersection, which
 shares no step with the cosines :func:`altproj.projector.build` stores. The
@@ -33,6 +37,24 @@ from altproj.linalg import orthogonal_complement
 from altproj.projector import distance_to_w, nullspace_cutoff
 from altproj.subspace import project
 from altproj.validation import INTERSECTION_TOL, as_matrix, as_vector
+
+
+def sym_eig(m):
+    """Eigendecomposition of a symmetric matrix.
+
+    Returns (eigenvalues, eigenvectors) with eigenvalues nonincreasing and
+    orthonormal eigenvector columns. Non-symmetric input signals a caller
+    bug and is rejected.
+    """
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    scale = np.linalg.norm(a)
+    if np.linalg.norm(a - a.T) > 1e-12 * max(scale, 1e-300):
+        raise ValueError("matrix is not symmetric to relative tolerance 1e-12")
+    w, v = np.linalg.eigh(a)
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
 
 
 def principal_cosines(a_basis, b_basis):

@@ -312,10 +312,10 @@ class TestMain:
         path.write_text(json.dumps(cfg))
 
         def tampered_build(g, tol):
-            # an operator that disagrees with the stored sines, so the
-            # solve taken from the sines misses the operator's normal equation
+            # right singular vectors that are not orthonormal, so the solve
+            # taken from them misses the operator's normal equation
             q = build(g, tol)
-            return dataclasses.replace(q, matrix=2.0 * q.matrix)
+            return dataclasses.replace(q, right_vectors=2.0 * q.right_vectors)
 
         monkeypatch.setattr(cli, "build", tampered_build)
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
@@ -332,6 +332,42 @@ class TestMain:
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "intersection tolerance must lie in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "two_lines_30deg_summary.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iters", -1), ("max_iters", 2.7), ("max_iters", float("inf")),
+        ("conv_tol", float("nan")), ("conv_tol", float("inf")), ("conv_tol", -1e-3),
+    ])
+    def test_bad_horizon_or_tolerance_gives_config_exit(self, tmp_path, capsys, key, value):
+        # a negative horizon would leave convergence as the only bound, a
+        # fractional one would be truncated, a NaN tolerance would never be
+        # reached and an infinite one would be reached at step 0
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        message = {"max_iters": "max_iters must be a nonnegative integer",
+                   "conv_tol": "conv_tol must be finite and nonnegative"}[key]
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "two_lines_30deg_summary.json").exists()
+        assert not (tmp_path / "two_lines_30deg_trace.csv").exists()
+
+    def test_integral_float_horizon_is_accepted(self, tmp_path, capsys):
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["max_iters"], cfg["conv_tol"] = 5.0, 0.0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["stop_reason"] == "max_iters" and out["iters"] == 5
+
+    def test_negative_overrelax_horizon_gives_config_exit(self, tmp_path, capsys):
+        out_csv = tmp_path / "sweep.csv"
+        rc = cli.main(["overrelax", "--nu2", "0.5", "--alphas", "1.0", "--seed", "3",
+                       "--max-iters", "-1", "--out", str(out_csv)])
+        assert rc == 2
+        assert "max_iters must be a nonnegative integer" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_schedule_coefficient_gives_config_exit(self, tmp_path, capsys, value):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,14 +13,13 @@ from altproj.engine import (
     rate_bound,
     run_alternating,
 )
-from altproj.linalg import sym_eig
 from altproj.projector import build, distance_to_w, limit_point, nullspace_cutoff
-from altproj.schedule import Schedule
+from altproj.schedule import Schedule, filter_pair
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
 from helpers import (canonical_controlled, canonical_random, property_geometries, random_u0,
                      well_conditioned_problem)
-from reference import geometric_reference
+from reference import geometric_reference, sym_eig
 
 
 def one_step_geometry():
@@ -39,11 +40,11 @@ class TestRunAlternating:
         assert np.allclose(trace.limit, 0.0, atol=1e-14)
         assert np.allclose(trace.iterates[-1], 0.0, atol=1e-14)
 
-    def test_half_step_geometric_decay(self):
+    def test_half_step_geometric_decay(self, monkeypatch):
+        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = one_step_geometry()
         trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
-                                np.array([1.0, 0.0, 0.0]), max_iters=30, conv_tol=-1.0,
-                                stall_rtol=0.0)
+                                np.array([1.0, 0.0, 0.0]), max_iters=30, conv_tol=-1.0)
         assert np.allclose(trace.error_norms, 0.5 ** np.arange(31), atol=1e-14)
         assert trace.estimated_rate == pytest.approx(0.5, abs=1e-8)
 
@@ -73,21 +74,21 @@ class TestRunAlternating:
         with pytest.raises(ValueError):  # from build, before any step
             run_alternating(build(g), g.w_offset, Schedule.constant(1.0), np.zeros(2))
 
-    def test_initial_point_outside_domain_is_projected_and_flagged(self):
+    def test_initial_point_outside_domain_is_projected_and_flagged(self, monkeypatch):
+        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = one_step_geometry()
         trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
-                                np.array([1.0, 2.0, 3.0]), max_iters=5, conv_tol=-1.0,
-                                stall_rtol=0.0)
+                                np.array([1.0, 2.0, 3.0]), max_iters=5, conv_tol=-1.0)
         assert trace.u0_projected
         assert np.allclose(trace.iterates[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_iterate_thinning(self, monkeypatch):
         monkeypatch.setattr(engine, "THIN_AFTER", 10)
         monkeypatch.setattr(engine, "THIN_STRIDE", 50)
+        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = one_step_geometry()
         trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
-                                np.array([1.0, 0.0, 0.0]), max_iters=250, conv_tol=-1.0,
-                                stall_rtol=0.0)
+                                np.array([1.0, 0.0, 0.0]), max_iters=250, conv_tol=-1.0)
         assert trace.iterate_steps[:11] == list(range(11))
         assert trace.iterate_steps[11:] == [50, 100, 150, 200, 250]
         assert len(trace.error_norms) == 251  # error norms stay dense
@@ -121,6 +122,14 @@ class TestRunAlternating:
         trace = run_alternating(q, g.w_offset, Schedule.explicit([]), u0, max_iters=4)
         assert trace.stop_reason == "schedule_exhausted" and trace.n_steps == 0
 
+    @pytest.mark.parametrize("kw", [dict(max_iters=-1), dict(max_iters=2.7),
+                                    dict(max_iters=2.0), dict(conv_tol=float("nan"))])
+    def test_rejects_bad_horizon_or_tolerance(self, kw):
+        g = one_step_geometry()
+        with pytest.raises(ValueError, match="max_iters|conv_tol"):
+            run_alternating(build(g), g.w_offset, Schedule.constant(1.0),
+                            np.array([1.0, 0.0, 0.0]), **kw)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_converges_to_oracle_limit(self, seed):
         g = well_conditioned_problem(seed)
@@ -135,13 +144,13 @@ class TestRunLandweber:
     its codomain, which need not be the offset of W."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_geometric_form_step_by_step(self, seed):
+    def test_matches_geometric_form_step_by_step(self, seed, monkeypatch):
+        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = canonical_random(seed, dim=10, dim_u=4, dim_w=4, shared_dims=seed % 2)
         q = build(g)
         u0 = random_u0(g, 500 + seed)
         sched = Schedule.random_uniform(0.2, 1.8, seed=seed)
-        tl = run_alternating(q, g.w_offset, sched, u0, max_iters=60, conv_tol=-1.0,
-                             stall_rtol=0.0)
+        tl = run_alternating(q, g.w_offset, sched, u0, max_iters=60, conv_tol=-1.0)
         ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 60)
         limit = limit_point(q, g.w_offset, ref_iterates[0])
         assert tl.n_steps == 60
@@ -170,11 +179,12 @@ class TestRunLandweber:
         assert np.allclose(trace.limit, u0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_errors_stay_off_the_nullspace(self, seed):
+    def test_errors_stay_off_the_nullspace(self, seed, monkeypatch):
+        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = canonical_random(seed, dim=8, dim_u=4, dim_w=4, shared_dims=2)
         q = build(g)
         trace = run_alternating(q, g.w_offset, Schedule.constant(0.8), random_u0(g, seed),
-                                max_iters=40, conv_tol=-1.0, stall_rtol=0.0)
+                                max_iters=40, conv_tol=-1.0)
         for u, _ in zip(trace.iterates, trace.iterate_steps):
             comp = q.nullspace_basis.T @ (u - trace.limit)
             assert np.linalg.norm(comp) < 1e-10
@@ -188,8 +198,10 @@ def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
     sched = Schedule.random_uniform(0.0, alpha_hi, seed=seed)
     u0 = random_u0(g, seed, scale=u0_scale)
     w = g.w_offset
-    trace = run_alternating(q, w, sched, u0, max_iters=20, conv_tol=-1.0, stall_rtol=0.0,
-                            divergence_cap=np.inf)
+    # a function-scoped monkeypatch would fail Hypothesis's health check
+    with mock.patch.object(engine, "STALL_RTOL", 0.0):
+        trace = run_alternating(q, w, sched, u0, max_iters=20, conv_tol=-1.0,
+                                divergence_cap=np.inf)
     ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 20)
     limit = limit_point(q, w, u0)
     assert trace.n_steps == 20 and trace.iterate_steps == list(range(21))
@@ -202,6 +214,29 @@ def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
     # residual_dW is the distance of the ambient iterate A c to W, exactly
     for r, u in zip(trace.residuals, trace.iterates):
         assert abs(r - distance_to_w(g, u)) <= 1e-13 * max(1.0, np.linalg.norm(u), np.linalg.norm(w))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(property_geometries(), st.floats(0.05, 1.0), st.integers(0, 2**31 - 1))
+def test_trajectory_is_filter_polynomial_times_initial_error(g, eps, seed):
+    # over the kept sines s_k, the error component along each right singular
+    # vector Y_k is scaled by exactly F_n(s_k^2) after n steps; Y_k comes
+    # from an SVD of the operator taken here, not from the projector's own
+    q = build(g)
+    assume(q.norm > nullspace_cutoff(q.tol))  # a zero operator has no kept sines
+    nu2 = q.norm ** 2
+    sched = Schedule.random_uniform(eps / nu2, (2.0 - eps) / nu2, seed=seed)
+    with mock.patch.object(engine, "STALL_RTOL", 0.0):
+        trace = run_alternating(q, g.w_offset, sched, random_u0(g, seed), max_iters=300,
+                                conv_tol=-1.0)
+    assert trace.n_steps == 300 and trace.iterate_steps == list(range(301))
+    _, sv, vt = np.linalg.svd(q.matrix)
+    kept = sv > nullspace_cutoff(q.tol)
+    comps = (trace.iterates - trace.limit) @ q.domain_basis @ vt[kept].T
+    e0 = np.linalg.norm(trace.iterates[0] - trace.limit)
+    for n in (0, 1, 2, 5, 10, 30, 100, 300):
+        f = filter_pair(sched, sv[kept] ** 2, n)[0]
+        assert np.max(np.abs(comps[n] - f * comps[0])) <= 1e-12 * e0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -265,7 +300,7 @@ class TestErrorRecursion:
     @pytest.mark.parametrize("seed", range(3))
     def test_spectral_factors_match_filter_polynomials(self, seed):
         # each eigenvalue's filter polynomial as its own product over the
-        # drawn coefficients, not through filter_poly, which the check uses;
+        # drawn coefficients, not through filter_pair, which the check uses;
         # the product order differs, so agreement is to rounding, not exact
         rng = np.random.default_rng(seed)
         g = canonical_random(seed, dim=12, dim_u=5, dim_w=5)
@@ -279,6 +314,22 @@ class TestErrorRecursion:
         factors = np.array([np.prod(1.0 - alphas * lam) for lam in evals])
         expected = a @ (evecs @ (factors * (evecs.T @ (a.T @ e0))))
         assert np.allclose(spectral, expected, rtol=0.0, atol=1e-14 * np.linalg.norm(e0))
+
+    def test_error_recursion_factorizes_nothing(self, monkeypatch):
+        # the spectral side reads the eigenpairs (s^2, Y) that build stored
+        g = canonical_random(3, dim=10, dim_u=4, dim_w=4)
+        q = build(g)
+        e0 = g.u_space.basis @ np.random.default_rng(3).standard_normal(4)
+        sched = Schedule.random_uniform(0.1, 1.9, seed=5)
+        expected = error_recursion_check(q, sched, e0, 30)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("error_recursion_check factorized")
+
+        for routine in ("eigh", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, routine, refuse)
+        got = error_recursion_check(q, sched, e0, 30)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
     def test_rejects_nullspace_component(self):
         g = canonical_random(1, dim=8, dim_u=4, dim_w=4, shared_dims=1)
@@ -321,12 +372,13 @@ class TestContractionFactor:
             assert contraction_factor(q, alpha) == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_per_step_error_bound_holds(self, seed):
+    def test_per_step_error_bound_holds(self, seed, monkeypatch):
+        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = well_conditioned_problem(seed)
         q = build(g)
         alpha = 0.9
         trace = run_alternating(q, g.w_offset, Schedule.constant(alpha), random_u0(g, seed),
-                                max_iters=200, conv_tol=-1.0, stall_rtol=0.0)
+                                max_iters=200, conv_tol=-1.0)
         rho = contraction_factor(q, alpha)
         e = trace.error_norms
         assert np.all(e[1:] <= rho * e[:-1] + 1e-12 * e[0])
@@ -364,12 +416,13 @@ class TestRateBound:
         assert rb.epsilon == 0.0 and rb.bound == 1.0
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_empirical_rate_within_bound(self, seed):
+    def test_empirical_rate_within_bound(self, seed, monkeypatch):
+        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = well_conditioned_problem(seed)
         q = build(g)
         sched = Schedule.random_uniform(0.3, 1.7, seed=seed)
         trace = run_alternating(q, g.w_offset, sched, random_u0(g, seed + 90),
-                                max_iters=300, conv_tol=-1.0, stall_rtol=0.0)
+                                max_iters=300, conv_tol=-1.0)
         rb = rate_bound(q.norm, q.reduced_min_modulus, sched.alphas(300))
         assert rb.bound < 1.0
         if trace.estimated_rate is not None and trace.final_error > 1e-14 * trace.error_norms[0]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from altproj.engine import rate_bound
-from altproj.schedule import Schedule, diagnose, filter_pair, filter_poly
+from altproj.schedule import Schedule, diagnose, filter_pair
 
 from reference import product_lemma_check
 
@@ -126,16 +126,18 @@ class TestDiagnose:
 
 
 class TestFilterPoly:
+    """The filter polynomial F_n: the first of the pair filter_pair returns."""
+
     def test_empty_product_is_one(self):
-        assert filter_poly(Schedule.constant(1.0), 0.7, 0) == 1.0
+        assert filter_pair(Schedule.constant(1.0), 0.7, 0)[0] == 1.0
 
     def test_unit_step_annihilates(self):
         s = Schedule.constant(1.0)
         for n in (1, 2, 10):
-            assert filter_poly(s, 1.0, n) == 0.0
+            assert filter_pair(s, 1.0, n)[0] == 0.0
 
     def test_half_step_closed_form(self):
-        assert filter_poly(Schedule.constant(0.5), 1.0, 3) == pytest.approx(0.125)
+        assert filter_pair(Schedule.constant(0.5), 1.0, 3)[0] == pytest.approx(0.125)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bounded_by_one_inside_box(self, seed):
@@ -145,35 +147,36 @@ class TestFilterPoly:
         s = Schedule.random_uniform(0.0, 2.0 / mu, seed=seed)
         for lam in np.linspace(1e-3, mu, 7):
             for n in (1, 5, 20, 100):
-                assert abs(filter_poly(s, lam, n)) <= 1.0 + 1e-12
+                assert abs(filter_pair(s, lam, n)[0]) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_array_matches_per_value_products(self, seed):
         # coefficients up to 1.9 on lam up to 1 flip the sign of some factors
         s = Schedule.random_uniform(0.0, 1.9, seed=seed)
         lam = np.random.default_rng(seed).uniform(0.0, 1.0, (3, 4))
-        got = filter_poly(s, lam, 60)
+        got = filter_pair(s, lam, 60)[0]
         assert isinstance(got, np.ndarray) and got.shape == lam.shape
         expected = [np.prod(1.0 - s.alphas(60) * v) for v in lam.ravel()]
         assert np.allclose(got.ravel(), expected, rtol=1e-13, atol=1e-300)
-        assert np.array_equal(filter_poly(s, lam, 0), np.ones_like(lam))
-        assert filter_poly(s, np.zeros(0), 60).shape == (0,)
+        assert np.array_equal(filter_pair(s, lam, 0)[0], np.ones_like(lam))
+        assert filter_pair(s, np.zeros(0), 60)[0].shape == (0,)
 
     def test_scalar_gives_float(self):
-        value = filter_poly(Schedule.cyclic([0.5, 1.5]), 0.3, 7)
+        value = filter_pair(Schedule.cyclic([0.5, 1.5]), 0.3, 7)[0]
         assert type(value) is float
         assert value == pytest.approx(0.85 ** 4 * 0.55 ** 3, rel=1e-14)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
-            filter_poly(Schedule.constant(1.0), 0.5, -1)
+            filter_pair(Schedule.constant(1.0), 0.5, -1)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pair_is_filter_and_its_complement(self, seed):
         s = Schedule.random_uniform(0.0, 1.9, seed=seed)
         lam = np.random.default_rng(seed).uniform(0.0, 1.0, 12)
         f, g = filter_pair(s, lam, 60)
-        assert np.array_equal(f, filter_poly(s, lam, 60))
+        expected = [np.prod(1.0 - s.alphas(60) * v) for v in lam]
+        assert np.allclose(f, expected, rtol=1e-13, atol=1e-300)
         assert np.allclose(g, 1.0 - f, rtol=0, atol=1e-14)
         assert np.array_equal(filter_pair(s, lam, 0)[1], np.zeros_like(lam))
 
@@ -186,7 +189,7 @@ class TestFilterPoly:
     def test_divergent_schedule_drives_filter_to_zero(self):
         s = Schedule.constant(1.0)
         for lam in np.linspace(0.05, 1.0, 10):
-            assert abs(filter_poly(s, lam, 2000)) < 1e-6
+            assert abs(filter_pair(s, lam, 2000)[0]) < 1e-6
 
 
 class TestProductLemma:

@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +139,7 @@ def run_scenario(path, out_dir=None):
     # a nu at or below the null-space cutoff is rounding noise of a zero
     # operator (U's directions lie in V), for which neither applies
     operator_nonzero = report.nu > nullspace_cutoff(itol)
-    alphas = trace.alphas_used if trace.n_steps else list(islice(sched.stream(), 1))
+    alphas = trace.alphas_used if trace.n_steps else next(sched.stream([1]), [])
     bound = rate_bound(report.nu, report.gamma, alphas).bound if operator_nonzero else None
     horizon = min(max_iters, 10_000)
     if sched.length is not None:
@@ -271,8 +270,8 @@ def _cmd_overrelax(args):
 
 
 def _cmd_truncate(args):
-    dims = [int(v) for v in _parse_float_list(args.dims)]
-    rows = truncation_study(args.p, args.r, dims, alpha=args.alpha, max_iters=args.max_iters)
+    rows = truncation_study(args.p, args.r, _parse_float_list(args.dims), alpha=args.alpha,
+                            max_iters=args.max_iters)
     cols = ["d", "limit_norm", "iterate_norm", "iters"]
     if args.out:
         _write_rows_csv(args.out, rows, cols)

@@ -8,8 +8,11 @@ z <- z + alpha * s * (X^T w - s * z), is elementwise on k_u-vectors; it
 equals the geometric step P_U(u + alpha (P_W u - u)), which
 :func:`geometric_step` keeps as the reference the tests iterate. The one
 entry point, :func:`run_alternating`, takes the projector of an analyzed
-problem and the data w, validates its inputs once, and runs a loop whose
-cost per step does not depend on d and is linear in k_u.
+problem and the data w, validates its inputs once, and advances the
+iteration a block of steps at a time: n steps multiply each error component
+by the filter polynomial F_n(s^2) = prod_{j<n} (1 - alpha_j s^2), so a block
+is a prefix product over time, with no Python work per step. The cost per
+step does not depend on d and is linear in k_u.
 Error norms are measured against the precomputed oracle limit, which is
 available in finite dimensions, rather than against successive differences.
 """
@@ -35,6 +38,13 @@ RATE_WINDOW = 50
 # THIN_STRIDE-th step (and always the last one).
 THIN_AFTER = 1000
 THIN_STRIDE = 100
+# The stop rules in the order they are tested after each step.
+STOP_REASONS = ("nonfinite", "converged", "max_iters", "diverged", "stalled")
+# The loop advances FIRST_BLOCK steps, then blocks twice as long each time,
+# up to BLOCK_ELEMENTS entries of the (steps, k_u) block arrays: a run that
+# stops early wastes little, and a block's arrays stay in cache.
+FIRST_BLOCK = 16
+BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass
@@ -99,17 +109,20 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     *divergence_cap* times its initial value ("diverged"), when it changes by
     less than STALL_RTOL relative over STALL_WINDOW steps ("stalled"), when
     an error norm or residual is not finite ("nonfinite"), or when a finite
-    schedule runs out of terms ("schedule_exhausted"). *max_iters* must be a
-    nonnegative integer and *conv_tol* not NaN; a negative *conv_tol* runs
-    the whole horizon.
+    schedule runs out of terms ("schedule_exhausted"). After each step the
+    rules are tested in that order, nonfinite first, and the first step at
+    which one holds ends the run. *max_iters* must be a nonnegative integer
+    and *conv_tol* not NaN; a negative *conv_tol* runs the whole horizon.
 
-    The loop works on the coordinates z = Y^T A^T u and touches only
-    k_u-vectors, elementwise: the residual vector rz = X^T w - s z gives
-    both the step direction s rz and the distance to W,
-    hypot(||w - X X^T w||, ||rz||), which is exact because w lies in V-perp
-    and R = X S Y^T. Since Y is orthogonal, ||z - z_lim|| is the error of
-    the iterate. The trace keeps the coordinates; ambient iterates A Y z are
-    formed only when read.
+    The run works in the coordinates z = Y^T A^T u, on the error d = z - z_lim
+    and the residual vector rz = X^T w - s z, whose norm with
+    ||w - X X^T w|| gives the distance to W exactly, because w lies in V-perp
+    and R = X S Y^T. Since Y is orthogonal, ||d|| is the error of the
+    iterate. A step multiplies both elementwise by 1 - alpha_n s^2, so the
+    run advances a block of steps at a time (:func:`_block_sizes`) by prefix
+    products over the block, with no Python work per step, and tests the
+    stop rules on every step of the block at once. The trace keeps the
+    coordinates; ambient iterates A Y z are formed only when read.
     """
     if not isinstance(max_iters, numbers.Integral) or max_iters < 0:
         raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
@@ -128,72 +141,110 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     wc = x.T @ w
     r_perp = float(np.linalg.norm(w - x @ wc))
 
+    # The limit fixes the components of sines above the cutoff (rz_lim is
+    # rounding there) and keeps those of zero sines, but a sine in
+    # (0, cutoff] still moves its component by alpha s rz_lim per step: the
+    # drift term of the error, d_{n+1} = (1 - alpha_n s^2) d_n + alpha_n s rz_lim.
+    s2 = s * s
+    drift = (s > 0) & ~q.kept
+    rz_lim = (wc - s * z_lim)[drift]
+    s_drift = s[drift]
+
     rz = wc - s * z
     d = z - z_lim
-    errors = [math.sqrt(d @ d)]
-    residuals = [math.hypot(r_perp, math.sqrt(rz @ rz))]
-    coords, iterate_steps, used = [z], [0], []
-    e_ref = max(errors[0], 1e-300)
-    alphas = schedule.stream()
+    e_cap = divergence_cap * max(math.sqrt(d @ d), 1e-300)
+    errors, residuals, coords, iterate_steps, used = [], [], [], [], []
+    # the errors of the STALL_WINDOW states before a block, NaN before state 0
+    back = np.full(STALL_WINDOW, np.nan)
+    # state 0 is tested as a block of one row, reached by no step
+    dd, rr, alpha = d[None, :], rz[None, :], np.empty(0)
     n = 0
+    # the block arrays are written in place and grown only with the block
+    # size: fresh arrays this large would be mapped from the OS, and fault
+    # in their pages, on every block
+    p_buf = d_buf = r_buf = np.empty((0, s.size))
+    blocks = schedule.stream(_block_sizes(s.size, max_iters))
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            e = errors[-1]
-            if not (math.isfinite(e) and math.isfinite(residuals[-1])):
-                stop = "nonfinite"
+            e = np.sqrt(np.einsum("ij,ij->i", dd, dd))
+            res = np.hypot(r_perp, np.sqrt(np.einsum("ij,ij->i", rr, rr)))
+            hist = np.concatenate([back, e])
+            back = hist[e.size:]
+            steps = np.arange(n - e.size + 1, n + 1)
+            e_back = hist[:e.size]
+            hits = np.array([
+                ~(np.isfinite(e) & np.isfinite(res)),
+                e <= conv_tol,
+                steps == max_iters,
+                e > e_cap,
+                (e_back > 0) & (np.abs(e_back - e) < STALL_RTOL * e_back),
+            ])
+            rows = np.flatnonzero(hits.any(axis=0))
+            taken = rows[0] + 1 if rows.size else e.size
+            errors.append(e[:taken])
+            residuals.append(res[:taken])
+            used.append(alpha[:taken])
+            n = int(steps[taken - 1])
+            keep = (steps[:taken] <= THIN_AFTER) | (steps[:taken] % THIN_STRIDE == 0)
+            coords.append(z_lim + dd[:taken][keep])
+            iterate_steps.extend(steps[:taken][keep].tolist())
+            if rows.size:
+                stop = STOP_REASONS[int(np.argmax(hits[:, rows[0]]))]
                 break
-            if e <= conv_tol:
-                stop = "converged"
-                break
-            if n == max_iters:
-                stop = "max_iters"
-                break
-            if e > divergence_cap * e_ref:
-                stop = "diverged"
-                break
-            if n >= STALL_WINDOW:
-                e_back = errors[-1 - STALL_WINDOW]
-                if e_back > 0 and abs(e_back - e) < STALL_RTOL * e_back:
-                    stop = "stalled"
-                    break
-            alpha = next(alphas, None)
+            alpha = next(blocks, None)
             if alpha is None:
                 stop = "schedule_exhausted"
                 break
-            z = z + alpha * (s * rz)
-            rz = wc - s * z
-            d = z - z_lim
-            errors.append(math.sqrt(d @ d))
-            residuals.append(math.hypot(r_perp, math.sqrt(rz @ rz)))
-            used.append(alpha)
-            n += 1
-            if n <= THIN_AFTER or n % THIN_STRIDE == 0:
-                coords.append(z)
-                iterate_steps.append(n)
-    if iterate_steps[-1] != n:
-        coords.append(z)
+            d, rz = dd[-1].copy(), rr[-1].copy()
+            if alpha.size > len(p_buf):
+                p_buf, d_buf, r_buf = (np.empty((alpha.size, s.size)) for _ in range(3))
+            p, dd, rr = p_buf[:alpha.size], d_buf[:alpha.size], r_buf[:alpha.size]
+            # p[t] = prod_{j<=t} (1 - alpha_j s^2), the factor of t + 1 steps
+            np.multiply.outer(alpha, s2, out=p)
+            np.cumprod(np.subtract(1.0, p, out=p), axis=0, out=p)
+            np.multiply(p, d, out=dd)
+            np.multiply(p, rz, out=rr)
+            if s_drift.size:
+                # k[t] = sum_{j<=t} alpha_j s prod_{i<j} (1 - alpha_i s^2)
+                p_prev = np.vstack([np.ones(s_drift.size), p[:-1, drift]])
+                dd[:, drift] += np.cumsum(alpha[:, None] * (s_drift * p_prev), axis=0) * rz_lim
+            n += alpha.size
+    if iterate_steps[-1] != n:  # the last iterate is always stored
+        coords.append(z_lim + dd[taken - 1][None, :])
         iterate_steps.append(n)
 
+    error_norms = np.concatenate(errors)
     trace = IterationTrace(
-        coords=np.array(coords),
+        coords=np.concatenate(coords),
         basis=a,
         right_vectors=yt,
         iterate_steps=iterate_steps,
-        error_norms=np.asarray(errors),
-        residuals=np.asarray(residuals),
-        alphas_used=np.asarray(used, dtype=float),
+        error_norms=error_norms,
+        residuals=np.concatenate(residuals),
+        alphas_used=np.concatenate(used),
         stop_reason=stop,
         estimated_rate=None,
         limit=limit,
         u0_projected=projected,
     )
-    window = min(RATE_WINDOW, len(errors) - 1)
-    if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):
+    window = min(RATE_WINDOW, error_norms.size - 1)
+    if window >= 1 and np.all(np.isfinite(error_norms[-(window + 1):])):
         try:
             trace.estimated_rate = estimate_rate(trace, window)
         except ValueError:
             trace.estimated_rate = None
     return trace
+
+
+def _block_sizes(k, max_iters):
+    """Steps per block for k_u = *k*: FIRST_BLOCK, doubling up to
+    BLOCK_ELEMENTS // k (at least 1), the last one cut to end at *max_iters*."""
+    cap = max(1, BLOCK_ELEMENTS // max(k, 1))
+    size, left = min(FIRST_BLOCK, cap), max_iters
+    while left > 0:
+        yield min(size, left)
+        left -= size
+        size = min(2 * size, cap)
 
 
 def error_recursion_check(q, schedule, e0, n):

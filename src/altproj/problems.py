@@ -7,6 +7,8 @@ reduced minimum modulus is min over the nonzero angles of sin(phi_i). Zero
 angles create intersection directions.
 """
 
+import math
+
 import numpy as np
 
 from .schedule import filter_pair
@@ -100,12 +102,16 @@ def random_point_in(space, seed, scale=1.0):
 def diagonal_truncation_norms(p, r, dims):
     """Closed-form minimum-norm-solution norms for the diagonal family with
     singular values i^-p and data coefficients i^-r, truncated to each
-    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r)))."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r))). *p* must be finite
+    and positive, *r* finite, and each dimension a positive integer (a
+    float with an integral value is accepted)."""
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and positive, got {p!r}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
+    if not all(float(d).is_integer() and d >= 1 for d in dims):
+        raise ValueError(f"dimensions must be positive integers, got {list(dims)!r}")
     dims = [int(d) for d in dims]
-    if min(dims) < 1:
-        raise ValueError("dimensions must be positive")
     i = np.arange(1, max(dims) + 1, dtype=float)
     cum = np.cumsum(i ** (2.0 * (p - r)))
     return np.sqrt(cum[np.array(dims) - 1])

@@ -21,9 +21,6 @@ KINDS = (
     "random-uniform",
 )
 
-# Terms generated at a time by Schedule.stream.
-STREAM_CHUNK = 4096
-
 
 def _coefficients(values):
     """*values* as floats, each finite and nonnegative (NaN and infinities,
@@ -105,19 +102,21 @@ class Schedule:
             raise ValueError(f"explicit schedule has only {self.length} terms, {n} requested")
         return self._terms(0, n, self._generator())
 
-    def stream(self):
-        """The coefficients one at a time, as floats, generated in chunks of
-        STREAM_CHUNK terms from one generator: islice(stream(), n) equals
-        alphas(n). Unbounded except for an explicit schedule, which ends
-        after its last term."""
+    def stream(self, sizes):
+        """The coefficients in consecutive blocks, one array per length in
+        *sizes*, from one generator: the blocks of sizes n1, n2, ... joined
+        equal alphas(n1 + n2 + ...). An explicit schedule ends with the block
+        that holds its last term, which may be short; a block past its end
+        is not yielded."""
         rng = self._generator()
         start = 0
-        while True:
-            chunk = self._terms(start, STREAM_CHUNK, rng)
-            yield from chunk.tolist()
-            if chunk.size < STREAM_CHUNK:
+        for n in sizes:
+            block = self._terms(start, n, rng)
+            if block.size:
+                yield block
+            if block.size < n:
                 return
-            start += STREAM_CHUNK
+            start += n
 
     def _generator(self):
         # a fresh generator per call keeps generation pure; for PCG64,
@@ -191,8 +190,10 @@ def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0, growth_fractio
     violations of the admissible class (the verdict then only describes the
     series itself).
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    if not math.isfinite(growth_threshold):
+        raise ValueError(f"growth_threshold must be finite, got {growth_threshold!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     s = schedule.alphas(horizon) * mu

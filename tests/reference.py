@@ -10,6 +10,9 @@ an independent oracle.
 
 The geometric reference iterates the paper's step P_U(u + alpha (P_W u - u))
 on ambient vectors, which shares no step with the engine's coordinate loop.
+The stepwise reference takes the engine's coordinate step one step at a time
+and tests the stop rules after each step, which shares no step with the
+prefix products over blocks of steps that the engine evaluates.
 
 The diagonal Landweber reference iterates u <- u + alpha sigma (w - sigma u)
 step by step, which shares no step with the closed form through the filter
@@ -28,11 +31,14 @@ its adjoint on ambient vectors, the product lemma) for the tests to check the
 package against.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from altproj.engine import geometric_step
+from altproj import engine
+from altproj import projector as proj
+from altproj.engine import IterationTrace, estimate_rate, geometric_step
 from altproj.linalg import orthogonal_complement
 from altproj.projector import distance_to_w, nullspace_cutoff
 from altproj.subspace import project
@@ -213,3 +219,87 @@ def diagonal_landweber_reference(p, r, d, schedule, max_iters):
     for alpha in schedule.alphas(int(max_iters)):
         u = u + alpha * sigma * (w - sigma * u)
     return u
+
+
+def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
+                       divergence_cap=1e9):
+    """:func:`altproj.engine.run_alternating` one step at a time: each step
+    z <- z + alpha s (X^T w - s z) on the coordinates, then the stop rules on
+    the new error, in the engine's order. Reads the engine's stop and
+    thinning constants when called, so a test that patches them patches
+    both. Expects valid arguments."""
+    a, yt, s, x = q.domain_basis, q.right_vectors, q.sines, q.codomain_basis
+    limit = proj.limit_point(q, w, u0)
+    u0 = np.asarray(u0, dtype=float)
+    w = np.asarray(w, dtype=float)
+    c = a.T @ u0
+    projected = bool(np.linalg.norm(u0 - a @ c) > 1e-10 * (1.0 + np.linalg.norm(u0)))
+    z = yt @ c
+    z_lim = yt @ (a.T @ limit)
+    wc = x.T @ w
+    r_perp = float(np.linalg.norm(w - x @ wc))
+
+    rz = wc - s * z
+    d = z - z_lim
+    errors = [math.sqrt(d @ d)]
+    residuals = [math.hypot(r_perp, math.sqrt(rz @ rz))]
+    coords, iterate_steps, used = [z], [0], []
+    e_ref = max(errors[0], 1e-300)
+    n_terms = max_iters if schedule.length is None else min(max_iters, schedule.length)
+    alphas = iter(schedule.alphas(n_terms).tolist())
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            e = errors[-1]
+            if not (math.isfinite(e) and math.isfinite(residuals[-1])):
+                stop = "nonfinite"
+                break
+            if e <= conv_tol:
+                stop = "converged"
+                break
+            if n == max_iters:
+                stop = "max_iters"
+                break
+            if e > divergence_cap * e_ref:
+                stop = "diverged"
+                break
+            if n >= engine.STALL_WINDOW:
+                e_back = errors[-1 - engine.STALL_WINDOW]
+                if e_back > 0 and abs(e_back - e) < engine.STALL_RTOL * e_back:
+                    stop = "stalled"
+                    break
+            alpha = next(alphas, None)
+            if alpha is None:
+                stop = "schedule_exhausted"
+                break
+            z = z + alpha * (s * rz)
+            rz = wc - s * z
+            d = z - z_lim
+            errors.append(math.sqrt(d @ d))
+            residuals.append(math.hypot(r_perp, math.sqrt(rz @ rz)))
+            used.append(alpha)
+            n += 1
+            if n <= engine.THIN_AFTER or n % engine.THIN_STRIDE == 0:
+                coords.append(z)
+                iterate_steps.append(n)
+    if iterate_steps[-1] != n:
+        coords.append(z)
+        iterate_steps.append(n)
+
+    trace = IterationTrace(
+        coords=np.array(coords),
+        basis=a,
+        right_vectors=yt,
+        iterate_steps=iterate_steps,
+        error_norms=np.asarray(errors),
+        residuals=np.asarray(residuals),
+        alphas_used=np.asarray(used, dtype=float),
+        stop_reason=stop,
+        estimated_rate=None,
+        limit=limit,
+        u0_projected=projected,
+    )
+    window = min(engine.RATE_WINDOW, len(errors) - 1)
+    if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):
+        trace.estimated_rate = estimate_rate(trace, window)
+    return trace

@@ -380,3 +380,39 @@ class TestMain:
         assert value in path.read_text()
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "coefficients must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--mu", "inf"), ("--mu", "-inf"),
+                                             ("--growth-threshold", "nan"),
+                                             ("--growth-threshold", "inf")])
+    def test_non_finite_check_schedule_input_gives_config_exit(self, tmp_path, capsys,
+                                                               flag, value):
+        # a NaN mu passed the old "mu <= 0" check and printed bare NaN tokens
+        # that strict JSON readers reject
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps({"kind": "constant", "value": 1.0}))
+        argv = ["check-schedule", str(sched_file), "--mu", "1.0", f"{flag}={value}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--dims=2.5,3"], "dimensions must be positive integers"),
+        (["--dims=inf"], "dimensions must be positive integers"),
+        (["--dims=0,3"], "dimensions must be positive integers"),
+        (["--p=nan"], "p must be finite and positive"),
+        (["--p=inf"], "p must be finite and positive"),
+        (["--r=nan"], "r must be finite"),
+        (["--r=-inf"], "r must be finite"),
+    ])
+    def test_bad_truncate_input_gives_config_exit(self, tmp_path, capsys, args, message):
+        # a fractional dimension used to run silently at its integer part,
+        # and a NaN exponent printed nan norms with exit 0
+        out_csv = tmp_path / "trunc.csv"
+        argv = ["truncate", "--p", "1.0", "--r", "0.6", "--dims", "10,100",
+                "--out", str(out_csv)]
+        assert cli.main(argv + args) == 2  # argparse keeps the last of a repeated flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out_csv.exists()

@@ -1,5 +1,3 @@
-from itertools import islice
-
 import numpy as np
 import pytest
 
@@ -79,15 +77,17 @@ ALL_KINDS = [
 class TestStream:
     @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
     def test_prefix_equals_alphas(self, s):
-        # 10 000 terms span several generation chunks
-        n = 10_000
-        streamed = np.fromiter(islice(s.stream(), n), dtype=float, count=n)
-        assert np.array_equal(streamed, s.alphas(n))
+        # 10 000 terms in blocks of uneven sizes, as the engine asks for them
+        sizes = [1, 16, 32, 4096, 5855]
+        blocks = list(s.stream(sizes))
+        assert [b.size for b in blocks] == sizes
+        assert np.array_equal(np.concatenate(blocks), s.alphas(10_000))
 
     def test_explicit_stream_ends_after_last_term(self):
         s = Schedule.explicit([0.5, 1.0, 1.5])
-        assert list(s.stream()) == [0.5, 1.0, 1.5]
-        assert list(Schedule.explicit([]).stream()) == []
+        assert [b.tolist() for b in s.stream([2, 2, 2])] == [[0.5, 1.0], [1.5]]
+        assert [b.tolist() for b in s.stream([3, 3])] == [[0.5, 1.0, 1.5]]
+        assert list(Schedule.explicit([]).stream([1, 1])) == []
 
     def test_length(self):
         assert Schedule.explicit([0.5, 1.0]).length == 2

@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import INTERSECTION_TOL, global_tol
+from .validation import INTERSECTION_TOL, as_count, check_keys, global_tol
 from .subspace import canonicalize
 from .angles import compute_report
-from .projector import build, least_squares_set, nullspace_cutoff
+from .projector import build, least_squares_set
 from .schedule import Schedule, diagnose
 from .engine import contraction_factor, rate_bound, run_alternating
 from . import problems
@@ -37,6 +37,9 @@ from . import problems
 SCENARIO_VERSION = 1
 SCENARIO_KEYS = frozenset({"version", "comment", "geometry", "schedule", "u0", "max_iters",
                            "conv_tol", "intersection_tol", "outputs"})
+# The keys each u0 type reads, besides "type".
+U0_KEYS = {"zero": (), "explicit": ("value",), "random": ("seed", "scale")}
+OUTPUT_KEYS = ("trace_csv", "summary_json")
 
 
 class ConfigError(ValueError):
@@ -59,15 +62,17 @@ def _load_json(path):
 
 def _build_u0(cfg, u_space):
     kind = cfg.get("type", "zero")
+    if kind not in U0_KEYS:
+        raise ConfigError(f"unknown u0 type {kind!r}")
+    check_keys(cfg, ("type", *U0_KEYS[kind]), "u0")
     if kind == "zero":
         return np.zeros(u_space.dim_ambient)
     if kind == "explicit":
         return np.asarray(cfg["value"], dtype=float)
-    if kind == "random":
-        if "seed" not in cfg:
-            raise ConfigError("random u0 requires a seed")
-        return problems.random_point_in(u_space, int(cfg["seed"]), scale=float(cfg.get("scale", 1.0)))
-    raise ConfigError(f"unknown u0 type {kind!r}")
+    if "seed" not in cfg:
+        raise ConfigError("random u0 requires a seed")
+    return problems.random_point_in(u_space, as_count(cfg["seed"], "seed"),
+                                    scale=float(cfg.get("scale", 1.0)))
 
 
 def _fmt(x):
@@ -91,16 +96,6 @@ def _write_trace_csv(path, trace, q):
         fh.writelines(_TRACE_ROW % row for row in rows)
 
 
-def _horizon(value):
-    """A scenario's max_iters as an int: a JSON integer, or a float with an
-    integral value, that is nonnegative."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int or value < 0:
-        raise ValueError(f"max_iters must be a nonnegative integer, got {value!r}")
-    return value
-
-
 def run_scenario(path, out_dir=None):
     """Execute a scenario file end to end; returns the summary record dict and
     writes the configured output files."""
@@ -109,16 +104,21 @@ def run_scenario(path, out_dir=None):
         raise ConfigError("a scenario must be a JSON object")
     if cfg.get("version") != SCENARIO_VERSION:
         raise ConfigError(f"scenario version must be {SCENARIO_VERSION}")
-    unknown = sorted(set(cfg) - SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {', '.join(unknown)}")
     out_dir = Path(out_dir) if out_dir is not None else Path.cwd()
 
     try:
+        check_keys(cfg, SCENARIO_KEYS, "scenario")
+        for section in ("geometry", "schedule", "u0", "outputs"):
+            if not isinstance(cfg.get(section, {}), dict):
+                raise ValueError(f"{section} must be a JSON object")
+        outputs = cfg.get("outputs", {})
+        check_keys(outputs, OUTPUT_KEYS, "outputs")
+        if not all(isinstance(name, str) for name in outputs.values()):
+            raise ValueError("outputs must be file names")
         g = canonicalize(problems.geometry_from_config(cfg["geometry"]))
         sched = Schedule.from_dict(cfg["schedule"])
         u0 = _build_u0(cfg.get("u0", {"type": "zero"}), g.u_space)
-        max_iters = _horizon(cfg.get("max_iters", 10_000))
+        max_iters = as_count(cfg.get("max_iters", 10_000), "max_iters")
         conv_tol = float(cfg.get("conv_tol", 1e-10))
         if not (math.isfinite(conv_tol) and conv_tol >= 0.0):  # also rejects NaN
             raise ValueError(f"conv_tol must be finite and nonnegative, got {conv_tol!r}")
@@ -136,9 +136,9 @@ def run_scenario(path, out_dir=None):
     if trace.stop_reason == "nonfinite":
         raise NumericalFailure(f"non-finite error norm or residual at step {trace.n_steps}")
 
-    # a nu at or below the null-space cutoff is rounding noise of a zero
-    # operator (U's directions lie in V), for which neither applies
-    operator_nonzero = report.nu > nullspace_cutoff(itol)
+    # with no sine above the null-space cutoff, nu is rounding noise of a
+    # zero operator (U's directions lie in V), for which neither applies
+    operator_nonzero = q.kept.any()
     alphas = trace.alphas_used if trace.n_steps else next(sched.stream([1]), [])
     bound = rate_bound(report.nu, report.gamma, alphas).bound if operator_nonzero else None
     horizon = min(max_iters, 10_000)
@@ -161,7 +161,6 @@ def run_scenario(path, out_dir=None):
         "schedule_verdict": verdict,
     }
 
-    outputs = cfg.get("outputs", {})
     if "trace_csv" in outputs:
         _write_trace_csv(out_dir / outputs["trace_csv"], trace, q)
     if "summary_json" in outputs:
@@ -171,7 +170,7 @@ def run_scenario(path, out_dir=None):
     return summary
 
 
-def overrelaxation_study(nu2, alphas, seed, max_iters=10_000, conv_tol=1e-9):
+def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
     """Constant-relaxation sweep on a geometry with operator norm sqrt(nu2).
 
     Demonstrates convergence for every alpha with alpha*nu2 in (0, 2), even
@@ -190,8 +189,7 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000, conv_tol=1e-9):
         if alpha < 0:
             raise ConfigError("alpha grid values must be nonnegative")
         trace = run_alternating(q, g.w_offset, Schedule.constant(alpha), u0,
-                                max_iters=max_iters, conv_tol=conv_tol,
-                                divergence_cap=1e6)
+                                max_iters=max_iters, conv_tol=1e-9, divergence_cap=1e6)
         e = trace.error_norms
         if trace.stop_reason == "converged":
             verdict = "converged"
@@ -216,20 +214,19 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
 
     When the infinite-dimensional coefficient series diverges, the minimum-norm
     solution norm grows without bound in the truncation dimension; the study
-    reports that growth next to the norm reached by the iteration.
+    reports that growth next to the norm reached by the iteration. The
+    iterate of dimension d is the first d components of the largest one, so
+    the iteration runs once, at the largest dimension.
     """
     closed = problems.diagonal_truncation_norms(p, r, dims)
-    sched = Schedule.constant(alpha)
-    rows = []
-    for d, limit_norm in zip(dims, closed):
-        u = problems.run_diagonal_landweber(p, r, d, sched, max_iters)
-        rows.append({
-            "d": int(d),
-            "limit_norm": float(limit_norm),
-            "iterate_norm": float(np.linalg.norm(u)),
-            "iters": int(max_iters),
-        })
-    return rows
+    u = problems.run_diagonal_landweber(p, r, max(dims), Schedule.constant(alpha), max_iters)
+    iterate_norms = np.sqrt(np.cumsum(u * u))
+    return [{
+        "d": int(d),
+        "limit_norm": float(limit_norm),
+        "iterate_norm": float(iterate_norms[int(d) - 1]),
+        "iters": int(max_iters),
+    } for d, limit_norm in zip(dims, closed)]
 
 
 def _write_rows_csv(path, rows, columns):

@@ -229,10 +229,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     )
     window = min(RATE_WINDOW, error_norms.size - 1)
     if window >= 1 and np.all(np.isfinite(error_norms[-(window + 1):])):
-        try:
-            trace.estimated_rate = estimate_rate(trace, window)
-        except ValueError:
-            trace.estimated_rate = None
+        trace.estimated_rate = estimate_rate(error_norms, window)
     return trace
 
 
@@ -290,11 +287,11 @@ def contraction_factor(q, alpha):
     return float(rho) if rho.ndim == 0 else rho
 
 
-def estimate_rate(trace, window=50):
-    """Empirical per-step contraction factor: exponentiated least-squares slope
-    of log error over the trailing *window* steps. Exact zeros in the window
-    mean exact convergence and give rate 0."""
-    errors = trace.error_norms if isinstance(trace, IterationTrace) else np.asarray(trace, dtype=float)
+def estimate_rate(errors, window=RATE_WINDOW):
+    """Empirical per-step contraction factor from an array of error norms:
+    exponentiated least-squares slope of log error over the trailing *window*
+    steps. Exact zeros in the window mean exact convergence and give rate 0."""
+    errors = np.asarray(errors, dtype=float)
     if window < 1 or len(errors) < window + 1:
         raise ValueError(f"need at least window+1 = {window + 1} recorded error norms")
     tail = errors[-(window + 1):]

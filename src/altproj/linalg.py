@@ -13,25 +13,20 @@ import numpy as np
 from .validation import as_matrix, global_tol
 
 
-def orthonormalize(columns, tol=None):
+def orthonormalize(columns):
     """Orthonormal basis of the column space of *columns*.
 
     Rank-deficient input yields fewer columns; singular values below
-    ``tol * s_max`` are treated as zero (default: the global tolerance,
-    overridable via ALTPROJ_TOL). A zero or empty input returns a (d x 0)
-    matrix rather than raising.
+    ``global_tol() * s_max`` are treated as zero. A zero or empty input
+    returns a (d x 0) matrix rather than raising.
     """
     a = as_matrix(columns)
-    if tol is None:
-        tol = global_tol()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((a.shape[0], 0))
-    rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = int(np.count_nonzero(s > global_tol() * s[0]))
     return u[:, :rank]
 
 
@@ -54,7 +49,7 @@ def sine_svd(a, b):
     return x, s, yt, cosines
 
 
-def orthogonal_complement(basis, tol=None):
+def orthogonal_complement(basis):
     """Orthonormal basis of the orthogonal complement of span(basis) in R^d.
 
     Computed as the right null space of basis^T via a full SVD; an empty
@@ -62,8 +57,6 @@ def orthogonal_complement(basis, tol=None):
     the analysis itself uses :func:`sine_svd`.
     """
     b = as_matrix(basis)
-    if tol is None:
-        tol = global_tol()
     d = b.shape[0]
     if b.shape[1] == 0:
         return np.eye(d)
@@ -71,5 +64,5 @@ def orthogonal_complement(basis, tol=None):
     if s.size == 0 or s[0] <= 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
+        rank = int(np.count_nonzero(s > global_tol() * s[0]))
     return u[:, rank:]

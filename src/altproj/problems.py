@@ -13,7 +13,7 @@ import numpy as np
 
 from .schedule import filter_pair
 from .subspace import AffineSubspace, ProblemGeometry
-from .validation import as_vector
+from .validation import as_count, as_vector, check_keys
 
 
 def _random_orthogonal(d, rng):
@@ -132,9 +132,22 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+# The keys each geometry type reads, besides "type".
+GEOMETRY_KEYS = {
+    "explicit": ("u_span", "w_span", "u_point", "w_point"),
+    "random": ("dim", "dim_u", "dim_w", "seed", "offset_scale", "shared_dims"),
+    "controlled_angle": ("angles_deg", "offset_norm", "extra_dims", "rotation_seed"),
+}
+
+
 def geometry_from_config(cfg):
-    """Build a geometry from a scenario config dict (see the cli module)."""
+    """Build a geometry from a scenario config dict (see the cli module). A
+    key the type does not read, or an integer field with a fractional
+    value, is rejected."""
     kind = cfg.get("type")
+    if kind not in GEOMETRY_KEYS:
+        raise ValueError(f"unknown geometry type {kind!r}")
+    check_keys(cfg, ("type", *GEOMETRY_KEYS[kind]), "geometry")
     if kind == "explicit":
         return explicit_geometry(
             cfg["u_span"], cfg["w_span"],
@@ -143,16 +156,15 @@ def geometry_from_config(cfg):
     if kind == "random":
         _require("seed" in cfg, "random geometry requires a seed")
         return random_geometry(
-            int(cfg["dim"]), int(cfg["dim_u"]), int(cfg["dim_w"]), int(cfg["seed"]),
+            *(as_count(cfg[key], key) for key in ("dim", "dim_u", "dim_w", "seed")),
             offset_scale=float(cfg.get("offset_scale", 1.0)),
-            shared_dims=int(cfg.get("shared_dims", 0)),
+            shared_dims=as_count(cfg.get("shared_dims", 0), "shared_dims"),
         )
-    if kind == "controlled_angle":
-        angles = np.deg2rad(as_vector(cfg["angles_deg"], name="angles_deg"))
-        return controlled_angle_geometry(
-            angles,
-            offset_norm=float(cfg.get("offset_norm", 0.0)),
-            extra_dims=int(cfg.get("extra_dims", 0)),
-            rotation_seed=cfg.get("rotation_seed"),
-        )
-    raise ValueError(f"unknown geometry type {kind!r}")
+    angles = np.deg2rad(as_vector(cfg["angles_deg"], name="angles_deg"))
+    seed = cfg.get("rotation_seed")
+    return controlled_angle_geometry(
+        angles,
+        offset_norm=float(cfg.get("offset_norm", 0.0)),
+        extra_dims=as_count(cfg.get("extra_dims", 0), "extra_dims"),
+        rotation_seed=None if seed is None else as_count(seed, "rotation_seed"),
+    )

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .validation import as_count
+
 KINDS = (
     "constant",
     "cyclic",
@@ -20,6 +22,10 @@ KINDS = (
     "explicit",
     "random-uniform",
 )
+
+# diagnose calls a series diverging when its last quarter still contributes
+# at least this share of the partial sum.
+GROWTH_FRACTION = 0.01
 
 
 def _coefficients(values):
@@ -60,9 +66,7 @@ class Schedule:
     def harmonic_to_2(cls, offset=0):
         """alpha_n = 2 - 1/(n + 1 + offset): approaches 2 slowly enough that
         the divergent-series condition still holds."""
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
-        return cls("harmonic-to-2", {"offset": int(offset)})
+        return cls("harmonic-to-2", {"offset": as_count(offset, "offset")})
 
     @classmethod
     def geometric_to_2(cls, gap=1.0, ratio=0.5):
@@ -85,7 +89,7 @@ class Schedule:
             raise ValueError("need 0 <= lo <= hi")
         if seed is None:
             raise ValueError("random schedules require a seed for reproducibility")
-        return cls("random-uniform", {"lo": lo, "hi": hi, "seed": int(seed)})
+        return cls("random-uniform", {"lo": lo, "hi": hi, "seed": as_count(seed, "seed")})
 
     # -- generation --------------------------------------------------------
 
@@ -179,12 +183,12 @@ class ScheduleDiagnostics:
         object.__setattr__(self, "partial_sums", ps)
 
 
-def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0, growth_fraction=0.01):
+def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0):
     """Heuristic membership verdict for the divergent-series condition on the
     scaled sequence alpha_n * mu over a finite horizon.
 
     "diverges-numerically": partial sums exceed *growth_threshold* and the last
-    quarter still contributes at least *growth_fraction* of the total.
+    quarter still contributes at least GROWTH_FRACTION of the total.
     "converges-numerically": the tail contribution is numerically negligible.
     Anything else is "indeterminate". Terms outside [0, 2] are counted as
     violations of the admissible class (the verdict then only describes the
@@ -208,7 +212,7 @@ def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0, growth_fractio
 
     if violations > 0:
         verdict = "indeterminate"
-    elif total >= growth_threshold and tail >= growth_fraction * max(total, 1e-300):
+    elif total >= growth_threshold and tail >= GROWTH_FRACTION * max(total, 1e-300):
         verdict = "diverges-numerically"
     elif abs(tail) <= 1e-9:
         verdict = "converges-numerically"

@@ -48,19 +48,14 @@ class AffineSubspace:
         object.__setattr__(self, "offset", readonly(off))
 
     @classmethod
-    def from_span(cls, span, point=None, tol=None):
+    def from_span(cls, span, point=None):
         """Build from a spanning set (columns, not necessarily independent) and
         any point of the subspace. The offset is canonicalized."""
-        b = linalg.orthonormalize(as_matrix(span, name="span"), tol=tol)
+        b = linalg.orthonormalize(as_matrix(span, name="span"))
         d = b.shape[0]
         p = np.zeros(d) if point is None else as_vector(point, dim=d, name="point")
         off = p - b @ (b.T @ p)
         return cls(b, off)
-
-    @classmethod
-    def linear(cls, span, tol=None):
-        """Linear subspace (through the origin) spanned by the given columns."""
-        return cls.from_span(span, point=None, tol=tol)
 
     @property
     def dim_ambient(self):
@@ -121,8 +116,8 @@ class ProblemGeometry:
     def is_canonical(self):
         """True when U passes exactly through the origin. An exact zero test
         has no scale: any nonzero offset, however small, is shifted away by
-        :meth:`canonical`, which (like :meth:`AffineSubspace.linear`) yields an
-        exactly zero offset."""
+        :meth:`canonical`, which (like :meth:`AffineSubspace.from_span` without
+        a point) yields an exactly zero offset."""
         return not np.any(self.u_space.offset)
 
     @property

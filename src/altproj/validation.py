@@ -4,6 +4,7 @@ All rank decisions in the package use a single *relative* tolerance,
 never an absolute cutoff, so that subspace geometry is scale invariant.
 """
 
+import numbers
 import os
 
 import numpy as np
@@ -39,17 +40,34 @@ def as_vector(x, dim=None, name="vector"):
     return arr
 
 
-def as_matrix(x, rows=None, cols=None, name="matrix"):
+def as_matrix(x, rows=None, name="matrix"):
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if rows is not None and arr.shape[0] != rows:
         raise ValueError(f"{name} must have {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ValueError(f"{name} must have {cols} columns, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_count(x, name="value"):
+    """*x* as a nonnegative int: an integer, or a float with an integral
+    value (as JSON may write one). A fractional, negative, non-finite or
+    boolean value is rejected rather than truncated."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {x!r}")
+    return int(x)
+
+
+def check_keys(cfg, allowed, section):
+    """Reject a key of the config mapping *cfg* outside *allowed*, naming
+    every such key."""
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {', '.join(unknown)}")
 
 
 def readonly(arr):

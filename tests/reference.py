@@ -301,5 +301,5 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
     )
     window = min(engine.RATE_WINDOW, len(errors) - 1)
     if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):
-        trace.estimated_rate = estimate_rate(trace, window)
+        trace.estimated_rate = estimate_rate(trace.error_norms, window)
     return trace

@@ -238,7 +238,7 @@ def test_criterion_09_limit_formula():
 
 def test_criterion_10_stalling_outside_class():
     # norm-1 problem: orthogonal line pair with a unit unreachable offset
-    u = AffineSubspace.linear(np.eye(3)[:, :1])
+    u = AffineSubspace.from_span(np.eye(3)[:, :1])
     w = AffineSubspace.from_span(np.eye(3)[:, 1:2], point=[0.0, 0.0, 1.0])
     from altproj.subspace import ProblemGeometry
     g = ProblemGeometry(u, w)

@@ -10,11 +10,11 @@ from reference import friedrichs_cos, principal_cosines
 
 
 def line(direction):
-    return AffineSubspace.linear(np.asarray(direction, dtype=float).reshape(-1, 1))
+    return AffineSubspace.from_span(np.asarray(direction, dtype=float).reshape(-1, 1))
 
 
 def span(*cols):
-    return AffineSubspace.linear(np.array(cols, dtype=float).T)
+    return AffineSubspace.from_span(np.array(cols, dtype=float).T)
 
 
 class TestPrincipalCosines:

@@ -82,7 +82,7 @@ def test_block_loop_matches_stepwise_reference_at_block_edges(g, kind, edge, off
 def line_geometry():
     # U = x-axis, W = {(0, s, 1)}: the sine is 1, so a step of alpha scales
     # the error by exactly 1 - alpha; k_u = 1
-    u = AffineSubspace.linear(np.eye(3)[:, :1])
+    u = AffineSubspace.from_span(np.eye(3)[:, :1])
     w = AffineSubspace.from_span(np.eye(3)[:, 1:2], point=[0.0, 0.0, 1.0])
     return ProblemGeometry(u, w)
 

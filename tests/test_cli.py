@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from altproj import cli, linalg
 from altproj.engine import contraction_factor, run_alternating
-from altproj.problems import geometry_from_config, random_geometry, run_diagonal_landweber
+from altproj.problems import (diagonal_truncation_norms, geometry_from_config, random_geometry,
+                              run_diagonal_landweber)
 from altproj.projector import build
 from altproj.schedule import Schedule
 from altproj.subspace import canonicalize
@@ -225,6 +227,127 @@ class TestTruncation:
         # (u_i ~ n alpha sigma_i w_i, far below w_i / sigma_i) count as much
         # as the ones it has
         np.testing.assert_allclose(u, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["constant", "cyclic", "explicit", "random-uniform"])
+    def test_one_pass_matches_per_dimension_runs(self, monkeypatch, kind):
+        # the iteration runs once, at the largest dimension; each row's norm
+        # is that of the iterate filtered at its own dimension, in input order
+        p, r, n, dims = 1.0, 0.6, 60, [1000, 10, 1000, 100]
+        sched = {"constant": Schedule.constant(1.3),
+                 "cyclic": Schedule.cyclic([0.5, 1.9, 1.2]),
+                 "explicit": Schedule.explicit(np.linspace(0.2, 1.9, n)),
+                 "random-uniform": Schedule.random_uniform(0.1, 1.9, seed=7)}[kind]
+        monkeypatch.setattr(cli, "Schedule", SimpleNamespace(constant=lambda alpha: sched))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return run_diagonal_landweber(*args)
+
+        monkeypatch.setattr(cli.problems, "run_diagonal_landweber", counted)
+        rows = cli.truncation_study(p, r, dims, max_iters=n)
+        assert calls == [1000]
+        assert [row["d"] for row in rows] == dims
+        assert [row["iters"] for row in rows] == [n] * len(dims)
+        assert [row["limit_norm"] for row in rows] == \
+            diagonal_truncation_norms(p, r, dims).tolist()
+        for row, d in zip(rows, dims):
+            expected = np.linalg.norm(run_diagonal_landweber(p, r, d, sched, n))
+            assert row["iterate_norm"] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _run_config(tmp_path, capsys, cfg):
+    """Exit code and captured output of `run` on the scenario *cfg*, and the
+    files the run left in its output directory."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = cli.main(["run", str(path), "--out-dir", str(out_dir)])
+    return rc, capsys.readouterr(), sorted(f.name for f in out_dir.iterdir())
+
+
+RANDOM_GEOMETRY = {"type": "random", "dim": 6, "dim_u": 2, "dim_w": 2, "seed": 3}
+
+
+class TestScenarioSections:
+    """Every section rejects a key it does not read and a fractional value
+    of an integer field, with exit 2 and no output written."""
+
+    def scenario(self, **sections):
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["u0"] = {"type": "zero"}
+        cfg.update(sections)
+        return cfg
+
+    @pytest.mark.parametrize("geometry, message", [
+        ({"type": "controlled_angle", "angles_deg": [30], "offest_norm": 5.0},
+         "unknown geometry keys: offest_norm"),
+        ({"type": "explicit", "u_span": [[1, 0, 0]], "w_span": [[0, 1, 0]],
+          "w_piont": [0, 0, 1]}, "unknown geometry keys: w_piont"),
+        ({**RANDOM_GEOMETRY, "dim": 6.7}, "dim must be a nonnegative integer, got 6.7"),
+        ({**RANDOM_GEOMETRY, "seed": 3.9}, "seed must be a nonnegative integer, got 3.9"),
+        ({"type": "controlled_angle", "angles_deg": [30], "extra_dims": 1.9},
+         "extra_dims must be a nonnegative integer, got 1.9"),
+    ])
+    def test_geometry(self, tmp_path, capsys, geometry, message):
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(geometry=geometry))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert message in captured.err
+
+    @pytest.mark.parametrize("u0, message", [
+        ({"type": "zero", "seeed": 3}, "unknown u0 keys: seeed"),
+        ({"type": "explicit", "value": [1, 0, 0], "scale": 2.0}, "unknown u0 keys: scale"),
+        ({"type": "random", "seed": 2.5}, "seed must be a nonnegative integer, got 2.5"),
+    ])
+    def test_u0(self, tmp_path, capsys, u0, message):
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(u0=u0))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert message in captured.err
+
+    @pytest.mark.parametrize("schedule, message", [
+        ({"kind": "random-uniform", "lo": 0.5, "hi": 1.5, "seed": 3.9},
+         "seed must be a nonnegative integer, got 3.9"),
+        ({"kind": "harmonic-to-2", "offset": 1.5}, "offset must be a nonnegative integer, got 1.5"),
+    ])
+    def test_schedule(self, tmp_path, capsys, schedule, message):
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(schedule=schedule))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert message in captured.err
+
+    @pytest.mark.parametrize("outputs, message", [
+        ({"sumary_json": "x.json"}, "unknown outputs keys: sumary_json"),
+        ({"trace_csv": "t.csv", "summary_json": 5}, "outputs must be file names"),
+    ])
+    def test_outputs(self, tmp_path, capsys, outputs, message):
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(outputs=outputs))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert message in captured.err
+
+    @pytest.mark.parametrize("section, value", [
+        ("geometry", [1, 0, 0]), ("u0", []), ("outputs", "summary.json"),
+    ])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section, value):
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(**{section: value}))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert f"{section} must be a JSON object" in captured.err
+
+    def test_integral_floats_are_accepted(self, tmp_path, capsys):
+        def summary(name, geometry, u0):
+            work = tmp_path / name
+            work.mkdir()
+            rc, captured, _ = _run_config(work, capsys, self.scenario(geometry=geometry, u0=u0))
+            assert rc == 0
+            return json.loads(captured.out)
+
+        as_floats = {key: float(v) if isinstance(v, int) else v
+                     for key, v in RANDOM_GEOMETRY.items()}
+        assert summary("random_floats", as_floats, {"type": "random", "seed": 4.0}) == \
+            summary("random_ints", RANDOM_GEOMETRY, {"type": "random", "seed": 4})
+        angle = {"type": "controlled_angle", "angles_deg": [30], "extra_dims": 2,
+                 "rotation_seed": 5}
+        assert summary("angle_floats", {**angle, "extra_dims": 2.0, "rotation_seed": 5.0},
+                       {"type": "zero"}) == summary("angle_ints", angle, {"type": "zero"})
 
 
 class TestMain:

@@ -25,7 +25,7 @@ from reference import geometric_reference, sym_eig
 def one_step_geometry():
     # U = x-axis, W = {(0, s, 1)}: the limit is the origin and a full step
     # from anywhere in U lands exactly on it
-    u = AffineSubspace.linear(np.eye(3)[:, :1])
+    u = AffineSubspace.from_span(np.eye(3)[:, :1])
     w = AffineSubspace.from_span(np.eye(3)[:, 1:2], point=[0.0, 0.0, 1.0])
     return ProblemGeometry(u, w)
 
@@ -70,7 +70,7 @@ class TestRunAlternating:
 
     def test_requires_canonical_geometry(self):
         u = AffineSubspace.from_span(np.eye(2)[:, :1], point=[0.0, 1.0])
-        g = ProblemGeometry(u, AffineSubspace.linear(np.eye(2)[:, 1:]))
+        g = ProblemGeometry(u, AffineSubspace.from_span(np.eye(2)[:, 1:]))
         with pytest.raises(ValueError):  # from build, before any step
             run_alternating(build(g), g.w_offset, Schedule.constant(1.0), np.zeros(2))
 

@@ -38,7 +38,7 @@ class TestBuild:
     def test_contained_space_annihilated(self):
         g = ProblemGeometry(
             line([1, 0, 0]),
-            AffineSubspace.linear(np.eye(3)[:, :2]),
+            AffineSubspace.from_span(np.eye(3)[:, :2]),
         ).canonical()
         q = build(g)
         assert q.norm == pytest.approx(0.0, abs=1e-12)

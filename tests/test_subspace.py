@@ -11,7 +11,7 @@ from altproj.subspace import (
 
 from reference import relaxed_w_projection_formula, translate_identity_check
 
-X_AXIS = AffineSubspace.linear(np.array([[1.0], [0.0]]))
+X_AXIS = AffineSubspace.from_span(np.array([[1.0], [0.0]]))
 # the vertical line {(0, s, 1) : s real} in R^3
 LINE_3D = AffineSubspace.from_span(np.array([[0.0], [1.0], [0.0]]), point=[0.0, 0.0, 1.0])
 
@@ -102,17 +102,17 @@ def make_geometry(rng, dim=6, dim_u=2, dim_w=2):
 
 class TestRelaxedWFormula:
     def test_point_of_w_is_fixed(self):
-        g = ProblemGeometry(AffineSubspace.linear(np.eye(3)[:, :1]), LINE_3D)
+        g = ProblemGeometry(AffineSubspace.from_span(np.eye(3)[:, :1]), LINE_3D)
         u = np.array([0.0, 2.0, 1.0])  # on the line
         assert np.allclose(relaxed_w_projection_formula(g, u, 1.7), u, atol=1e-12)
 
     def test_closed_form_example(self):
-        g = ProblemGeometry(AffineSubspace.linear(np.eye(3)[:, :1]), LINE_3D)
+        g = ProblemGeometry(AffineSubspace.from_span(np.eye(3)[:, :1]), LINE_3D)
         out = relaxed_w_projection_formula(g, [1.0, 0.0, 0.0], 1.0)
         assert np.allclose(out, [0.0, 0.0, 1.0])
 
     def test_zero_alpha(self):
-        g = ProblemGeometry(AffineSubspace.linear(np.eye(3)[:, :1]), LINE_3D)
+        g = ProblemGeometry(AffineSubspace.from_span(np.eye(3)[:, :1]), LINE_3D)
         u = np.array([0.3, -0.4, 2.0])
         assert np.allclose(relaxed_w_projection_formula(g, u, 0.0), u)
 

@@ -79,21 +79,25 @@ def _fmt(x):
     return "" if x is None else f"{x:.17g}"
 
 
-# One trace row as csv.writer writes it (numbers need no quoting, rows end in
-# CRLF), formatted in one operation: half the time of csv.writer over
-# per-field strings.
-_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g\r\n"
+def _formatted(column):
+    """The "%.17g" text of each value of the float64 array *column*, in
+    order, each distinct value formatted once. Values are told apart by
+    their bits, so -0.0 and NaN keep their own text."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    return map(text.__getitem__, inverse)
 
 
 def _write_trace_csv(path, trace, q):
+    # rows as csv.writer writes them: numbers need no quoting, lines end in
+    # CRLF; they are written as they are joined, so no row list is held
     alphas = trace.alphas_used
     n = alphas.size
-    rho = contraction_factor(q, alphas)
-    rows = zip(range(n), alphas.tolist(), trace.error_norms[:n].tolist(),
-               trace.residuals[:n].tolist(), rho.tolist())
+    columns = (alphas, trace.error_norms[:n], trace.residuals[:n], contraction_factor(q, alphas))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("n,alpha_n,error_norm,residual_dW,rho_alpha_n\r\n")
-        fh.writelines(_TRACE_ROW % row for row in rows)
+        rows = zip(map(str, range(n)), *map(_formatted, columns))
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def run_scenario(path, out_dir=None):
@@ -218,6 +222,7 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     iterate of dimension d is the first d components of the largest one, so
     the iteration runs once, at the largest dimension.
     """
+    max_iters = as_count(max_iters, "max_iters")
     closed = problems.diagonal_truncation_norms(p, r, dims)
     u = problems.run_diagonal_landweber(p, r, max(dims), Schedule.constant(alpha), max_iters)
     iterate_norms = np.sqrt(np.cumsum(u * u))
@@ -240,11 +245,14 @@ def _write_rows_csv(path, rows, columns):
             ])
 
 
-def _parse_float_list(text):
+def _parse_float_list(text, option):
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise ConfigError(f"{option} needs at least one value, got {text!r}")
+    return values
 
 
 def _cmd_run(args):
@@ -255,7 +263,7 @@ def _cmd_run(args):
 
 
 def _cmd_overrelax(args):
-    rows = overrelaxation_study(args.nu2, _parse_float_list(args.alphas), args.seed,
+    rows = overrelaxation_study(args.nu2, _parse_float_list(args.alphas, "--alphas"), args.seed,
                                 max_iters=args.max_iters)
     cols = ["alpha", "alpha_nu2", "verdict", "empirical_rate", "rho_alpha"]
     if args.out:
@@ -267,8 +275,8 @@ def _cmd_overrelax(args):
 
 
 def _cmd_truncate(args):
-    rows = truncation_study(args.p, args.r, _parse_float_list(args.dims), alpha=args.alpha,
-                            max_iters=args.max_iters)
+    rows = truncation_study(args.p, args.r, _parse_float_list(args.dims, "--dims"),
+                            alpha=args.alpha, max_iters=args.max_iters)
     cols = ["d", "limit_norm", "iterate_norm", "iters"]
     if args.out:
         _write_rows_csv(args.out, rows, cols)

@@ -121,10 +121,13 @@ def run_diagonal_landweber(p, r, d, schedule, max_iters):
     """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
     from u = 0 on the diagonal model, in closed form through the filter
     polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i."""
-    i = np.arange(1, int(d) + 1, dtype=float)
-    sigma = i ** (-float(p))
-    w = i ** (-float(r))
-    return filter_pair(schedule, sigma * sigma, int(max_iters))[1] * w / sigma
+    sigma = np.arange(1, int(d) + 1, dtype=float)
+    sigma **= -float(p)
+    reached = filter_pair(schedule, sigma * sigma, int(max_iters))[1]
+    # the data is formed after the filter, so that it is not held alongside
+    # the filter's scratch arrays
+    w = np.arange(1, int(d) + 1, dtype=float) ** (-float(r))
+    return reached * w / sigma
 
 
 def _require(cond, msg):

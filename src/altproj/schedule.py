@@ -232,17 +232,52 @@ def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0):
 def filter_pair(schedule, lam, n):
     """(F_n(lam), 1 - F_n(lam)) for the filter polynomial
     F_n(lam) = prod_{j<n} (1 - alpha_j * lam), the factor by which n steps
-    multiply the error component of eigenvalue lam (1 at n = 0). Both come
-    from one running product over the n steps, in O(len lam) memory; a
-    scalar *lam* gives floats, an array of them arrays of its shape.
-    1 - F_n, the share of the minimum-norm solution that n steps from zero
-    reach, is summed as sum_j alpha_j lam F_j(lam), so it keeps its relative
-    accuracy where F_n rounds to 1."""
+    multiply the error component of eigenvalue lam (1 at n = 0), in
+    O(len lam) memory; a scalar *lam* gives floats, an array of them arrays
+    of its shape. 1 - F_n, the share of the minimum-norm solution that n
+    steps from zero reach, is summed as sum_j alpha_j lam F_j(lam), so it
+    keeps its relative accuracy where F_n rounds to 1.
+
+    The coefficients are taken in runs of equal consecutive terms. The
+    first step of a run is one update of the pair; the other m - 1 steps
+    are one step raised to the power m - 1 by repeated squaring, so a run
+    costs O(log m) updates and the whole product O(runs + log n). A step
+    that multiplies F by p = 1 - h and adds h F to 1 - F, with
+    h = alpha lam, squares to the step of p^2 and h (2 - h). 1 - F is
+    summed from h, as over single steps; p is re-formed as 1 - h while
+    that exceeds h, and squared below, so F keeps its relative accuracy
+    where alpha lam is near 1."""
     lam = np.asarray(lam, dtype=float)
-    # one scratch array: alpha_j lam is formed twice rather than kept
+    alphas = schedule.alphas(n)
+    # a run starts where a term differs from the one before it (the NaN put
+    # before the first term differs from every term)
+    starts = np.flatnonzero(np.diff(alphas, prepend=np.nan))
+    runs = zip(alphas[starts].tolist(), np.diff(starts, append=alphas.size).tolist())
+    # one scratch array: alpha lam is formed twice rather than kept; two
+    # more, p and h, only once a run repeats its coefficient
     f, g, buf = np.ones_like(lam), np.zeros_like(lam), np.empty_like(lam)
-    for alpha in schedule.alphas(n).tolist():
+    p = h = None
+    for alpha, m in runs:
         np.multiply(lam, alpha, out=buf)
-        g += np.multiply(buf, f, out=buf)  # alpha_j lam F_j, what step j moves to 1 - F
+        g += np.multiply(buf, f, out=buf)  # alpha lam F_j, what step j moves to 1 - F
         f *= np.subtract(1.0, np.multiply(lam, alpha, out=buf), out=buf)
+        if m == 1:
+            continue
+        if p is None:
+            p, h = np.empty_like(lam), np.empty_like(lam)
+        # (p, h) of one step, then of 2, 4, ... steps
+        np.subtract(1.0, np.multiply(lam, alpha, out=h), out=p)
+        m -= 1
+        while True:
+            if m & 1:
+                g += np.multiply(f, h, out=buf)
+                f *= p
+            m >>= 1
+            if not m:
+                break
+            h *= np.subtract(2.0, h, out=buf)
+            p *= p
+            # 1 - h does not cancel where it exceeds h; below that, p^2
+            # keeps the digits that 1 - h would lose
+            np.copyto(p, np.subtract(1.0, h, out=buf), where=buf > h)
     return (float(f), float(g)) if f.ndim == 0 else (f, g)

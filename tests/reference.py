@@ -14,6 +14,11 @@ The stepwise reference takes the engine's coordinate step one step at a time
 and tests the stop rules after each step, which shares no step with the
 prefix products over blocks of steps that the engine evaluates.
 
+The stepwise filter pair is :func:`altproj.schedule.filter_pair` as it was
+before it squared runs of equal coefficients: one update per step. Where no
+two consecutive coefficients are equal the package takes exactly these
+updates, so the two agree bit for bit.
+
 The diagonal Landweber reference iterates u <- u + alpha sigma (w - sigma u)
 step by step, which shares no step with the closed form through the filter
 polynomial that :func:`altproj.problems.run_diagonal_landweber` evaluates.
@@ -207,6 +212,18 @@ def geometric_reference(g, schedule, u0, n):
         iterates.append(u)
         residuals.append(distance_to_w(g, u))
     return np.array(iterates), np.array(residuals)
+
+
+def stepwise_filter_pair(schedule, lam, n):
+    """(F_n(lam), 1 - F_n(lam)) from one update per step: F is the running
+    product of the factors 1 - alpha_j lam, 1 - F the sum of alpha_j lam F_j."""
+    lam = np.asarray(lam, dtype=float)
+    f, g, buf = np.ones_like(lam), np.zeros_like(lam), np.empty_like(lam)
+    for alpha in schedule.alphas(n).tolist():
+        np.multiply(lam, alpha, out=buf)
+        g += np.multiply(buf, f, out=buf)
+        f *= np.subtract(1.0, np.multiply(lam, alpha, out=buf), out=buf)
+    return f, g
 
 
 def diagonal_landweber_reference(p, r, d, schedule, max_iters):

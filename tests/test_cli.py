@@ -87,6 +87,24 @@ class TestRunScenario:
                                  cli._fmt(contraction_factor(q, float(alpha)))])
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_trace_csv_keeps_signed_zero_and_repeated_values(self, tmp_path):
+        # each distinct value is formatted once, keyed by its bits: -0.0 must
+        # not take the text of 0.0, and a repeated value keeps its text
+        g = canonicalize(random_geometry(7, 3, 3, 5))
+        q = build(g)
+        alphas = [0.5, 0.5, -0.0, 0.0, 1.25, 1.25, 1.25, -0.0, 0.0, 0.5]
+        trace = run_alternating(q, g.w_offset, Schedule.explicit(alphas), random_u0(g, 11),
+                                max_iters=len(alphas), conv_tol=0.0)
+        assert trace.n_steps == len(alphas)
+        cli._write_trace_csv(tmp_path / "t.csv", trace, q)
+        rho = contraction_factor(q, trace.alphas_used)
+        expected = "n,alpha_n,error_norm,residual_dW,rho_alpha_n\r\n" + "".join(
+            "%d,%.17g,%.17g,%.17g,%.17g\r\n" % (n, alpha, trace.error_norms[n],
+                                                trace.residuals[n], rho[n])
+            for n, alpha in enumerate(trace.alphas_used.tolist()))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        assert [line.split(",")[1] for line in expected.splitlines()[3:5]] == ["-0", "0"]
+
     def test_zero_operator_has_no_bound_or_verdict(self, tmp_path):
         # U's directions lie in V, so nu is rounding noise (~1e-15)
         cfg = {
@@ -518,6 +536,26 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["overrelax", "--nu2", "0.5", "--alphas", ",", "--seed", "1"], "--alphas"),
+        (["truncate", "--p", "1", "--r", "0.6", "--dims", ",,"], "--dims"),
+    ])
+    def test_empty_grid_gives_config_exit(self, capsys, argv, option):
+        # an empty --alphas grid used to exit 0 with no output, and an
+        # empty --dims list to fail in max() without naming the option
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} needs at least one value" in captured.err
+
+    def test_negative_truncate_horizon_gives_config_exit(self, tmp_path, capsys):
+        out_csv = tmp_path / "trunc.csv"
+        rc = cli.main(["truncate", "--p", "1", "--r", "0.6", "--dims", "10",
+                       "--max-iters", "-1", "--out", str(out_csv)])
+        assert rc == 2
+        assert "max_iters must be a nonnegative integer" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("args, message", [
         (["--dims=2.5,3"], "dimensions must be positive integers"),

@@ -4,7 +4,7 @@ import pytest
 from altproj.engine import rate_bound
 from altproj.schedule import Schedule, diagnose, filter_pair
 
-from reference import product_lemma_check
+from reference import product_lemma_check, stepwise_filter_pair
 
 
 class TestConstruction:
@@ -185,6 +185,47 @@ class TestFilterPoly:
         f, g = filter_pair(Schedule.constant(1.0), 1e-20, 100)
         assert f == 1.0 and type(g) is float
         assert g == pytest.approx(1e-18, rel=1e-14)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 16, 17, 255])
+    def test_runs_match_per_value_products(self, length):
+        # a run of 1.7 and a run of zeros between single terms; on lam up to
+        # 2 / 1.7, alpha lam passes 1 in the run, flipping the factor's sign
+        alphas = np.concatenate([[0.5], np.full(length, 1.7), np.zeros(length), [1.5]])
+        lam = np.linspace(0.0, 2.0 / 1.7, 41)
+        f, g = filter_pair(Schedule.explicit(alphas), lam, alphas.size)
+        expected = np.array([np.prod(1.0 - alphas * v) for v in lam])
+        assert np.allclose(f, expected, rtol=1e-13, atol=1e-300)
+        assert np.allclose(g, 1.0 - expected, rtol=0, atol=1e-14)
+
+    def test_filter_keeps_relative_accuracy_where_factor_is_small(self):
+        # 1 - h rounds away what is left of F once h is within 1e-16 of 1;
+        # squaring the factor keeps it
+        assert filter_pair(Schedule.constant(0.5), 1.0, 100)[0] == 2.0 ** -100
+        f = filter_pair(Schedule.constant(0.9), 1.0, 40)[0]
+        assert f == pytest.approx(np.prod(np.full(40, 1.0 - 0.9)), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.9])
+    @pytest.mark.parametrize("n", [200, 2000, 20_000])
+    def test_constant_complement_matches_closed_form(self, alpha, n):
+        # 1 - F_n = 1 - (1 - alpha lam)^n, from log1p and expm1, which keep
+        # their relative accuracy where alpha lam n is small
+        i = np.arange(1, 20_001, dtype=float)
+        lam = i ** -2.0
+        lam = lam[alpha * lam < 1.0]
+        g = filter_pair(Schedule.constant(alpha), lam, n)[1]
+        assert np.allclose(g, -np.expm1(n * np.log1p(-alpha * lam)), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sched", [
+        Schedule.random_uniform(0.0, 1.9, seed=4),
+        Schedule.cyclic([0.3, 1.1, 1.7]),
+        Schedule.harmonic_to_2(),
+    ], ids=lambda s: s.kind)
+    def test_schedule_without_repeats_matches_stepwise_updates_exactly(self, sched):
+        lam = np.random.default_rng(4).uniform(0.0, 1.0, 50)
+        for n in (1, 7, 300):
+            f, g = filter_pair(sched, lam, n)
+            f_ref, g_ref = stepwise_filter_pair(sched, lam, n)
+            assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
 
     def test_divergent_schedule_drives_filter_to_zero(self):
         s = Schedule.constant(1.0)

@@ -18,7 +18,6 @@ The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -84,20 +83,29 @@ def _formatted(column):
     order, each distinct value formatted once. Values are told apart by
     their bits, so -0.0 and NaN keep their own text."""
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-    return map(text.__getitem__, inverse)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(path, header, rows):
+    """Write *header* and *rows*, sequences of field texts, as csv.writer
+    writes them: fields joined by commas, lines ending in CRLF. No field
+    holds a comma, a quote or a line break, so none is quoted. Each row is
+    written as it is joined, so the file's text is never held whole."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _write_trace_csv(path, trace, q):
-    # rows as csv.writer writes them: numbers need no quoting, lines end in
-    # CRLF; they are written as they are joined, so no row list is held
     alphas = trace.alphas_used
     n = alphas.size
     columns = (alphas, trace.error_norms[:n], trace.residuals[:n], contraction_factor(q, alphas))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("n,alpha_n,error_norm,residual_dW,rho_alpha_n\r\n")
-        rows = zip(map(str, range(n)), *map(_formatted, columns))
-        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+    def rows():  # formatted once the file is open, so that formatting counts as writing
+        yield from zip(map(str, range(n)), *map(_formatted, columns))
+
+    _write_csv(path, ("n", "alpha_n", "error_norm", "residual_dW", "rho_alpha_n"), rows())
 
 
 def run_scenario(path, out_dir=None):
@@ -225,24 +233,20 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     max_iters = as_count(max_iters, "max_iters")
     closed = problems.diagonal_truncation_norms(p, r, dims)
     u = problems.run_diagonal_landweber(p, r, max(dims), Schedule.constant(alpha), max_iters)
-    iterate_norms = np.sqrt(np.cumsum(u * u))
+    sums = np.cumsum(np.square(u, out=u), out=u)  # of squares, in place
     return [{
         "d": int(d),
         "limit_norm": float(limit_norm),
-        "iterate_norm": float(iterate_norms[int(d) - 1]),
+        "iterate_norm": math.sqrt(sums[int(d) - 1]),
         "iters": int(max_iters),
     } for d, limit_norm in zip(dims, closed)]
 
 
 def _write_rows_csv(path, rows, columns):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([
-                row[c] if not isinstance(row[c], float) else _fmt(row[c])
-                for c in columns
-            ])
+    def cell(value):  # as csv.writer writes it, but a float as _fmt gives it
+        return _fmt(value) if isinstance(value, float) or value is None else str(value)
+
+    _write_csv(path, columns, ([cell(row[c]) for c in columns] for row in rows))
 
 
 def _parse_float_list(text, option):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .schedule import filter_pair
+from .schedule import _filter_runs, _runs
 from .subspace import AffineSubspace, ProblemGeometry
 from .validation import as_count, as_vector, check_keys
 
@@ -112,22 +112,41 @@ def diagonal_truncation_norms(p, r, dims):
     if not all(float(d).is_integer() and d >= 1 for d in dims):
         raise ValueError(f"dimensions must be positive integers, got {list(dims)!r}")
     dims = [int(d) for d in dims]
-    i = np.arange(1, max(dims) + 1, dtype=float)
-    cum = np.cumsum(i ** (2.0 * (p - r)))
+    cum = np.arange(1, max(dims) + 1, dtype=float)
+    np.power(cum, 2.0 * (p - r), out=cum)
+    np.cumsum(cum, out=cum)
     return np.sqrt(cum[np.array(dims) - 1])
+
+
+# Indices per block of run_diagonal_landweber: its six scratch arrays of
+# this length take 384 KiB, well inside a core's L2 cache.
+LANDWEBER_BLOCK = 2 ** 13
 
 
 def run_diagonal_landweber(p, r, d, schedule, max_iters):
     """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
     from u = 0 on the diagonal model, in closed form through the filter
-    polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i."""
-    sigma = np.arange(1, int(d) + 1, dtype=float)
-    sigma **= -float(p)
-    reached = filter_pair(schedule, sigma * sigma, int(max_iters))[1]
-    # the data is formed after the filter, so that it is not held alongside
-    # the filter's scratch arrays
-    w = np.arange(1, int(d) + 1, dtype=float) ** (-float(r))
-    return reached * w / sigma
+    polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i.
+
+    The components are formed in blocks of LANDWEBER_BLOCK indices, into
+    the one full-length array returned; the coefficients are drawn and
+    split into runs once."""
+    d = int(d)
+    runs = _runs(schedule.alphas(int(max_iters)))
+    u = np.empty(d)
+    offsets = np.arange(1, min(d, LANDWEBER_BLOCK) + 1, dtype=float)
+    sigma, lam, f, g, a, b = (np.empty_like(offsets) for _ in range(6))
+    mask = np.empty(offsets.shape, dtype=bool)
+    for start in range(0, d, LANDWEBER_BLOCK):
+        out = u[start:start + LANDWEBER_BLOCK]
+        k = out.size
+        i = np.add(offsets[:k], start, out=sigma[:k])
+        np.power(i, -float(r), out=out)  # w
+        s = np.power(i, -float(p), out=sigma[:k])
+        _filter_runs(runs, np.multiply(s, s, out=lam[:k]), f[:k], g[:k], a[:k], b[:k], mask[:k])
+        out *= g[:k]
+        out /= s
+    return u
 
 
 def _require(cond, msg):

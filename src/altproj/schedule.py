@@ -234,50 +234,58 @@ def filter_pair(schedule, lam, n):
     F_n(lam) = prod_{j<n} (1 - alpha_j * lam), the factor by which n steps
     multiply the error component of eigenvalue lam (1 at n = 0), in
     O(len lam) memory; a scalar *lam* gives floats, an array of them arrays
-    of its shape. 1 - F_n, the share of the minimum-norm solution that n
-    steps from zero reach, is summed as sum_j alpha_j lam F_j(lam), so it
-    keeps its relative accuracy where F_n rounds to 1.
+    of its shape. 1 - F_n is the share of the minimum-norm solution that n
+    steps from zero reach; it keeps its relative accuracy where F_n rounds
+    to 1.
 
-    The coefficients are taken in runs of equal consecutive terms. The
-    first step of a run is one update of the pair; the other m - 1 steps
-    are one step raised to the power m - 1 by repeated squaring, so a run
-    costs O(log m) updates and the whole product O(runs + log n). A step
-    that multiplies F by p = 1 - h and adds h F to 1 - F, with
-    h = alpha lam, squares to the step of p^2 and h (2 - h). 1 - F is
-    summed from h, as over single steps; p is re-formed as 1 - h while
-    that exceeds h, and squared below, so F keeps its relative accuracy
-    where alpha lam is near 1."""
+    The coefficients are taken in runs of equal consecutive terms, and each
+    run costs a fixed number of passes over lam, whatever its length: the
+    whole product costs O(len lam) per run (see _filter_runs)."""
     lam = np.asarray(lam, dtype=float)
-    alphas = schedule.alphas(n)
+    f, g = np.empty_like(lam), np.empty_like(lam)
+    scratch = np.empty_like(lam), np.empty_like(lam), np.empty(lam.shape, dtype=bool)
+    _filter_runs(_runs(schedule.alphas(n)), lam, f, g, *scratch)
+    return (float(f), float(g)) if f.ndim == 0 else (f, g)
+
+
+def _runs(alphas):
+    """(alpha, m) for each run of m equal consecutive terms of *alphas*."""
     # a run starts where a term differs from the one before it (the NaN put
     # before the first term differs from every term)
     starts = np.flatnonzero(np.diff(alphas, prepend=np.nan))
-    runs = zip(alphas[starts].tolist(), np.diff(starts, append=alphas.size).tolist())
-    # one scratch array: alpha lam is formed twice rather than kept; two
-    # more, p and h, only once a run repeats its coefficient
-    f, g, buf = np.ones_like(lam), np.zeros_like(lam), np.empty_like(lam)
-    p = h = None
+    return list(zip(alphas[starts].tolist(), np.diff(starts, append=alphas.size).tolist()))
+
+
+def _filter_runs(runs, lam, f, g, a, b, mask):
+    """Set *f* and *g* to F_n(lam) and 1 - F_n(lam) over the (alpha, m)
+    *runs*; *a*, *b* (float) and *mask* (bool) are scratch of lam's shape.
+
+    A single step multiplies F by 1 - alpha lam and adds alpha lam F to
+    1 - F, exactly as a step-by-step product does, so a schedule with no
+    two equal consecutive terms gives that product's results bit for bit.
+    A run of m > 1 steps with h = alpha lam multiplies F by
+    F_m = (1 - h)^m, from pow, which keeps F's relative accuracy where h is
+    near 1, and adds F (1 - F_m) to 1 - F. Where F_m > 0, 1 - F_m is
+    -expm1(m log1p(max(-h, h - 2))), the logarithm of |1 - h| from an
+    argument that is exact near h = 0 and h = 2, so it keeps its relative
+    accuracy where F_m rounds to 1; elsewhere 1 - F_m does not cancel."""
+    f.fill(1.0)
+    g.fill(0.0)
     for alpha, m in runs:
-        np.multiply(lam, alpha, out=buf)
-        g += np.multiply(buf, f, out=buf)  # alpha lam F_j, what step j moves to 1 - F
-        f *= np.subtract(1.0, np.multiply(lam, alpha, out=buf), out=buf)
         if m == 1:
+            np.multiply(lam, alpha, out=a)
+            g += np.multiply(a, f, out=a)  # alpha lam F_j, what step j moves to 1 - F
+            f *= np.subtract(1.0, np.multiply(lam, alpha, out=a), out=a)
             continue
-        if p is None:
-            p, h = np.empty_like(lam), np.empty_like(lam)
-        # (p, h) of one step, then of 2, 4, ... steps
-        np.subtract(1.0, np.multiply(lam, alpha, out=h), out=p)
-        m -= 1
-        while True:
-            if m & 1:
-                g += np.multiply(f, h, out=buf)
-                f *= p
-            m >>= 1
-            if not m:
-                break
-            h *= np.subtract(2.0, h, out=buf)
-            p *= p
-            # 1 - h does not cancel where it exceeds h; below that, p^2
-            # keeps the digits that 1 - h would lose
-            np.copyto(p, np.subtract(1.0, h, out=buf), where=buf > h)
-    return (float(f), float(g)) if f.ndim == 0 else (f, g)
+        np.multiply(lam, alpha, out=a)
+        np.minimum(a, np.subtract(2.0, a, out=b), out=b)
+        np.negative(b, out=b)  # max(-h, h - 2)
+        np.power(np.subtract(1.0, a, out=a), m, out=a)  # F_m
+        # b becomes F_m - 1, so that 1 - F takes f (1 - F_m) by subtraction
+        np.greater(a, 0.0, out=mask)
+        np.log1p(b, out=b, where=mask)
+        np.multiply(b, m, out=b, where=mask)
+        np.expm1(b, out=b, where=mask)
+        np.subtract(a, 1.0, out=b, where=np.logical_not(mask, out=mask))
+        g -= np.multiply(f, b, out=b)
+        f *= a

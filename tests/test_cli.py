@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from altproj import cli, linalg
 from altproj.engine import contraction_factor, run_alternating
-from altproj.problems import (diagonal_truncation_norms, geometry_from_config, random_geometry,
-                              run_diagonal_landweber)
+from altproj.problems import (LANDWEBER_BLOCK, diagonal_truncation_norms, geometry_from_config,
+                              random_geometry, run_diagonal_landweber)
 from altproj.projector import build
 from altproj.schedule import Schedule
 from altproj.subspace import canonicalize
@@ -251,10 +251,7 @@ class TestTruncation:
         # the iteration runs once, at the largest dimension; each row's norm
         # is that of the iterate filtered at its own dimension, in input order
         p, r, n, dims = 1.0, 0.6, 60, [1000, 10, 1000, 100]
-        sched = {"constant": Schedule.constant(1.3),
-                 "cyclic": Schedule.cyclic([0.5, 1.9, 1.2]),
-                 "explicit": Schedule.explicit(np.linspace(0.2, 1.9, n)),
-                 "random-uniform": Schedule.random_uniform(0.1, 1.9, seed=7)}[kind]
+        sched = _sweep_schedule(kind, n)
         monkeypatch.setattr(cli, "Schedule", SimpleNamespace(constant=lambda alpha: sched))
         calls = []
 
@@ -272,6 +269,40 @@ class TestTruncation:
         for row, d in zip(rows, dims):
             expected = np.linalg.norm(run_diagonal_landweber(p, r, d, sched, n))
             assert row["iterate_norm"] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+    @pytest.mark.parametrize("d", [LANDWEBER_BLOCK - 1, LANDWEBER_BLOCK, LANDWEBER_BLOCK + 1,
+                                   2 * LANDWEBER_BLOCK + 1])
+    @pytest.mark.parametrize("kind", ["constant", "cyclic", "explicit", "random-uniform"])
+    def test_blocks_match_step_by_step_iteration_at_block_edges(self, kind, d):
+        n = 60
+        sched = _sweep_schedule(kind, n)
+        u = run_diagonal_landweber(1.0, 0.6, d, sched, n)
+        assert u.shape == (d,)
+        np.testing.assert_allclose(u, diagonal_landweber_reference(1.0, 0.6, d, sched, n),
+                                   rtol=1e-12, atol=0)
+
+    def test_coefficients_are_drawn_once(self, monkeypatch):
+        # once per study, not once per block of the iterate
+        calls = []
+        alphas = Schedule.alphas
+
+        def counted(self, n):
+            calls.append(n)
+            return alphas(self, n)
+
+        monkeypatch.setattr(Schedule, "alphas", counted)
+        rows = cli.truncation_study(1.0, 0.6, [10, 3 * LANDWEBER_BLOCK], max_iters=50)
+        assert calls == [50]
+        assert len(rows) == 2
+
+
+def _sweep_schedule(kind, n):
+    """A schedule of *kind* whose first *n* coefficients reach 1.9."""
+    return {"constant": Schedule.constant(1.3),
+            "cyclic": Schedule.cyclic([0.5, 1.9, 1.2]),
+            "explicit": Schedule.explicit(np.linspace(0.2, 1.9, n)),
+            "random-uniform": Schedule.random_uniform(0.1, 1.9, seed=7)}[kind]
 
 
 def _run_config(tmp_path, capsys, cfg):
@@ -395,6 +426,26 @@ class TestMain:
                        "--out", str(out_csv)])
         assert rc == 0
         assert out_csv.read_text().splitlines()[0] == "d,limit_norm,iterate_norm,iters"
+
+    @pytest.mark.parametrize("verb", ["overrelax", "truncate"])
+    def test_study_csv_is_what_csv_writer_writes(self, tmp_path, capsys, verb):
+        out_csv = tmp_path / "study.csv"
+        if verb == "overrelax":
+            argv = ["--nu2", "0.5", "--alphas", "0,1.0,2.0,4.2", "--seed", "3"]
+            rows = cli.overrelaxation_study(0.5, [0.0, 1.0, 2.0, 4.2], 3)
+            columns = ["alpha", "alpha_nu2", "verdict", "empirical_rate", "rho_alpha"]
+        else:
+            argv = ["--p", "1.0", "--r", "0.6", "--dims", "10,100,1000", "--max-iters", "50"]
+            rows = cli.truncation_study(1.0, 0.6, [10, 100, 1000], max_iters=50)
+            columns = ["d", "limit_norm", "iterate_norm", "iters"]
+        assert cli.main([verb, *argv, "--out", str(out_csv)]) == 0
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([cli._fmt(row[c]) if isinstance(row[c], float) else row[c]
+                                 for c in columns])
+        assert out_csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_check_schedule_verb(self, tmp_path, capsys):
         sched_file = tmp_path / "sched.json"

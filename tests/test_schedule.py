@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,35 @@ class TestFilterPoly:
         lam = lam[alpha * lam < 1.0]
         g = filter_pair(Schedule.constant(alpha), lam, n)[1]
         assert np.allclose(g, -np.expm1(n * np.log1p(-alpha * lam)), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("length", [2, 3, 255, 20_000])
+    def test_closed_form_runs_match_stepwise_products(self, length):
+        # a constant 1 makes h = alpha lam = lam exactly. At h = 1 and 1 +- 1
+        # ulp F_m is 0 or rounds to it (log1p(-1) would divide by zero); near
+        # 0 and 2, 1 - F_m is far below F_m; 2.5 lies outside the box, where
+        # |F_m| grows. Warnings are errors here, so none may escape.
+        h = [1e-20, 0.3, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.5,
+             2.0 - 1e-12, 2.0, 2.5]
+        if length == 20_000:
+            h.pop()  # 1.5 ** 20 000 overflows, in the stepwise product too
+        lam = np.array(h)
+        sched = Schedule.constant(1.0)
+        f, g = filter_pair(sched, lam, length)
+        f_ref, g_ref = stepwise_filter_pair(sched, lam, length)
+        products = np.array([np.prod(np.full(length, 1.0 - v)) for v in lam])
+        assert np.allclose(f, f_ref, rtol=1e-13, atol=1e-300)
+        assert np.allclose(f, products, rtol=1e-13, atol=1e-300)
+        inside = np.abs(f_ref) <= 1.0
+        assert np.allclose(g[inside], g_ref[inside], rtol=0, atol=1e-14)
+        assert np.allclose(g[inside], 1.0 - products[inside], rtol=0, atol=1e-14)
+        # outside the box 1 - F_m does not cancel, so it is compared relatively
+        assert np.allclose(g[~inside], 1.0 - products[~inside], rtol=1e-13, atol=0)
+        # 1 - F_m keeps its relative accuracy where it is far below 1
+        # (h = 1e-20, 2 - 1e-12): 1 - (1 - h)^m in 200-digit arithmetic
+        with localcontext() as ctx:
+            ctx.prec = 200
+            exact = [float(1 - (1 - Decimal(v)) ** length) for v in h]
+        assert np.allclose(g, exact, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("sched", [
         Schedule.random_uniform(0.0, 1.9, seed=4),

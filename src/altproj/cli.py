@@ -10,10 +10,11 @@ Scenario files are JSON with a top-level "version" field; all randomness must
 be seeded so a scenario fully determines its outputs. Trace CSVs have the
 fixed columns n, alpha_n, error_norm, residual_dW, rho_alpha_n.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (an iteration
-that stops as "nonfinite", an SVD that fails to converge, or a violated
-normal equation). A run that stops for any other reason, including an
-explicit schedule that runs out of terms ("schedule_exhausted"), exits 0.
+Exit codes: 0 success, 2 config error (including an output file that cannot
+be written), 3 numerical failure (an iteration that stops as "nonfinite", an
+SVD that fails to converge, or a violated normal equation). A run that stops
+for any other reason, including an explicit schedule that runs out of terms
+("schedule_exhausted"), exits 0.
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
@@ -87,14 +88,27 @@ def _formatted(column):
     return text[inverse].tolist()
 
 
+def _write_file(path, write, newline=None):
+    """Open *path* for writing as UTF-8 text, with ``open``'s *newline*, and
+    pass the file to *write*. An OSError, in opening or in writing, is a
+    configuration error, as it is in reading."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path, header, rows):
     """Write *header* and *rows*, sequences of field texts, as csv.writer
     writes them: fields joined by commas, lines ending in CRLF. No field
     holds a comma, a quote or a line break, so none is quoted. Each row is
     written as it is joined, so the file's text is never held whole."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    def write(fh):
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+    _write_file(path, write, newline="")
 
 
 def _write_trace_csv(path, trace, q):
@@ -125,8 +139,9 @@ def run_scenario(path, out_dir=None):
                 raise ValueError(f"{section} must be a JSON object")
         outputs = cfg.get("outputs", {})
         check_keys(outputs, OUTPUT_KEYS, "outputs")
-        if not all(isinstance(name, str) for name in outputs.values()):
-            raise ValueError("outputs must be file names")
+        for name in outputs.values():  # written in out_dir, so no directory part
+            if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+                raise ValueError(f"outputs must be file names, got {name!r}")
         g = canonicalize(problems.geometry_from_config(cfg["geometry"]))
         sched = Schedule.from_dict(cfg["schedule"])
         u0 = _build_u0(cfg.get("u0", {"type": "zero"}), g.u_space)
@@ -176,9 +191,11 @@ def run_scenario(path, out_dir=None):
     if "trace_csv" in outputs:
         _write_trace_csv(out_dir / outputs["trace_csv"], trace, q)
     if "summary_json" in outputs:
-        with open(out_dir / outputs["summary_json"], "w", encoding="utf-8") as fh:
+        def write(fh):
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+        _write_file(out_dir / outputs["summary_json"], write)
     return summary
 
 

@@ -1,8 +1,8 @@
 """Dense real linear-algebra substrate: orthonormalization, the thin
-factorization behind the principal sines and cosines (the one factorization
-a problem's analysis takes: the angle report, least squares, the limit, the
-loop and the spectral check all read its singular values and vectors), and
-orthogonal complements (for the tests' reference only).
+factorization behind the principal sines (the one factorization a problem's
+analysis takes: the angle report, least squares, the limit, the loop and the
+spectral check all read its singular values and vectors), and orthogonal
+complements (for the tests' reference only).
 
 Everything is backed by LAPACK via numpy.linalg; this module pins down the
 rank-tolerance conventions used throughout the package.
@@ -32,21 +32,15 @@ def orthonormalize(columns):
 
 def sine_svd(a, b):
     """Thin SVD (x, s, yt) of R = a - b (b^T a), the component of span(a)
-    orthogonal to span(b), for orthonormal bases a (d x k_a) and b (d x k_b),
-    and the principal cosines: the min(k_a, k_b) singular values of the
-    cross-Gram matrix b^T a, nonincreasing and clipped to [0, 1].
+    orthogonal to span(b), for orthonormal bases a (d x k_a) and b (d x k_b).
 
     R is the ambient form of the projection onto span(b)-perp restricted to
     span(a). Its singular values are the sines of the principal angles
     between the two spans, nonincreasing (when k_a > k_b, k_a - k_b of them
     equal 1). Taking them from R rather than as sqrt(1 - cos^2) keeps small
     angles accurate. Memory is O(d (k_a + k_b)); no d x d array is formed.
-    Returns (x, s, yt, cosines).
     """
-    bta = b.T @ a
-    x, s, yt = np.linalg.svd(a - b @ bta, full_matrices=False)
-    cosines = np.clip(np.linalg.svd(bta, compute_uv=False), 0.0, 1.0)
-    return x, s, yt, cosines
+    return np.linalg.svd(a - b @ (b.T @ a), full_matrices=False)
 
 
 def orthogonal_complement(basis):

@@ -8,10 +8,8 @@ R = X S Y^T gives everything else: the singular values S are the principal
 sines between U and V, X spans the range of Q and Y gives the null space.
 In the basis A Y of U the operator is diagonal, so the iteration and the
 spectral check step elementwise on the sines; no second factorization (of
-R^T R, say) is taken. The principal cosines, the singular values of the
-k_w x k_u product B^T A that R is formed from, are kept beside them for the
-angle report.
-Nothing of size d x d is formed, so memory is O(d k).
+R^T R or of B^T A, say) is taken. Nothing of size d x d is formed, so memory
+is O(d k).
 
 The least-squares machinery built on top of it (minimum-norm solution, null
 space, affine solution set) serves as the independent oracle for the limit of
@@ -60,9 +58,6 @@ class RestrictedProjector:
     sines : (k_u,) ndarray
         The singular values S, nonincreasing: the principal sines between
         U and V. Those at or below ``nullspace_cutoff(tol)`` count as zero.
-    cosines : (min(k_u, k_w),) ndarray
-        The principal cosines between U and V, nonincreasing: the singular
-        values of B^T A, the product R is formed from.
     nullspace_basis : (d, k_n) ndarray
         Orthonormal basis of the null space, in ambient coordinates.
     """
@@ -72,13 +67,12 @@ class RestrictedProjector:
     codomain_basis: np.ndarray
     constraint_basis: np.ndarray
     sines: np.ndarray
-    cosines: np.ndarray
     nullspace_basis: np.ndarray
     tol: float
 
     def __post_init__(self):
         for name in ("right_vectors", "domain_basis", "codomain_basis", "constraint_basis",
-                     "sines", "cosines", "nullspace_basis"):
+                     "sines", "nullspace_basis"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
@@ -128,14 +122,13 @@ def build(g, tol=INTERSECTION_TOL):
     require_canonical(g)
     a = g.u_space.basis
     b = g.w_space.basis
-    x, sigma, yt, cosines = linalg.sine_svd(a, b)
+    x, sigma, yt = linalg.sine_svd(a, b)
     return RestrictedProjector(
         right_vectors=yt,
         domain_basis=a,
         codomain_basis=x,
         constraint_basis=b,
         sines=sigma,
-        cosines=cosines,
         nullspace_basis=a @ yt[sigma <= nullspace_cutoff(tol)].T,
         tol=tol,
     )

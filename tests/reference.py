@@ -27,9 +27,10 @@ The symmetric eigendecomposition :func:`sym_eig` is the eigen-oracle for
 R^T R: the package reads the eigenpairs (s^2, Y) from its one SVD and
 factorizes nothing else.
 
-The principal cosines are recomputed here from the cross-Gram matrix a^T b,
-and the Friedrichs cosine from an explicit split of the intersection, which
-shares no step with the cosines :func:`altproj.projector.build` stores. The
+The principal cosines, which the package never computes, are taken here
+from the cross-Gram matrix a^T b, and the Friedrichs cosine from an explicit
+split of the intersection; the tests pair them with the principal sines that
+:func:`altproj.projector.build` stores. The
 remaining helpers state identities of the paper in their explicit form (the
 relaxed projection onto W, the translation of a projection, the operator and
 its adjoint on ambient vectors, the product lemma) for the tests to check the

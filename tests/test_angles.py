@@ -46,9 +46,9 @@ class TestPrincipalCosines:
 
 
 def min_angle_cos(a, b):
-    """The report's minimum-angle cosine between the direction spaces of the
-    linear subspaces *a* and *b*: the largest cosine the projector stores."""
-    return compute_report(build(ProblemGeometry(a, b))).theta_min_cos
+    """The minimum-angle cosine between the direction spaces of the linear
+    subspaces *a* and *b*: the largest reference principal cosine."""
+    return principal_cosines(a.basis, b.basis)[0]
 
 
 class TestMinAngle:
@@ -111,7 +111,8 @@ class TestReport:
         rep = compute_report(build(g))
         assert rep.nu == pytest.approx(np.sin(phi), abs=1e-12)
         assert rep.gamma == pytest.approx(np.sin(phi), abs=1e-12)
-        assert rep.theta_min_cos == pytest.approx(np.cos(phi), abs=1e-12)
+        assert principal_cosines(g.u_space.basis, g.w_space.basis)[0] == pytest.approx(
+            np.cos(phi), abs=1e-12)
 
     def test_requires_canonical_geometry(self):
         u = AffineSubspace.from_span(np.array([[1.0], [0.0]]), point=[0.0, 1.0])
@@ -124,7 +125,9 @@ class TestReport:
         g = canonical_random(seed, dim=9, dim_u=3, dim_w=4,
                              shared_dims=seed % 3)
         rep = compute_report(build(g))
-        assert rep.gamma**2 + rep.friedrichs_cos**2 == pytest.approx(1.0, abs=1e-10)
-        assert 0.0 <= rep.friedrichs_cos <= rep.theta_min_cos + 1e-12 <= 1.0 + 1e-12
+        fc, _ = friedrichs_cos(g.u_space, g.w_space)
+        theta_min_cos = principal_cosines(g.u_space.basis, g.w_space.basis)[0]
+        assert rep.gamma**2 + fc**2 == pytest.approx(1.0, abs=1e-10)
+        assert 0.0 <= fc <= theta_min_cos + 1e-12 <= 1.0 + 1e-12
         assert 0.0 <= rep.nu <= 1.0 and 0.0 <= rep.gamma <= 1.0
         assert rep.intersection_dim >= (seed % 3)

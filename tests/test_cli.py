@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -373,6 +374,27 @@ class TestScenarioSections:
         assert (rc, captured.out, written) == (2, "", [])
         assert message in captured.err
 
+    @pytest.mark.parametrize("key", cli.OUTPUT_KEYS)
+    @pytest.mark.parametrize("name", ["sub/out.txt", "ABSOLUTE", "", ".", ".."])
+    def test_output_that_is_not_a_file_name(self, tmp_path, monkeypatch, capsys, key, name):
+        # rejected before the run: no computation, and nothing written, not
+        # even into a directory part that exists
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started before its outputs were checked")
+
+        monkeypatch.setattr(cli, "canonicalize", refuse)
+        out_dir = tmp_path / "out"
+        (out_dir / "sub").mkdir(parents=True)
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "out.txt")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(self.scenario(outputs={key: name})))
+        rc = cli.main(["run", str(path), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert f"error: outputs must be file names, got {name!r}" in captured.err
+        assert [f for f in tmp_path.rglob("*") if f.is_file()] == [path]
+
     @pytest.mark.parametrize("section, value", [
         ("geometry", [1, 0, 0]), ("u0", []), ("outputs", "summary.json"),
     ])
@@ -446,6 +468,40 @@ class TestMain:
                 writer.writerow([cli._fmt(row[c]) if isinstance(row[c], float) else row[c]
                                  for c in columns])
         assert out_csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("key", cli.OUTPUT_KEYS)
+    def test_missing_out_dir_gives_config_exit(self, tmp_path, capsys, key):
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["outputs"] = {key: "out.txt"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "missing" / "out.txt"
+        assert cli.main(["run", str(path), "--out-dir", str(out.parent)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("verb, argv", [
+        ("overrelax", ["--nu2", "0.5", "--alphas", "1.0", "--seed", "3"]),
+        ("truncate", ["--p", "1.0", "--r", "0.6", "--dims", "10"]),
+    ])
+    def test_unwritable_study_csv_gives_config_exit(self, tmp_path, capsys, verb, argv):
+        out_csv = tmp_path / "no" / "such" / "dir" / "study.csv"
+        assert cli.main([verb, *argv, "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_csv}: ")
+        assert not (tmp_path / "no").exists()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+    def test_failed_write_gives_config_exit(self, capsys):
+        # the file opens, and the write fails when it is flushed
+        argv = ["truncate", "--p", "1.0", "--r", "0.6", "--dims", "10", "--out", "/dev/full"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write /dev/full: ")
 
     def test_check_schedule_verb(self, tmp_path, capsys):
         sched_file = tmp_path / "sched.json"

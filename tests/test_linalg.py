@@ -46,23 +46,22 @@ class TestOrthonormalize:
 
 class TestSvd:
     """The package's one factorization, :func:`linalg.sine_svd`: the thin SVD
-    of R = a - b (b^T a), whose singular values are the principal sines, and
-    the singular values of b^T a, the principal cosines."""
+    of R = a - b (b^T a), whose singular values are the principal sines."""
 
     def test_identity(self):
         # b empty: R = a, every sine is 1
-        x, s, yt, _ = linalg.sine_svd(np.eye(3), np.zeros((3, 0)))
+        x, s, yt = linalg.sine_svd(np.eye(3), np.zeros((3, 0)))
         assert np.allclose(s, 1.0)
         assert np.allclose((x * s) @ yt, np.eye(3), atol=1e-14)
 
     def test_diagonal(self):
         # b = e1 removes the first column of a = [e1, e2]
-        _, s, _, _ = linalg.sine_svd(np.eye(3)[:, :2], np.eye(3)[:, :1])
+        _, s, _ = linalg.sine_svd(np.eye(3)[:, :2], np.eye(3)[:, :1])
         assert np.allclose(s, [1.0, 0.0])
 
     def test_permutation(self):
         # a permuted basis of the plane orthogonal to b
-        _, s, _, _ = linalg.sine_svd(np.eye(3)[:, [1, 0]], np.eye(3)[:, 2:])
+        _, s, _ = linalg.sine_svd(np.eye(3)[:, [1, 0]], np.eye(3)[:, 2:])
         assert np.allclose(s, [1.0, 1.0])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -70,16 +69,16 @@ class TestSvd:
         rng = np.random.default_rng(seed)
         a = linalg.orthonormalize(rng.standard_normal((6, 3)))
         b = linalg.orthonormalize(rng.standard_normal((6, 2)))
-        x, s, yt, cosines = linalg.sine_svd(a, b)
+        x, s, yt = linalg.sine_svd(a, b)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0) and np.all(s <= 1.0 + 1e-14)
         r = a - b @ (b.T @ a)
         assert frob(r - (x * s) @ yt) <= 1e-12
         assert frob(x.T @ x - np.eye(3)) < 1e-12 and frob(yt @ yt.T - np.eye(3)) < 1e-12
-        # sines and cosines of the same principal angles
-        cos = np.zeros(3)
-        cos[:2] = np.linalg.svd(a.T @ b, compute_uv=False)
-        assert np.allclose(s**2 + np.sort(cos**2), 1.0, atol=1e-12)
-        assert np.allclose(cosines, cos[:2], atol=1e-12)
+        # sines of the principal angles whose cosines are the singular
+        # values of a^T b; the k_a - k_b sines with no cosine equal 1
+        cos = np.linalg.svd(a.T @ b, compute_uv=False)
+        assert np.allclose(s[::-1][:2]**2 + cos**2, 1.0, atol=1e-12)
+        assert np.allclose(s[::-1][2:], 1.0, atol=1e-12)
 
 
 class TestPinv:

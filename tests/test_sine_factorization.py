@@ -1,6 +1,6 @@
-"""The thin factorization R = A - B (B^T A), and the principal cosines
-stored beside it, against the independent references in ``reference.py``,
-on geometries that cover every shape the factorization must handle."""
+"""The thin factorization R = A - B (B^T A) against the independent
+references in ``reference.py``, on geometries that cover every shape the
+factorization must handle."""
 
 import numpy as np
 import pytest
@@ -47,15 +47,21 @@ def reachable_data(g, ref, seed):
     return g.w_offset + c @ (c.T @ u)
 
 
-def assert_cosines_match_reference(q, g):
+def assert_sines_match_reference_cosines(q, g):
+    """The stored sines, ascending, paired with the reference cosines,
+    nonincreasing, satisfy s^2 + c^2 = 1; the k_u - k_w sines with no
+    cosine (when U has more directions than V) equal 1."""
     cos_ref = principal_cosines(g.u_space.basis, g.w_space.basis)
-    assert q.cosines.shape == cos_ref.shape
-    assert np.max(np.abs(q.cosines - cos_ref), initial=0.0) <= 1e-12
+    sines = q.sines[::-1]
+    k = cos_ref.size
+    assert sines.size == g.u_space.dim and k == min(g.u_space.dim, g.w_space.dim)
+    assert np.max(np.abs(sines[:k]**2 + cos_ref**2 - 1.0), initial=0.0) <= 1e-12
+    assert np.max(np.abs(sines[k:] - 1.0), initial=0.0) <= 1e-12
 
 
 def assert_matches_reference(g, seed=0):
     q, ref = build(g), reference_build(g)
-    assert_cosines_match_reference(q, g)
+    assert_sines_match_reference_cosines(q, g)
     assert q.norm == pytest.approx(ref.norm, abs=1e-12)
     assert q.reduced_min_modulus == pytest.approx(ref.reduced_min_modulus, abs=1e-12)
     n, n_ref = q.nullspace_basis, ref.nullspace_basis
@@ -76,7 +82,6 @@ def assert_matches_reference(g, seed=0):
     # the reference takes gamma as sqrt(1 - fc^2), which is off by up to
     # ~eps / gamma near small angles
     assert rep.gamma == pytest.approx(rep_ref.gamma, abs=1e-10)
-    assert rep.friedrichs_cos == pytest.approx(rep_ref.friedrichs_cos, abs=1e-12)
     assert rep.intersection_dim == rep_ref.intersection_dim
     return rep
 
@@ -100,7 +105,33 @@ def test_generated_geometries_match_complement_reference(dim, dim_u, dim_w, shar
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(property_geometries())
 def test_stored_cosines_match_reference_on_property_geometries(g):
-    assert_cosines_match_reference(build(g), g)
+    assert_sines_match_reference_cosines(build(g), g)
+
+
+def assert_build_factorizes_once(g):
+    """``build`` calls ``np.linalg.svd`` once, on the d x k_u matrix R."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        build(g)
+    assert calls == [(g.dim_ambient, g.u_space.dim)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_build_takes_one_factorization(name):
+    assert_build_factorizes_once(CASES[name][0]())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(property_geometries())
+def test_build_takes_one_factorization_on_property_geometries(g):
+    assert_build_factorizes_once(g)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -114,10 +145,8 @@ def test_report_factorizes_nothing(name, monkeypatch):
     for routine in ("svd", "eigh", "eig", "qr", "pinv", "lstsq"):
         monkeypatch.setattr(np.linalg, routine, refuse)
     rep = compute_report(q)
-    assert np.array_equal(rep.principal_cosines, expected.principal_cosines)
-    assert (rep.theta_min_cos, rep.friedrichs_cos, rep.nu, rep.gamma, rep.intersection_dim,
-            rep.tol) == (expected.theta_min_cos, expected.friedrichs_cos, expected.nu,
-                         expected.gamma, expected.intersection_dim, expected.tol)
+    assert (rep.nu, rep.gamma, rep.intersection_dim, rep.tol) == (
+        expected.nu, expected.gamma, expected.intersection_dim, expected.tol)
 
 
 @pytest.mark.parametrize("rotation_seed", [None, 1])

@@ -1,10 +1,14 @@
 """Experiment runner.
 
-Verbs:
-  altproj run <scenario.json> [--out-dir DIR]
-  altproj overrelax --nu2 V --alphas A1,A2,... --seed S [--max-iters N] [--out CSV]
-  altproj truncate --p P --r R --dims D1,D2,... [--alpha A] [--max-iters N] [--out CSV]
-  altproj check-schedule <schedule.json> --mu V [--horizon N] [--growth-threshold X]
+Verbs: run, overrelax, truncate and check-schedule. The table VERBS gives
+each verb's handler, positionals and options, and ``main`` parses argv
+against it in one pass: ``--opt value`` or ``--opt=value``, any unambiguous
+prefix of an option, options and positionals in any order, the last of a
+repeated option winning, and the token after an option taken as its value
+even when it starts with "-". ``altproj -h`` lists the verbs and
+``altproj VERB -h`` prints a verb's usage, both generated from VERBS. A
+command line that does not fit prints "error: ..." and the usage line on
+stderr, and ``main`` returns 2.
 
 Scenario files are JSON with a top-level "version" field; all randomness must
 be seeded so a scenario fully determines its outputs. Trace CSVs have the
@@ -18,11 +22,11 @@ for any other reason, including an explicit schedule that runs out of terms
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
-import argparse
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,6 +103,13 @@ def _write_file(path, write, newline=None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_directory(path):
+    """Raise ConfigError unless the directory of *path*, a file to be
+    written, exists; checked before a run, so that no work is lost."""
+    if not path.parent.is_dir():
+        raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def _write_csv(path, header, rows):
     """Write *header* and *rows*, sequences of field texts, as csv.writer
     writes them: fields joined by commas, lines ending in CRLF. No field
@@ -139,9 +150,14 @@ def run_scenario(path, out_dir=None):
                 raise ValueError(f"{section} must be a JSON object")
         outputs = cfg.get("outputs", {})
         check_keys(outputs, OUTPUT_KEYS, "outputs")
-        for name in outputs.values():  # written in out_dir, so no directory part
+        names = list(outputs.values())
+        for i, name in enumerate(names):  # written in out_dir, so no directory part
             if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
                 raise ValueError(f"outputs must be file names, got {name!r}")
+            if name in names[:i]:
+                raise ValueError(f"outputs must have distinct file names, got {name!r} twice")
+        if names:
+            _check_directory(out_dir / names[0])
         g = canonicalize(problems.geometry_from_config(cfg["geometry"]))
         sched = Schedule.from_dict(cfg["schedule"])
         u0 = _build_u0(cfg.get("u0", {"type": "zero"}), g.u_space)
@@ -284,6 +300,8 @@ def _cmd_run(args):
 
 
 def _cmd_overrelax(args):
+    if args.out:
+        _check_directory(Path(args.out))
     rows = overrelaxation_study(args.nu2, _parse_float_list(args.alphas, "--alphas"), args.seed,
                                 max_iters=args.max_iters)
     cols = ["alpha", "alpha_nu2", "verdict", "empirical_rate", "rho_alpha"]
@@ -296,6 +314,8 @@ def _cmd_overrelax(args):
 
 
 def _cmd_truncate(args):
+    if args.out:
+        _check_directory(Path(args.out))
     rows = truncation_study(args.p, args.r, _parse_float_list(args.dims, "--dims"),
                             alpha=args.alpha, max_iters=args.max_iters)
     cols = ["d", "limit_norm", "iterate_norm", "iters"]
@@ -324,51 +344,113 @@ def _cmd_check_schedule(args):
     return 0
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="altproj",
-        description="Relaxed alternating projections between affine subspaces: "
-                    "experiment runner and schedule diagnostics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that must be given
 
-    p_run = sub.add_parser("run", help="run a scenario file")
-    p_run.add_argument("scenario")
-    p_run.add_argument("--out-dir", default=None)
-    p_run.set_defaults(func=_cmd_run)
+# verb: (handler, one-line help, positional names, {option: (converter, default)}).
+# An option's flag is its name with "-" for "_": max_iters is --max-iters.
+VERBS = {
+    "run": (_cmd_run, "run a scenario file", ("scenario",), {"out_dir": (str, None)}),
+    "overrelax": (_cmd_overrelax, "constant-relaxation sweep beyond 2", (), {
+        "nu2": (float, REQUIRED), "alphas": (str, REQUIRED), "seed": (int, REQUIRED),
+        "max_iters": (int, 10_000), "out": (str, None)}),
+    "truncate": (_cmd_truncate, "dimension-truncation study", (), {
+        "p": (float, REQUIRED), "r": (float, REQUIRED), "dims": (str, REQUIRED),
+        "alpha": (float, 1.0), "max_iters": (int, 2000), "out": (str, None)}),
+    "check-schedule": (_cmd_check_schedule, "diagnose a schedule file", ("schedule",), {
+        "mu": (float, REQUIRED), "horizon": (int, 10_000), "growth_threshold": (float, 50.0)}),
+}
+METAVARS = {"alphas": "A1,A2,...", "dims": "D1,D2,..."}  # others: the name in capitals
 
-    p_over = sub.add_parser("overrelax", help="constant-relaxation sweep beyond 2")
-    p_over.add_argument("--nu2", type=float, required=True)
-    p_over.add_argument("--alphas", required=True, help="comma-separated grid")
-    p_over.add_argument("--seed", type=int, required=True)
-    p_over.add_argument("--max-iters", type=int, default=10_000)
-    p_over.add_argument("--out", default=None)
-    p_over.set_defaults(func=_cmd_overrelax)
 
-    p_trunc = sub.add_parser("truncate", help="dimension-truncation study")
-    p_trunc.add_argument("--p", type=float, required=True)
-    p_trunc.add_argument("--r", type=float, required=True)
-    p_trunc.add_argument("--dims", required=True, help="comma-separated dimensions")
-    p_trunc.add_argument("--alpha", type=float, default=1.0)
-    p_trunc.add_argument("--max-iters", type=int, default=2000)
-    p_trunc.add_argument("--out", default=None)
-    p_trunc.set_defaults(func=_cmd_truncate)
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
-    p_sched = sub.add_parser("check-schedule", help="diagnose a schedule file")
-    p_sched.add_argument("schedule")
-    p_sched.add_argument("--mu", type=float, required=True)
-    p_sched.add_argument("--horizon", type=int, default=10_000)
-    p_sched.add_argument("--growth-threshold", type=float, default=50.0)
-    p_sched.set_defaults(func=_cmd_check_schedule)
-    return parser
+
+def _usage(verb=None):
+    """The usage line of *verb*, or of the program when *verb* is None."""
+    if verb is None:
+        return f"usage: altproj {{{','.join(VERBS)}}} ..."
+    _, _, positionals, options = VERBS[verb]
+    words = list(positionals)
+    for name, (_, default) in options.items():
+        word = f"{_flag(name)} {METAVARS.get(name, name.upper())}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return f"usage: altproj {verb} {' '.join(words)}"
+
+
+def _help(verb=None):
+    """The text -h prints: one verb's usage and help, or the list of verbs."""
+    if verb is not None:
+        return f"{_usage(verb)}\n\n{VERBS[verb][1]}"
+    width = max(map(len, VERBS))
+    lines = [f"  {name:<{width}}  {spec[1]}" for name, spec in VERBS.items()]
+    return "\n".join([_usage(), "", "Relaxed alternating projections between affine subspaces: "
+                      "experiment runner and schedule diagnostics.", "", "verbs:", *lines, "",
+                      "altproj VERB -h prints the options of VERB."])
+
+
+def _parse_argv(argv):
+    """The handler and namespace that the command line *argv* selects from
+    VERBS, or (None, help text) when it asks for help. A command line that
+    does not fit raises ConfigError, whose text ends in the usage line."""
+    if not argv:
+        raise ConfigError(f"no verb given\n{_usage()}")
+    verb, tokens = argv[0], iter(argv[1:])
+    if verb == "-h" or verb.startswith("--h") and "--help".startswith(verb):
+        return None, _help()
+    if verb not in VERBS:
+        raise ConfigError(f"unknown verb {verb!r}\n{_usage()}")
+    handler, _, positional_names, options = VERBS[verb]
+    flags = {"--help": None, **{_flag(name): name for name in options}}
+
+    def usage_error(what):
+        return ConfigError(f"{what}\n{_usage(verb)}")
+
+    values = {name: default for name, (_, default) in options.items()}
+    positionals = []
+    for token in tokens:
+        if token == "--":  # the rest are positionals
+            positionals.extend(tokens)
+        elif token == "-" or not token.startswith("-"):
+            positionals.append(token)
+        else:
+            given, has_value, text = token.partition("=")
+            given = "--help" if given == "-h" else given
+            matches = [given] if given in flags else [f for f in flags if f.startswith(given)]
+            if len(matches) != 1:
+                raise usage_error(f"ambiguous option {given}: could match {', '.join(matches)}"
+                                  if matches else f"unknown option {given}")
+            flag = matches[0]
+            name = flags[flag]
+            if name is None:
+                return None, _help(verb)
+            if not has_value:
+                text = next(tokens, None)
+                if text is None:
+                    raise usage_error(f"option {flag} needs a value")
+            convert = options[name][0]
+            try:
+                values[name] = convert(text)
+            except ValueError:
+                raise usage_error(f"option {flag}: invalid {convert.__name__} value {text!r}") \
+                    from None
+    if len(positionals) != len(positional_names):
+        raise usage_error(f"positional arguments: expected {' '.join(positional_names) or 'none'}"
+                          f", got {' '.join(positionals) or 'none'}")
+    missing = [_flag(name) for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise usage_error(f"missing required option(s) {', '.join(missing)}")
+    return handler, SimpleNamespace(**values, **dict(zip(positional_names, positionals)))
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        handler, args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if handler is None:  # args is the help text
+            print(args)
+            return 0
         global_tol()  # fail fast on a malformed ALTPROJ_TOL
-        return args.func(args)
+        return handler(args)
     # before ValueError: LinAlgError subclasses it
     except (NumericalFailure, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

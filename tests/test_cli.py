@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altproj import cli, linalg
+from altproj import cli, linalg, problems
 from altproj.engine import contraction_factor, run_alternating
 from altproj.problems import (LANDWEBER_BLOCK, diagonal_truncation_norms, geometry_from_config,
                               random_geometry, run_diagonal_landweber)
@@ -368,6 +371,9 @@ class TestScenarioSections:
     @pytest.mark.parametrize("outputs, message", [
         ({"sumary_json": "x.json"}, "unknown outputs keys: sumary_json"),
         ({"trace_csv": "t.csv", "summary_json": 5}, "outputs must be file names"),
+        # the summary used to overwrite the trace silently
+        ({"trace_csv": "x.out", "summary_json": "x.out"},
+         "outputs must have distinct file names, got 'x.out' twice"),
     ])
     def test_outputs(self, tmp_path, capsys, outputs, message):
         rc, captured, written = _run_config(tmp_path, capsys, self.scenario(outputs=outputs))
@@ -421,6 +427,19 @@ class TestScenarioSections:
                        {"type": "zero"}) == summary("angle_ints", angle, {"type": "zero"})
 
 
+@pytest.fixture
+def refuse_work(monkeypatch):
+    """Make every verb's first computation fail the test, so that a check
+    meant to come before any work is seen to."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computation started before the outputs were checked")
+
+    for holder, attr in [(cli, "canonicalize"), (cli, "build"),
+                         (problems, "run_diagonal_landweber"),
+                         (problems, "diagonal_truncation_norms")]:
+        monkeypatch.setattr(holder, attr, refuse)
+
+
 class TestMain:
     def test_run_verb(self, tmp_path, capsys):
         rc = cli.main(["run", str(scenario_path("two_lines_30deg.json")),
@@ -470,7 +489,8 @@ class TestMain:
         assert out_csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize("key", cli.OUTPUT_KEYS)
-    def test_missing_out_dir_gives_config_exit(self, tmp_path, capsys, key):
+    def test_missing_out_dir_gives_config_exit(self, tmp_path, capsys, refuse_work, key):
+        # checked before the run: it used to compute the whole iteration first
         cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
         cfg["outputs"] = {key: "out.txt"}
         path = tmp_path / "scenario.json"
@@ -485,7 +505,8 @@ class TestMain:
         ("overrelax", ["--nu2", "0.5", "--alphas", "1.0", "--seed", "3"]),
         ("truncate", ["--p", "1.0", "--r", "0.6", "--dims", "10"]),
     ])
-    def test_unwritable_study_csv_gives_config_exit(self, tmp_path, capsys, verb, argv):
+    def test_unwritable_study_csv_gives_config_exit(self, tmp_path, capsys, refuse_work,
+                                                    verb, argv):
         out_csv = tmp_path / "no" / "such" / "dir" / "study.csv"
         assert cli.main([verb, *argv, "--out", str(out_csv)]) == 2
         captured = capsys.readouterr()
@@ -677,8 +698,111 @@ class TestMain:
         out_csv = tmp_path / "trunc.csv"
         argv = ["truncate", "--p", "1.0", "--r", "0.6", "--dims", "10,100",
                 "--out", str(out_csv)]
-        assert cli.main(argv + args) == 2  # argparse keeps the last of a repeated flag
+        assert cli.main(argv + args) == 2  # the last of a repeated option wins
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
         assert not out_csv.exists()
+
+
+TRUNCATE = ["truncate", "--p", "1", "--r", "0.6", "--dims", "10,100"]
+OVERRELAX = ["overrelax", "--nu2", "0.5", "--alphas", "1.0", "--seed", "3"]
+
+
+class TestArgv:
+    """The command line is parsed against cli.VERBS, with argparse's syntax."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: no verb given"),
+        (["solve"], "error: unknown verb 'solve'"),
+        ([*TRUNCATE, "--q", "1"], "error: unknown option --q"),
+        ([*TRUNCATE, "-x"], "error: unknown option -x"),
+        (["check-schedule", "s.json", "--mu", "1", "--h", "5"],
+         "error: ambiguous option --h: could match --help, --horizon"),
+        (["truncate", "--p", "1", "--r", "0.6", "--dims"], "error: option --dims needs a value"),
+        (["truncate", "--p", "1", "--r", "0.6"], "error: missing required option(s) --dims"),
+        (["overrelax", "--alphas", "1"], "error: missing required option(s) --nu2, --seed"),
+        (["run"], "error: positional arguments: expected scenario, got none"),
+        (["run", "a.json", "b.json"], "error: positional arguments: expected scenario, "
+                                      "got a.json b.json"),
+        ([*TRUNCATE, "extra"], "error: positional arguments: expected none, got extra"),
+        (["truncate", "--p", "one", "--r", "0.6", "--dims", "10"],
+         "error: option --p: invalid float value 'one'"),
+        ([*OVERRELAX, "--seed=1.5"], "error: option --seed: invalid int value '1.5'"),
+        ([*TRUNCATE, "--max-iters", "1e3"], "error: option --max-iters: invalid int value '1e3'"),
+    ])
+    def test_usage_error_exits_2_with_usage_line(self, capsys, refuse_work, argv, message):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        verb = argv[0] if argv and argv[0] in cli.VERBS else "{run,overrelax,truncate,check-schedule}"
+        assert captured.err.splitlines()[-1].startswith(f"usage: altproj {verb} ")
+
+    def test_option_equals_value_and_prefix(self, capsys):
+        assert cli.main([*TRUNCATE, "--max-iters", "7"]) == 0
+        expected = capsys.readouterr().out
+        for argv in (["truncate", "--p=1", "--r=0.6", "--dims=10,100", "--max-iters=7"],
+                     [*TRUNCATE, "--max", "7"], [*TRUNCATE, "--ma=7"]):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_namespace(self):
+        handler, args = cli._parse_argv(["check-schedule", "--mu", "2", "--mu", "0.5",
+                                         "--g", "9", "s.json"])
+        assert handler is cli._cmd_check_schedule
+        assert vars(args) == {"schedule": "s.json", "mu": 0.5, "horizon": 10_000,
+                              "growth_threshold": 9.0}
+        _, args = cli._parse_argv(["truncate", "--r", "-0.5", "--p", "1", "--dims", "-",
+                                   "--out", "--p"])
+        assert (args.p, args.r, args.dims, args.out) == (1.0, -0.5, "-", "--p")
+        _, args = cli._parse_argv(["run", "--", "-scenario.json"])
+        assert (args.scenario, args.out_dir) == ("-scenario.json", None)
+
+    def test_negative_value(self, capsys):
+        assert cli.main(["truncate", "--p", "1", "--r", "-0.5", "--dims", "10"]) == 0
+        assert capsys.readouterr().out.startswith("d=10 limit_norm=55 ")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_help_lists_verbs(self, capsys, flag):
+        assert cli.main([flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for verb, (_, help_text, _, _) in cli.VERBS.items():
+            assert f"  {verb} " in captured.out and help_text in captured.out
+
+    @pytest.mark.parametrize("verb", cli.VERBS)
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_of_a_verb_names_its_options(self, capsys, refuse_work, verb, flag):
+        assert cli.main([verb, flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(f"usage: altproj {verb} ")
+        _, help_text, positionals, options = cli.VERBS[verb]
+        assert help_text in captured.out
+        words = set(captured.out.replace("[", " ").replace("]", " ").split())
+        assert words >= {*positionals, *("--" + name.replace("_", "-") for name in options)}
+
+    def test_readme_usage_block_matches_verbs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            words = line.replace("[", " ").replace("]", " ").split()
+            assert words[0] == "altproj"
+            documented[words[1]] = {w for w in words if w.startswith("--")}
+        assert documented == {verb: {"--" + name.replace("_", "-") for name in options}
+                              for verb, (_, _, _, options) in cli.VERBS.items()}
+
+    def test_import_and_call_load_no_argparse(self, tmp_path):
+        # in a fresh interpreter: pytest itself has loaded argparse here
+        code = ("import sys, altproj.cli\n"
+                "rc = altproj.cli.main(['truncate', '--p', '1', '--r', '0.6', '--dims', '10',"
+                " '--max-iters', '5'])\n"
+                "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"

@@ -12,7 +12,11 @@ stderr, and ``main`` returns 2.
 
 Scenario files are JSON with a top-level "version" field; all randomness must
 be seeded so a scenario fully determines its outputs. Trace CSVs have the
-fixed columns n, alpha_n, error_norm, residual_dW, rho_alpha_n.
+fixed columns n, alpha_n, error_norm, residual_dW, rho_alpha_n, each float
+as "%.17g" and each line ending in CRLF, as csv.writer writes them; they are
+formatted and written TRACE_BLOCK rows at a time, never held whole. An
+output path that is a directory, or whose directory does not exist, is
+rejected before any work.
 
 Exit codes: 0 success, 2 config error (including an output file that cannot
 be written), 3 numerical failure (an iteration that stops as "nonfinite", an
@@ -25,6 +29,7 @@ The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -103,11 +108,14 @@ def _write_file(path, write, newline=None):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_directory(path):
+def _check_output(path):
     """Raise ConfigError unless the directory of *path*, a file to be
-    written, exists; checked before a run, so that no work is lost."""
+    written, exists and *path* is not a directory itself; checked before a
+    run, so that no work is lost."""
     if not path.parent.is_dir():
         raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def _write_csv(path, header, rows):
@@ -122,15 +130,30 @@ def _write_csv(path, header, rows):
     _write_file(path, write, newline="")
 
 
+# Rows of the trace CSV formatted by one "%" and written at once; the
+# columns are n, alpha_n, error_norm, residual_dW and rho_alpha_n.
+TRACE_BLOCK = 2 ** 10
+TRACE_ROW = "%d,%s,%.17g,%s,%s\r\n"
+
+
 def _write_trace_csv(path, trace, q):
+    """Write the trace of a run as csv.writer writes it, one row per step.
+    alpha_n, residual_dW and rho_alpha_n repeat values, so each distinct
+    value is formatted once; the error norms seldom repeat, so TRACE_ROW
+    formats them. Each block of TRACE_BLOCK rows is formatted by one "%" and
+    written before the next, so the file's text is never held whole."""
     alphas = trace.alphas_used
     n = alphas.size
-    columns = (alphas, trace.error_norms[:n], trace.residuals[:n], contraction_factor(q, alphas))
 
-    def rows():  # formatted once the file is open, so that formatting counts as writing
-        yield from zip(map(str, range(n)), *map(_formatted, columns))
+    def write(fh):  # formats once the file is open, so that formatting counts as writing
+        columns = (range(n), _formatted(alphas), trace.error_norms[:n].tolist(),
+                   _formatted(trace.residuals[:n]), _formatted(contraction_factor(q, alphas)))
+        fh.write("n,alpha_n,error_norm,residual_dW,rho_alpha_n\r\n")
+        for start in range(0, n, TRACE_BLOCK):
+            block = [column[start:start + TRACE_BLOCK] for column in columns]
+            fh.write(TRACE_ROW * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
-    _write_csv(path, ("n", "alpha_n", "error_norm", "residual_dW", "rho_alpha_n"), rows())
+    _write_file(path, write, newline="")
 
 
 def run_scenario(path, out_dir=None):
@@ -156,8 +179,7 @@ def run_scenario(path, out_dir=None):
                 raise ValueError(f"outputs must be file names, got {name!r}")
             if name in names[:i]:
                 raise ValueError(f"outputs must have distinct file names, got {name!r} twice")
-        if names:
-            _check_directory(out_dir / names[0])
+            _check_output(out_dir / name)
         g = canonicalize(problems.geometry_from_config(cfg["geometry"]))
         sched = Schedule.from_dict(cfg["schedule"])
         u0 = _build_u0(cfg.get("u0", {"type": "zero"}), g.u_space)
@@ -265,14 +287,15 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     """
     max_iters = as_count(max_iters, "max_iters")
     closed = problems.diagonal_truncation_norms(p, r, dims)
+    dims = [int(d) for d in dims]
     u = problems.run_diagonal_landweber(p, r, max(dims), Schedule.constant(alpha), max_iters)
-    sums = np.cumsum(np.square(u, out=u), out=u)  # of squares, in place
+    sums = problems.prefix_sums(np.square(u, out=u), dims)  # of squares
     return [{
-        "d": int(d),
+        "d": d,
         "limit_norm": float(limit_norm),
-        "iterate_norm": math.sqrt(sums[int(d) - 1]),
+        "iterate_norm": math.sqrt(total),
         "iters": int(max_iters),
-    } for d, limit_norm in zip(dims, closed)]
+    } for d, limit_norm, total in zip(dims, closed, sums)]
 
 
 def _write_rows_csv(path, rows, columns):
@@ -301,7 +324,7 @@ def _cmd_run(args):
 
 def _cmd_overrelax(args):
     if args.out:
-        _check_directory(Path(args.out))
+        _check_output(Path(args.out))
     rows = overrelaxation_study(args.nu2, _parse_float_list(args.alphas, "--alphas"), args.seed,
                                 max_iters=args.max_iters)
     cols = ["alpha", "alpha_nu2", "verdict", "empirical_rate", "rho_alpha"]
@@ -315,7 +338,7 @@ def _cmd_overrelax(args):
 
 def _cmd_truncate(args):
     if args.out:
-        _check_directory(Path(args.out))
+        _check_output(Path(args.out))
     rows = truncation_study(args.p, args.r, _parse_float_list(args.dims, "--dims"),
                             alpha=args.alpha, max_iters=args.max_iters)
     cols = ["d", "limit_norm", "iterate_norm", "iters"]

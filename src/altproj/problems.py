@@ -112,10 +112,23 @@ def diagonal_truncation_norms(p, r, dims):
     if not all(float(d).is_integer() and d >= 1 for d in dims):
         raise ValueError(f"dimensions must be positive integers, got {list(dims)!r}")
     dims = [int(d) for d in dims]
-    cum = np.arange(1, max(dims) + 1, dtype=float)
-    np.power(cum, 2.0 * (p - r), out=cum)
-    np.cumsum(cum, out=cum)
-    return np.sqrt(cum[np.array(dims) - 1])
+    terms = np.arange(1, max(dims) + 1, dtype=float)
+    np.power(terms, 2.0 * (p - r), out=terms)
+    return np.sqrt(prefix_sums(terms, dims))
+
+
+def prefix_sums(values, ends):
+    """The sums of values[:e] for each e in *ends*, in the order given (each
+    e a positive integer, at most the length of *values*). Each segment
+    between consecutive sorted ends is summed by np.sum, which adds
+    pairwise, and the segment totals are added in order: the rounding grows
+    with the number of ends and the logarithm of e, where a running sum's
+    grows with e."""
+    totals, total, start = {}, 0.0, 0
+    for end in sorted(set(ends)):
+        total += np.sum(values[start:end])
+        totals[end], start = total, end
+    return np.array([totals[e] for e in ends])
 
 
 # Indices per block of run_diagonal_landweber: its six scratch arrays of

@@ -33,12 +33,17 @@ def block_edges(k, n):
 
 def assert_same_run(trace, ref, scale=None):
     """Same stop, steps, stored steps and coefficients; error norms and
-    residuals within 1e-12 of *scale*, by default max(1, e_0)."""
+    residuals within 1e-12 of *scale*, by default the largest of 1 and the
+    reference's finite error norms: a run that diverges grows its error, and
+    the rounding with it, far above e_0."""
     assert trace.stop_reason == ref.stop_reason
     assert trace.n_steps == ref.n_steps
     assert trace.iterate_steps == ref.iterate_steps
     assert np.array_equal(trace.alphas_used, ref.alphas_used)
-    tol = 1e-12 * (max(1.0, ref.error_norms[0]) if scale is None else scale)
+    if scale is None:
+        errors = ref.error_norms
+        scale = np.max(errors[np.isfinite(errors)], initial=1.0)
+    tol = 1e-12 * scale
     for got, want in ((trace.error_norms, ref.error_norms), (trace.residuals, ref.residuals)):
         finite = np.isfinite(want)
         assert np.array_equal(np.isfinite(got), finite)

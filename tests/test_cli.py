@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -108,6 +109,34 @@ class TestRunScenario:
             for n, alpha in enumerate(trace.alphas_used.tolist()))
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
         assert [line.split(",")[1] for line in expected.splitlines()[3:5]] == ["-0", "0"]
+
+    @pytest.mark.parametrize("n", [0, cli.TRACE_BLOCK - 1, cli.TRACE_BLOCK, cli.TRACE_BLOCK + 1,
+                                   2 * cli.TRACE_BLOCK + 1])
+    @pytest.mark.parametrize("kind", ["constant", "random-uniform"])
+    def test_trace_csv_matches_per_row_form_at_block_edges(self, tmp_path, kind, n):
+        # the rows are formatted a block at a time: every row on either side
+        # of a block edge must be the row the per-row format gives, with
+        # repeated values and -0.0 in every column
+        q = build(canonicalize(random_geometry(7, 3, 3, 5)))
+        sched = Schedule.constant(1.25) if kind == "constant" else \
+            Schedule.random_uniform(0.0, 2.0, seed=n)
+        rng = np.random.default_rng(n)
+        alphas = sched.alphas(n)
+        # a trace holds one more error norm and residual than steps
+        errors = np.append(rng.random(n), 0.5)
+        residuals = np.append(rng.choice([0.5, 0.25, 0.125], n), 0.5)
+        errors[2::5] = errors[0]
+        for column in (alphas, errors[:n], residuals[:n]):
+            column[3::5], column[4::5] = -0.0, 0.0
+        trace = SimpleNamespace(alphas_used=alphas, error_norms=errors, residuals=residuals)
+        cli._write_trace_csv(tmp_path / "t.csv", trace, q)
+        rho = contraction_factor(q, alphas)
+        expected = "n,alpha_n,error_norm,residual_dW,rho_alpha_n\r\n" + "".join(
+            "%d,%.17g,%.17g,%.17g,%.17g\r\n" % (i, alphas[i], errors[i], residuals[i], rho[i])
+            for i in range(n))
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        if n:
+            assert {"-0", "0"} <= {line.split(",")[2] for line in expected.splitlines()[1:]}
 
     def test_zero_operator_has_no_bound_or_verdict(self, tmp_path):
         # U's directions lie in V, so nu is rounding noise (~1e-15)
@@ -274,6 +303,18 @@ class TestTruncation:
             expected = np.linalg.norm(run_diagonal_landweber(p, r, d, sched, n))
             assert row["iterate_norm"] == pytest.approx(expected, rel=1e-12, abs=0)
 
+
+    @pytest.mark.parametrize("p, r", [(1.0, 0.6), (1.0, 1.5), (0.5, 1.0), (2.0, 0.3)])
+    def test_norms_are_within_3_ulp_of_exact_sums(self, p, r):
+        # against the correctly rounded sum of the same float components
+        dims = [10 ** 5, 10 ** 3, 10 ** 4]
+        rows = cli.truncation_study(p, r, dims)
+        squares = np.square(run_diagonal_landweber(p, r, max(dims), Schedule.constant(1.0), 2000))
+        terms = np.arange(1, max(dims) + 1, dtype=float) ** (2.0 * (p - r))
+        for row, d in zip(rows, dims):
+            for key, parts in (("iterate_norm", squares), ("limit_norm", terms)):
+                exact = math.sqrt(math.fsum(parts[:d].tolist()))
+                assert abs(row[key] - exact) <= 3 * np.spacing(exact), (key, d)
 
     @pytest.mark.parametrize("d", [LANDWEBER_BLOCK - 1, LANDWEBER_BLOCK, LANDWEBER_BLOCK + 1,
                                    2 * LANDWEBER_BLOCK + 1])
@@ -512,6 +553,32 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {out_csv}: ")
+
+    @pytest.mark.parametrize("key", cli.OUTPUT_KEYS)
+    def test_output_that_is_a_directory_gives_config_exit(self, tmp_path, capsys, refuse_work,
+                                                          key):
+        # a name that is a directory in --out-dir is refused before the run
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["outputs"] = {key: "sub"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sub"
+        out.mkdir()
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("verb, argv", [
+        ("overrelax", ["--nu2", "0.5", "--alphas", "1.0", "--seed", "3"]),
+        ("truncate", ["--p", "1.0", "--r", "0.6", "--dims", "10"]),
+    ])
+    def test_study_csv_that_is_a_directory_gives_config_exit(self, tmp_path, capsys,
+                                                              refuse_work, verb, argv):
+        assert cli.main([verb, *argv, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
     def test_failed_write_gives_config_exit(self, capsys):

@@ -11,18 +11,20 @@ command line that does not fit prints "error: ..." and the usage line on
 stderr, and ``main`` returns 2.
 
 Scenario files are JSON with a top-level "version" field; all randomness must
-be seeded so a scenario fully determines its outputs. Trace CSVs have the
-fixed columns n, alpha_n, error_norm, residual_dW, rho_alpha_n, each float
-as "%.17g" and each line ending in CRLF, as csv.writer writes them; they are
-formatted and written TRACE_BLOCK rows at a time, never held whole. An
-output path that is a directory, or whose directory does not exist, is
-rejected before any work.
+be seeded so a scenario fully determines its outputs. Every CSV (run's trace
+and the --out of overrelax and truncate) is written as csv.writer writes it,
+each float as "%.17g", TRACE_BLOCK rows at a time, never held whole; the
+trace has the columns n, alpha_n, error_norm, residual_dW, rho_alpha_n. Every
+JSON (run's summary file and stdout, check-schedule's stdout) is indented by
+two with sorted keys. An output path that is a directory, or whose directory
+does not exist, is rejected before any work. check-schedule diagnoses an
+explicit schedule over at most its own terms, as run does.
 
 Exit codes: 0 success, 2 config error (including an output file that cannot
-be written), 3 numerical failure (an iteration that stops as "nonfinite", an
-SVD that fails to converge, or a violated normal equation). A run that stops
-for any other reason, including an explicit schedule that runs out of terms
-("schedule_exhausted"), exits 0.
+be written, and a MemoryError, from an allocation of the size that the
+configuration asked for), 3 numerical failure (an iteration that stops as
+"nonfinite", an SVD that fails to converge, or a violated normal equation). A run that stops for any other reason, including an explicit
+schedule that runs out of terms ("schedule_exhausted"), exits 0.
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
@@ -85,7 +87,8 @@ def _build_u0(cfg, u_space):
 
 
 def _fmt(x):
-    return "" if x is None else f"{x:.17g}"
+    """The text of a CSV cell as csv.writer writes it, but a float as "%.17g"."""
+    return "" if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _formatted(column):
@@ -118,42 +121,51 @@ def _check_output(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
 
 
-def _write_csv(path, header, rows):
-    """Write *header* and *rows*, sequences of field texts, as csv.writer
-    writes them: fields joined by commas, lines ending in CRLF. No field
-    holds a comma, a quote or a line break, so none is quoted. Each row is
-    written as it is joined, so the file's text is never held whole."""
-    def write(fh):
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in rows)
-
-    _write_file(path, write, newline="")
-
-
-# Rows of the trace CSV formatted by one "%" and written at once; the
-# columns are n, alpha_n, error_norm, residual_dW and rho_alpha_n.
+# Rows of a CSV formatted by one "%" and written at once, and the format of
+# one row of the trace CSV.
 TRACE_BLOCK = 2 ** 10
 TRACE_ROW = "%d,%s,%.17g,%s,%s\r\n"
 
 
-def _write_trace_csv(path, trace, q):
-    """Write the trace of a run as csv.writer writes it, one row per step.
-    alpha_n, residual_dW and rho_alpha_n repeat values, so each distinct
-    value is formatted once; the error norms seldom repeat, so TRACE_ROW
-    formats them. Each block of TRACE_BLOCK rows is formatted by one "%" and
+def _write_csv(path, header, row_format, columns):
+    """Write the field names *header*, then one row per element of the
+    sequences that *columns* returns, as csv.writer writes them (no field
+    holds a comma, a quote or a line break, so none is quoted). *columns* is
+    called once the file is open, so that formatting counts as writing. Each
+    block of TRACE_BLOCK rows is formatted by one "%" of *row_format* and
     written before the next, so the file's text is never held whole."""
-    alphas = trace.alphas_used
-    n = alphas.size
-
-    def write(fh):  # formats once the file is open, so that formatting counts as writing
-        columns = (range(n), _formatted(alphas), trace.error_norms[:n].tolist(),
-                   _formatted(trace.residuals[:n]), _formatted(contraction_factor(q, alphas)))
-        fh.write("n,alpha_n,error_norm,residual_dW,rho_alpha_n\r\n")
-        for start in range(0, n, TRACE_BLOCK):
-            block = [column[start:start + TRACE_BLOCK] for column in columns]
-            fh.write(TRACE_ROW * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+    def write(fh):
+        cols = columns()
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cols[0]), TRACE_BLOCK):
+            block = [column[start:start + TRACE_BLOCK] for column in cols]
+            fh.write(row_format * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
     _write_file(path, write, newline="")
+
+
+def _write_trace_csv(path, trace, q):
+    """Write the trace of a run, one row per step. alpha_n, residual_dW and
+    rho_alpha_n repeat values, so each distinct value is formatted once; the
+    error norms seldom repeat, so TRACE_ROW formats them."""
+    alphas = trace.alphas_used
+    n = alphas.size
+    _write_csv(path, ("n", "alpha_n", "error_norm", "residual_dW", "rho_alpha_n"), TRACE_ROW,
+               lambda: (range(n), _formatted(alphas), trace.error_norms[:n].tolist(),
+                        _formatted(trace.residuals[:n]),
+                        _formatted(contraction_factor(q, alphas))))
+
+
+def _write_rows_csv(path, rows, columns):
+    """Write the dicts *rows*, the values under the keys *columns*, as _fmt
+    gives them."""
+    _write_csv(path, columns, ",".join(["%s"] * len(columns)) + "\r\n",
+               lambda: [[_fmt(row[c]) for row in rows] for c in columns])
+
+
+def _json_text(record):
+    """The text of every JSON that the program writes: *record* and a newline."""
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 def run_scenario(path, out_dir=None):
@@ -207,10 +219,8 @@ def run_scenario(path, out_dir=None):
     alphas = trace.alphas_used if trace.n_steps else next(sched.stream([1]), [])
     bound = rate_bound(report.nu, report.gamma, alphas).bound if operator_nonzero else None
     horizon = min(max_iters, 10_000)
-    if sched.length is not None:
-        horizon = min(horizon, sched.length)
     verdict = diagnose(sched, report.nu ** 2, horizon=horizon).verdict \
-        if operator_nonzero and horizon >= 1 else "indeterminate"
+        if operator_nonzero and horizon >= 1 and sched.length != 0 else "indeterminate"
 
     summary = {
         "nu": report.nu,
@@ -229,11 +239,7 @@ def run_scenario(path, out_dir=None):
     if "trace_csv" in outputs:
         _write_trace_csv(out_dir / outputs["trace_csv"], trace, q)
     if "summary_json" in outputs:
-        def write(fh):
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        _write_file(out_dir / outputs["summary_json"], write)
+        _write_file(out_dir / outputs["summary_json"], lambda fh: fh.write(_json_text(summary)))
     return summary
 
 
@@ -246,16 +252,15 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
     """
     if not (0 < nu2 <= 1):
         raise ConfigError("nu2 must be in (0, 1]")
+    schedules = [Schedule.constant(alpha) for alpha in alphas]  # rejects a bad alpha up front
     phi = math.asin(math.sqrt(nu2))
     g = canonicalize(problems.controlled_angle_geometry([phi], offset_norm=0.5,
                                                         rotation_seed=seed))
     q = build(g)
     u0 = problems.random_point_in(g.u_space, seed + 1)
     rows = []
-    for alpha in alphas:
-        if alpha < 0:
-            raise ConfigError("alpha grid values must be nonnegative")
-        trace = run_alternating(q, g.w_offset, Schedule.constant(alpha), u0,
+    for alpha, sched in zip(alphas, schedules):
+        trace = run_alternating(q, g.w_offset, sched, u0,
                                 max_iters=max_iters, conv_tol=1e-9, divergence_cap=1e6)
         e = trace.error_norms
         if trace.stop_reason == "converged":
@@ -298,13 +303,6 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     } for d, limit_norm, total in zip(dims, closed, sums)]
 
 
-def _write_rows_csv(path, rows, columns):
-    def cell(value):  # as csv.writer writes it, but a float as _fmt gives it
-        return _fmt(value) if isinstance(value, float) or value is None else str(value)
-
-    _write_csv(path, columns, ([cell(row[c]) for c in columns] for row in rows))
-
-
 def _parse_float_list(text, option):
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -316,54 +314,51 @@ def _parse_float_list(text, option):
 
 
 def _cmd_run(args):
-    summary = run_scenario(args.scenario, out_dir=args.out_dir)
-    json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-    print()
+    sys.stdout.write(_json_text(run_scenario(args.scenario, out_dir=args.out_dir)))
+    return 0
+
+
+def _study(args, study, columns, line):
+    """The steps of a study verb: check --out before any work, run *study*,
+    write its rows to --out when given, and print each row as the format
+    string *line* gives it."""
+    if args.out:
+        _check_output(Path(args.out))
+    rows = study()
+    if args.out:
+        _write_rows_csv(args.out, rows, columns)
+    for row in rows:
+        print(line.format(**row))
     return 0
 
 
 def _cmd_overrelax(args):
-    if args.out:
-        _check_output(Path(args.out))
-    rows = overrelaxation_study(args.nu2, _parse_float_list(args.alphas, "--alphas"), args.seed,
-                                max_iters=args.max_iters)
-    cols = ["alpha", "alpha_nu2", "verdict", "empirical_rate", "rho_alpha"]
-    if args.out:
-        _write_rows_csv(args.out, rows, cols)
-    for row in rows:
-        print(f"alpha={row['alpha']:g} alpha_nu2={row['alpha_nu2']:g} "
-              f"verdict={row['verdict']} rho={row['rho_alpha']:g}")
-    return 0
+    return _study(args, lambda: overrelaxation_study(
+        args.nu2, _parse_float_list(args.alphas, "--alphas"), args.seed, max_iters=args.max_iters),
+        ("alpha", "alpha_nu2", "verdict", "empirical_rate", "rho_alpha"),
+        "alpha={alpha:g} alpha_nu2={alpha_nu2:g} verdict={verdict} rho={rho_alpha:g}")
 
 
 def _cmd_truncate(args):
-    if args.out:
-        _check_output(Path(args.out))
-    rows = truncation_study(args.p, args.r, _parse_float_list(args.dims, "--dims"),
-                            alpha=args.alpha, max_iters=args.max_iters)
-    cols = ["d", "limit_norm", "iterate_norm", "iters"]
-    if args.out:
-        _write_rows_csv(args.out, rows, cols)
-    for row in rows:
-        print(f"d={row['d']} limit_norm={row['limit_norm']:.6g} "
-              f"iterate_norm={row['iterate_norm']:.6g}")
-    return 0
+    return _study(args, lambda: truncation_study(
+        args.p, args.r, _parse_float_list(args.dims, "--dims"), alpha=args.alpha,
+        max_iters=args.max_iters),
+        ("d", "limit_norm", "iterate_norm", "iters"),
+        "d={d} limit_norm={limit_norm:.6g} iterate_norm={iterate_norm:.6g}")
 
 
 def _cmd_check_schedule(args):
     sched = Schedule.from_dict(_load_json(args.schedule))
     diag = diagnose(sched, args.mu, horizon=args.horizon,
                     growth_threshold=args.growth_threshold)
-    out = {
+    sys.stdout.write(_json_text({
         "verdict": diag.verdict,
         "partial_sum": float(diag.partial_sums[-1]),
         "in_box": diag.in_box,
         "box_eps": diag.box_eps,
         "violations": diag.violations,
         "scaled_by": diag.scaled_by,
-    }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    print()
+    }))
     return 0
 
 
@@ -478,7 +473,8 @@ def main(argv=None):
     except (NumericalFailure, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError) as exc:
+    # a MemoryError is an allocation of the size the configuration asked for
+    except (ConfigError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

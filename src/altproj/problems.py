@@ -162,11 +162,6 @@ def run_diagonal_landweber(p, r, d, schedule, max_iters):
     return u
 
 
-def _require(cond, msg):
-    if not cond:
-        raise ValueError(msg)
-
-
 # The keys each geometry type reads, besides "type".
 GEOMETRY_KEYS = {
     "explicit": ("u_span", "w_span", "u_point", "w_point"),
@@ -189,7 +184,8 @@ def geometry_from_config(cfg):
             u_point=cfg.get("u_point"), w_point=cfg.get("w_point"),
         )
     if kind == "random":
-        _require("seed" in cfg, "random geometry requires a seed")
+        if "seed" not in cfg:
+            raise ValueError("random geometry requires a seed")
         return random_geometry(
             *(as_count(cfg[key], key) for key in ("dim", "dim_u", "dim_w", "seed")),
             offset_scale=float(cfg.get("offset_scale", 1.0)),

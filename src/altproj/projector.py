@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .validation import INTERSECTION_TOL, as_vector, readonly
-from .subspace import project, require_canonical
+from .subspace import project
 from . import linalg
 
 
@@ -119,7 +119,8 @@ def build(g, tol=INTERSECTION_TOL):
     ``nullspace_cutoff(tol)`` span the null space."""
     if not 0.0 < tol < 1.0:  # also rejects NaN
         raise ValueError(f"intersection tolerance must lie in (0, 1), got {tol!r}")
-    require_canonical(g)
+    if not g.is_canonical:
+        raise ValueError("geometry must be canonicalized first (call .canonical())")
     a = g.u_space.basis
     b = g.w_space.basis
     x, sigma, yt = linalg.sine_svd(a, b)

@@ -200,6 +200,10 @@ def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0):
         raise ValueError(f"growth_threshold must be finite, got {growth_threshold!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if schedule.length == 0:
+        raise ValueError("an empty explicit schedule has no terms to diagnose")
+    if schedule.length is not None:  # an explicit schedule is diagnosed over its own terms
+        horizon = min(horizon, schedule.length)
     s = schedule.alphas(horizon) * mu
     violations = int(np.count_nonzero((s < 0) | (s > 2)))
     terms = s * (2.0 - s)

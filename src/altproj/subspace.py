@@ -138,9 +138,3 @@ class ProblemGeometry:
 def canonicalize(g):
     """See :meth:`ProblemGeometry.canonical`."""
     return g.canonical()
-
-
-def require_canonical(g):
-    if not g.is_canonical:
-        raise ValueError("geometry must be canonicalized first (call .canonical())")
-    return g

@@ -18,7 +18,7 @@ from altproj.engine import contraction_factor, run_alternating
 from altproj.problems import (LANDWEBER_BLOCK, diagonal_truncation_norms, geometry_from_config,
                               random_geometry, run_diagonal_landweber)
 from altproj.projector import build
-from altproj.schedule import Schedule
+from altproj.schedule import Schedule, diagnose
 from altproj.subspace import canonicalize
 
 from helpers import random_u0
@@ -137,6 +137,29 @@ class TestRunScenario:
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
         if n:
             assert {"-0", "0"} <= {line.split(",")[2] for line in expected.splitlines()[1:]}
+
+    @pytest.mark.parametrize("n", [0, cli.TRACE_BLOCK - 1, cli.TRACE_BLOCK, cli.TRACE_BLOCK + 1,
+                                   2 * cli.TRACE_BLOCK + 1])
+    def test_study_csv_matches_csv_writer_at_block_edges(self, tmp_path, n):
+        # the study CSVs go through the trace's block writer: every row on
+        # either side of a block edge must be the row csv.writer writes, with
+        # float, -0.0, None, int and str cells in every column
+        rng = np.random.default_rng(n)
+        cells = [lambda i: float(rng.random()), lambda i: -0.0, lambda i: None, lambda i: i,
+                 lambda i: f"s{i}"]
+        columns = ["a", "b", "c", "d", "e"]
+        rows = [{c: cells[(i + j) % len(cells)](i) for j, c in enumerate(columns)}
+                for i in range(n)]
+        cli._write_rows_csv(tmp_path / "study.csv", rows, columns)
+        with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([cli._fmt(row[c]) if isinstance(row[c], float) else row[c]
+                                 for c in columns])
+        assert (tmp_path / "study.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if n:
+            assert ",-0," in (tmp_path / "study.csv").read_text()
 
     def test_zero_operator_has_no_bound_or_verdict(self, tmp_path):
         # U's directions lie in V, so nu is rounding noise (~1e-15)
@@ -729,6 +752,54 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("alphas", ["1,-1", "1,nan", "1,inf"])
+    def test_bad_alpha_anywhere_in_grid_refused_before_any_work(self, capsys, refuse_work,
+                                                                alphas):
+        # a negative alpha used to be caught in the loop, after the geometry
+        # was built and every earlier alpha had run
+        assert cli.main(["overrelax", "--nu2", "0.5", "--alphas", alphas, "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coefficients must be finite and nonnegative" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["check-schedule", "SCHEDULE", "--mu", "1", "--horizon", str(10 ** 18)],
+        ["truncate", "--p", "1", "--r", "0.6", "--dims", str(10 ** 18)],
+    ], ids=["check-schedule", "truncate"])
+    def test_allocation_failure_gives_config_exit(self, tmp_path, capsys, argv):
+        # 10**18 float64 values fit no address space, so the allocation
+        # fails at once; it used to end in a MemoryError traceback (exit 1)
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps({"kind": "constant", "value": 1.0}))
+        argv = [str(sched_file) if a == "SCHEDULE" else a for a in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_check_schedule_diagnoses_explicit_schedule_over_its_terms(self, tmp_path, capsys):
+        # as run does: the default horizon of 10000 used to exit 2 with
+        # "explicit schedule has only 5 terms, 10000 requested"
+        sched = Schedule.explicit([1, 1, 1, 1, 1])
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps(sched.to_dict()))
+        assert cli.main(["check-schedule", str(sched_file), "--mu", "0.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        expected = diagnose(sched, 0.5, horizon=5)
+        assert out["partial_sum"] == float(expected.partial_sums[-1])
+        assert (out["verdict"], out["box_eps"]) == (expected.verdict, expected.box_eps)
+
+    def test_empty_explicit_schedule_keeps_its_outcomes(self, tmp_path, capsys):
+        # indeterminate in run, a configuration error in check-schedule
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["schedule"] = {"kind": "explicit", "values": []}
+        del cfg["outputs"]
+        assert cli.run_scenario(cfg, out_dir=tmp_path)["schedule_verdict"] == "indeterminate"
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps(cfg["schedule"]))
+        assert cli.main(["check-schedule", str(sched_file), "--mu", "1"]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv, option", [
         (["overrelax", "--nu2", "0.5", "--alphas", ",", "--seed", "1"], "--alphas"),

@@ -122,6 +122,17 @@ class TestDiagnose:
         assert diag.violations == 100
         assert diag.verdict == "indeterminate"
 
+    def test_explicit_schedule_diagnosed_over_its_own_terms(self):
+        # a horizon past the last term diagnoses the terms there are
+        sched = Schedule.explicit([0.5, 1.0, 1.5])
+        capped, exact = diagnose(sched, 1.0, horizon=10_000), diagnose(sched, 1.0, horizon=3)
+        assert capped.partial_sums.tolist() == exact.partial_sums.tolist()
+        assert (capped.verdict, capped.box_eps) == (exact.verdict, exact.box_eps)
+
+    def test_empty_explicit_schedule_rejected(self):
+        with pytest.raises(ValueError, match="no terms"):
+            diagnose(Schedule.explicit([]), 1.0)
+
     def test_partial_sums_nondecreasing_in_range(self):
         diag = diagnose(Schedule.random_uniform(0.0, 2.0, seed=5), mu=1.0, horizon=500)
         assert np.all(np.diff(diag.partial_sums) >= 0)

@@ -9,11 +9,12 @@ from .subspace import (
     project,
     project_relaxed,
 )
-from .angles import AngleReport, compute_report
 from .projector import (
+    AngleReport,
     LeastSquaresSet,
     RestrictedProjector,
     build,
+    compute_report,
     distance_to_w,
     least_squares_set,
     limit_point,

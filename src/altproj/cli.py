@@ -23,8 +23,9 @@ explicit schedule over at most its own terms, as run does.
 Exit codes: 0 success, 2 config error (including an output file that cannot
 be written, and a MemoryError, from an allocation of the size that the
 configuration asked for), 3 numerical failure (an iteration that stops as
-"nonfinite", an SVD that fails to converge, or a violated normal equation). A run that stops for any other reason, including an explicit
-schedule that runs out of terms ("schedule_exhausted"), exits 0.
+"nonfinite", an SVD that fails to converge, or a violated normal equation).
+A run that stops for any other reason, including an explicit schedule that
+runs out of terms ("schedule_exhausted"), exits 0.
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
@@ -37,10 +38,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .validation import INTERSECTION_TOL, as_count, check_keys, global_tol
+from .validation import (INTERSECTION_TOL, as_count, as_real, as_vector, check_keys,
+                         global_tol)
 from .subspace import canonicalize
-from .angles import compute_report
-from .projector import build, least_squares_set
+from .projector import build, compute_report, least_squares_set
 from .schedule import Schedule, diagnose
 from .engine import contraction_factor, rate_bound, run_alternating
 from . import problems
@@ -54,10 +55,6 @@ OUTPUT_KEYS = ("trace_csv", "summary_json")
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class NumericalFailure(RuntimeError):
     pass
 
 
@@ -79,11 +76,11 @@ def _build_u0(cfg, u_space):
     if kind == "zero":
         return np.zeros(u_space.dim_ambient)
     if kind == "explicit":
-        return np.asarray(cfg["value"], dtype=float)
+        return as_vector(cfg["value"], dim=u_space.dim_ambient, name="u0")
     if "seed" not in cfg:
         raise ConfigError("random u0 requires a seed")
     return problems.random_point_in(u_space, as_count(cfg["seed"], "seed"),
-                                    scale=float(cfg.get("scale", 1.0)))
+                                    scale=as_real(cfg.get("scale", 1.0), "scale"))
 
 
 def _fmt(x):
@@ -196,10 +193,10 @@ def run_scenario(path, out_dir=None):
         sched = Schedule.from_dict(cfg["schedule"])
         u0 = _build_u0(cfg.get("u0", {"type": "zero"}), g.u_space)
         max_iters = as_count(cfg.get("max_iters", 10_000), "max_iters")
-        conv_tol = float(cfg.get("conv_tol", 1e-10))
+        conv_tol = as_real(cfg.get("conv_tol", 1e-10), "conv_tol")
         if not (math.isfinite(conv_tol) and conv_tol >= 0.0):  # also rejects NaN
             raise ValueError(f"conv_tol must be finite and nonnegative, got {conv_tol!r}")
-        itol = float(cfg.get("intersection_tol", INTERSECTION_TOL))
+        itol = as_real(cfg.get("intersection_tol", INTERSECTION_TOL), "intersection_tol")
     except np.linalg.LinAlgError:
         raise  # a numerical failure, although LinAlgError is a ValueError
     except (KeyError, ValueError, TypeError) as exc:
@@ -211,7 +208,7 @@ def run_scenario(path, out_dir=None):
     lss = least_squares_set(q, g.w_offset)
 
     if trace.stop_reason == "nonfinite":
-        raise NumericalFailure(f"non-finite error norm or residual at step {trace.n_steps}")
+        raise FloatingPointError(f"non-finite error norm or residual at step {trace.n_steps}")
 
     # with no sine above the null-space cutoff, nu is rounding noise of a
     # zero operator (U's directions lie in V), for which neither applies
@@ -470,7 +467,7 @@ def main(argv=None):
         global_tol()  # fail fast on a malformed ALTPROJ_TOL
         return handler(args)
     # before ValueError: LinAlgError subclasses it
-    except (NumericalFailure, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     # a MemoryError is an allocation of the size the configuration asked for

@@ -13,7 +13,7 @@ import numpy as np
 
 from .schedule import _filter_runs, _runs
 from .subspace import AffineSubspace, ProblemGeometry
-from .validation import as_count, as_vector, check_keys
+from .validation import as_count, as_matrix, as_real, as_vector, check_keys
 
 
 def _random_orthogonal(d, rng):
@@ -85,8 +85,8 @@ def random_geometry(dim, dim_u, dim_w, seed, offset_scale=1.0, shared_dims=0):
 
 def explicit_geometry(u_span, w_span, u_point=None, w_point=None):
     """Geometry from explicit spanning vectors (given as rows) and points."""
-    u_mat = np.atleast_2d(np.asarray(u_span, dtype=float)).T
-    w_mat = np.atleast_2d(np.asarray(w_span, dtype=float)).T
+    u_mat = as_matrix(np.atleast_2d(u_span), name="u_span").T
+    w_mat = as_matrix(np.atleast_2d(w_span), name="w_span").T
     u_space = AffineSubspace.from_span(u_mat, point=u_point)
     w_space = AffineSubspace.from_span(w_mat, point=w_point)
     return ProblemGeometry(u_space, w_space)
@@ -188,14 +188,14 @@ def geometry_from_config(cfg):
             raise ValueError("random geometry requires a seed")
         return random_geometry(
             *(as_count(cfg[key], key) for key in ("dim", "dim_u", "dim_w", "seed")),
-            offset_scale=float(cfg.get("offset_scale", 1.0)),
+            offset_scale=as_real(cfg.get("offset_scale", 1.0), "offset_scale"),
             shared_dims=as_count(cfg.get("shared_dims", 0), "shared_dims"),
         )
     angles = np.deg2rad(as_vector(cfg["angles_deg"], name="angles_deg"))
     seed = cfg.get("rotation_seed")
     return controlled_angle_geometry(
         angles,
-        offset_norm=float(cfg.get("offset_norm", 0.0)),
+        offset_norm=as_real(cfg.get("offset_norm", 0.0), "offset_norm"),
         extra_dims=as_count(cfg.get("extra_dims", 0), "extra_dims"),
         rotation_seed=None if seed is None else as_count(seed, "rotation_seed"),
     )

@@ -11,7 +11,14 @@ spectral check step elementwise on the sines; no second factorization (of
 R^T R or of B^T A, say) is taken. Nothing of size d x d is formed, so memory
 is O(d k).
 
-The least-squares machinery built on top of it (minimum-norm solution, null
+The angle report reads the two scalars that govern the convergence theory
+off the sines: ``nu`` = ||Q|| and ``gamma``, the sine of the Friedrichs angle
+(the minimum angle once the intersection is removed from both spaces). The
+cosine of an angle over an empty pair of reduced spaces is taken as 0 (the
+supremum over an empty set), so gamma = 1 when one direction space is
+contained in the other.
+
+The least-squares machinery built on the operator (minimum-norm solution, null
 space, affine solution set) serves as the independent oracle for the limit of
 the alternating-projection iteration.
 """
@@ -135,10 +142,31 @@ def build(g, tol=INTERSECTION_TOL):
     )
 
 
-def _check_in_codomain(q, w):
-    # ||B^T w|| is the distance from w to V-perp
-    if np.linalg.norm(q.constraint_basis.T @ w) > 1e-10 * (1.0 + np.linalg.norm(w)):
-        raise ValueError("w must lie in the codomain (the complement of the constraint directions)")
+@dataclass(frozen=True)
+class AngleReport:
+    """Principal-angle summary of a canonicalized geometry: ``nu``, the
+    minimum-angle cosine against the complement of the constraint
+    directions; ``gamma``, the Friedrichs-angle sine between the direction
+    spaces; and the dimension of their intersection, decided at the
+    intersection tolerance ``tol``."""
+
+    nu: float
+    gamma: float
+    intersection_dim: int
+    tol: float
+
+
+def compute_report(q):
+    """The :class:`AngleReport` of the restricted projector *q*, read from
+    its sines: ``nu`` is the operator norm, the sines at or below the
+    null-space cutoff span the intersection, and ``gamma`` is the reduced
+    minimum modulus, or 1 if no sine lies above the cutoff."""
+    return AngleReport(
+        nu=q.norm,
+        gamma=q.reduced_min_modulus or 1.0,
+        intersection_dim=q.nullspace_basis.shape[1],
+        tol=q.tol,
+    )
 
 
 def least_squares_set(q, w):
@@ -153,7 +181,9 @@ def least_squares_set(q, w):
     codomain basis.
     """
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
-    _check_in_codomain(q, w)
+    # ||B^T w|| is the distance from w to V-perp
+    if np.linalg.norm(q.constraint_basis.T @ w) > 1e-10 * (1.0 + np.linalg.norm(w)):
+        raise ValueError("w must lie in the codomain (the complement of the constraint directions)")
     kept = q.kept
     yt_k, s_k = q.right_vectors[kept], q.sines[kept]
     wc = q.codomain_basis.T @ w

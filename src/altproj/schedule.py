@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import as_count
+from .validation import as_count, as_real
 
 KINDS = (
     "constant",
@@ -28,10 +28,11 @@ KINDS = (
 GROWTH_FRACTION = 0.01
 
 
-def _coefficients(values):
-    """*values* as floats, each finite and nonnegative (NaN and infinities,
-    which a JSON scenario can carry, are rejected)."""
-    vals = [float(v) for v in values]
+def _coefficients(values, name):
+    """*values* as floats, each a finite and nonnegative number (a string or
+    a boolean, NaN and the infinities, which a JSON scenario can carry, are
+    rejected); *name* is the parameter that holds them."""
+    vals = [as_real(v, name) for v in values]
     if not all(math.isfinite(v) and v >= 0 for v in vals):
         raise ValueError("coefficients must be finite and nonnegative")
     return vals
@@ -53,11 +54,11 @@ class Schedule:
 
     @classmethod
     def constant(cls, value):
-        return cls("constant", {"value": _coefficients([value])[0]})
+        return cls("constant", {"value": _coefficients([value], "value")[0]})
 
     @classmethod
     def cyclic(cls, values):
-        vals = _coefficients(values)
+        vals = _coefficients(values, "values")
         if not vals:
             raise ValueError("cyclic schedule needs a nonempty list of values")
         return cls("cyclic", {"values": vals})
@@ -72,19 +73,20 @@ class Schedule:
     def geometric_to_2(cls, gap=1.0, ratio=0.5):
         """alpha_n = 2 - gap * ratio^n: approaches 2 so fast that the
         divergent-series condition fails."""
+        gap, ratio = as_real(gap, "gap"), as_real(ratio, "ratio")
         if not (0 < gap <= 2):
             raise ValueError("gap must be in (0, 2]")
         if not (0 < ratio < 1):
             raise ValueError("ratio must be in (0, 1)")
-        return cls("geometric-to-2", {"gap": float(gap), "ratio": float(ratio)})
+        return cls("geometric-to-2", {"gap": gap, "ratio": ratio})
 
     @classmethod
     def explicit(cls, values):
-        return cls("explicit", {"values": _coefficients(values)})
+        return cls("explicit", {"values": _coefficients(values, "values")})
 
     @classmethod
     def random_uniform(cls, lo, hi, seed):
-        lo, hi = _coefficients([lo, hi])
+        (lo,), (hi,) = _coefficients([lo], "lo"), _coefficients([hi], "hi")
         if hi < lo:
             raise ValueError("need 0 <= lo <= hi")
         if seed is None:

@@ -29,8 +29,21 @@ def global_tol():
     return tol
 
 
+def as_real(x, name="value"):
+    """*x* as a float: an int or a float, as JSON writes a number. A string
+    or a boolean, which float() would read, is rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    return float(x)
+
+
 def as_vector(x, dim=None, name="vector"):
-    arr = np.asarray(x, dtype=float)
+    arr = np.asarray(x)
+    # a string or a boolean, which float() reads, is refused, also among numbers
+    if arr.dtype.kind not in "iuf" or not isinstance(x, np.ndarray) and \
+            bool in map(type, np.asarray(x, dtype=object).flat):
+        raise ValueError(f"{name} must hold only numbers")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -41,7 +54,12 @@ def as_vector(x, dim=None, name="vector"):
 
 
 def as_matrix(x, rows=None, name="matrix"):
-    arr = np.asarray(x, dtype=float)
+    arr = np.asarray(x)
+    # a string or a boolean, which float() reads, is refused, also among numbers
+    if arr.dtype.kind not in "iuf" or not isinstance(x, np.ndarray) and \
+            bool in map(type, np.asarray(x, dtype=object).flat):
+        raise ValueError(f"{name} must hold only numbers")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if rows is not None and arr.shape[0] != rows:

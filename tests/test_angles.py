@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from altproj.angles import compute_report
+from altproj.projector import compute_report
 from altproj.projector import build
 from altproj.subspace import AffineSubspace, ProblemGeometry
 

@@ -388,8 +388,9 @@ RANDOM_GEOMETRY = {"type": "random", "dim": 6, "dim_u": 2, "dim_w": 2, "seed": 3
 
 
 class TestScenarioSections:
-    """Every section rejects a key it does not read and a fractional value
-    of an integer field, with exit 2 and no output written."""
+    """Every section rejects a key it does not read, a fractional value of
+    an integer field, a string or a boolean where a number belongs, and a
+    value out of its range, with exit 2 and no output written."""
 
     def scenario(self, **sections):
         cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
@@ -406,6 +407,20 @@ class TestScenarioSections:
         ({**RANDOM_GEOMETRY, "seed": 3.9}, "seed must be a nonnegative integer, got 3.9"),
         ({"type": "controlled_angle", "angles_deg": [30], "extra_dims": 1.9},
          "extra_dims must be a nonnegative integer, got 1.9"),
+        ({"type": "controlled_angle", "angles_deg": [30], "offset_norm": "0.7"},
+         "error: offset_norm must be a number, got '0.7'"),
+        ({"type": "controlled_angle", "angles_deg": ["30"]},
+         "error: angles_deg must hold only numbers"),
+        ({"type": "controlled_angle", "angles_deg": [True]},
+         "error: angles_deg must hold only numbers"),
+        ({"type": "controlled_angle", "angles_deg": [30, True]},
+         "error: angles_deg must hold only numbers"),
+        ({"type": "explicit", "u_span": [["1", "0", "0"]], "w_span": [[0, 1, 0]]},
+         "error: u_span must hold only numbers"),
+        ({"type": "controlled_angle", "angles_deg": [120]}, "error: angles must lie in [0, pi/2]"),
+        ({**RANDOM_GEOMETRY, "shared_dims": 3},
+         "error: shared_dims cannot exceed either subspace dimension"),
+        ({"type": "sphere"}, "error: unknown geometry type 'sphere'"),
     ])
     def test_geometry(self, tmp_path, capsys, geometry, message):
         rc, captured, written = _run_config(tmp_path, capsys, self.scenario(geometry=geometry))
@@ -416,6 +431,14 @@ class TestScenarioSections:
         ({"type": "zero", "seeed": 3}, "unknown u0 keys: seeed"),
         ({"type": "explicit", "value": [1, 0, 0], "scale": 2.0}, "unknown u0 keys: scale"),
         ({"type": "random", "seed": 2.5}, "seed must be a nonnegative integer, got 2.5"),
+        ({"type": "random", "seed": 1, "scale": "2"}, "error: scale must be a number, got '2'"),
+        ({"type": "explicit", "value": ["1", "0", "0"]}, "error: u0 must hold only numbers"),
+        ({"type": "explicit", "value": [[1, 0, 0]]},
+         "error: u0 must be 1-dimensional, got shape (1, 3)"),
+        ({"type": "explicit", "value": [1, float("nan"), 0]},
+         "error: u0 contains non-finite entries"),
+        ({"type": "uniform"}, "error: unknown u0 type 'uniform'"),
+        ({"type": "random"}, "error: random u0 requires a seed"),
     ])
     def test_u0(self, tmp_path, capsys, u0, message):
         rc, captured, written = _run_config(tmp_path, capsys, self.scenario(u0=u0))
@@ -426,11 +449,31 @@ class TestScenarioSections:
         ({"kind": "random-uniform", "lo": 0.5, "hi": 1.5, "seed": 3.9},
          "seed must be a nonnegative integer, got 3.9"),
         ({"kind": "harmonic-to-2", "offset": 1.5}, "offset must be a nonnegative integer, got 1.5"),
+        ({"kind": "constant", "value": "1.0"}, "error: value must be a number, got '1.0'"),
+        ({"kind": "constant", "value": True}, "error: value must be a number, got True"),
+        ({"kind": "cyclic", "values": ["1.0", "0.5"]}, "error: values must be a number, got '1.0'"),
+        # used to fail comparing a string, with a TypeError's text
+        ({"kind": "geometric-to-2", "gap": "1.0"}, "error: gap must be a number, got '1.0'"),
+        ({"kind": "cyclic", "values": []},
+         "error: cyclic schedule needs a nonempty list of values"),
+        ({"kind": "geometric-to-2", "gap": 3.0}, "error: gap must be in (0, 2]"),
+        ({"kind": "geometric-to-2", "ratio": 1.0}, "error: ratio must be in (0, 1)"),
+        ({"kind": "random-uniform", "lo": 1.5, "hi": 0.5, "seed": 1}, "error: need 0 <= lo <= hi"),
+        ({"kind": "constant", "valeu": 1.0}, "error: bad parameters for schedule kind 'constant'"),
     ])
     def test_schedule(self, tmp_path, capsys, schedule, message):
         rc, captured, written = _run_config(tmp_path, capsys, self.scenario(schedule=schedule))
         assert (rc, captured.out, written) == (2, "", [])
         assert message in captured.err
+
+    @pytest.mark.parametrize("key, value", [
+        ("conv_tol", "1e-3"), ("conv_tol", True), ("intersection_tol", "1e-6"),
+    ])
+    def test_number_field(self, tmp_path, capsys, key, value):
+        # float() reads a string or a boolean, so each used to run
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(**{key: value}))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert captured.err == f"error: {key} must be a number, got {value!r}\n"
 
     @pytest.mark.parametrize("outputs, message", [
         ({"sumary_json": "x.json"}, "unknown outputs keys: sumary_json"),
@@ -629,6 +672,31 @@ class TestMain:
         monkeypatch.setenv("ALTPROJ_TOL", "not-a-number")
         assert cli.main(["run", str(scenario_path("two_lines_30deg.json")),
                          "--out-dir", str(tmp_path)]) == 2
+        for value in ["0", "-1", "inf", "nan"]:  # read, but not a positive finite tolerance
+            capsys.readouterr()
+            monkeypatch.setenv("ALTPROJ_TOL", value)
+            assert cli.main(["run", str(scenario_path("two_lines_30deg.json")),
+                             "--out-dir", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: ALTPROJ_TOL must be a positive finite number, "
+                                    f"got {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scenario_that_is_not_json_gives_config_exit(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"version": 1,')
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not valid JSON: ")
+
+    def test_check_schedule_horizon_below_one_gives_config_exit(self, tmp_path, capsys):
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps({"kind": "constant", "value": 1.0}))
+        assert cli.main(["check-schedule", str(sched_file), "--mu", "1", "--horizon", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: horizon must be at least 1\n")
 
     def test_unknown_scenario_key_gives_config_exit(self, tmp_path, capsys):
         cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
@@ -812,6 +880,15 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{option} needs at least one value" in captured.err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["overrelax", "--nu2", "0.5", "--alphas", "1,x", "--seed", "1"], "1,x"),
+        (["truncate", "--p", "1", "--r", "0.6", "--dims", "10,ten"], "10,ten"),
+    ])
+    def test_non_numeric_grid_gives_config_exit(self, capsys, refuse_work, argv, text):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: bad numeric list {text!r}\n")
 
     def test_negative_truncate_horizon_gives_config_exit(self, tmp_path, capsys):
         out_csv = tmp_path / "trunc.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from altproj import engine
-from altproj.angles import compute_report
+from altproj.projector import compute_report
 from altproj.engine import (
     contraction_factor,
     error_recursion_check,

@@ -28,6 +28,14 @@ class TestOrthonormalize:
         assert b.shape == (2, 1)
         assert np.allclose(np.abs(b[:, 0]), [1 / np.sqrt(2)] * 2, atol=1e-14)
 
+    def test_rank_cutoff_follows_env_tolerance(self, monkeypatch):
+        # singular values ~1.4 and ~7e-7: kept at the default relative
+        # cutoff 1e-10, dropped at 1e-3
+        columns = np.array([[1.0, 1.0], [0.0, 1e-6]])
+        assert linalg.orthonormalize(columns).shape == (2, 2)
+        monkeypatch.setenv("ALTPROJ_TOL", "1e-3")
+        assert linalg.orthonormalize(columns).shape == (2, 1)
+
     def test_zero_columns_give_empty_basis(self):
         assert linalg.orthonormalize(np.zeros((3, 2))).shape == (3, 0)
         assert linalg.orthonormalize(np.zeros((3, 0))).shape == (3, 0)

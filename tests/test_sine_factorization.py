@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altproj.angles import compute_report
+from altproj.projector import compute_report
 from altproj.linalg import orthogonal_complement
 from altproj.projector import build, least_squares_set, limit_point, nullspace_cutoff
 

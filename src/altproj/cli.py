@@ -23,7 +23,8 @@ explicit schedule over at most its own terms, as run does.
 Exit codes: 0 success, 2 config error (including an output file that cannot
 be written, and a MemoryError, from an allocation of the size that the
 configuration asked for), 3 numerical failure (an iteration that stops as
-"nonfinite", an SVD that fails to converge, or a violated normal equation).
+"nonfinite", a truncate norm that is not finite, an SVD that fails to
+converge, or a violated normal equation).
 A run that stops for any other reason, including an explicit schedule that
 runs out of terms ("schedule_exhausted"), exits 0.
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
@@ -171,7 +172,8 @@ def run_scenario(path, out_dir=None):
     cfg = _load_json(path) if not isinstance(path, dict) else path
     if not isinstance(cfg, dict):
         raise ConfigError("a scenario must be a JSON object")
-    if cfg.get("version") != SCENARIO_VERSION:
+    version = cfg.get("version")
+    if isinstance(version, bool) or version != SCENARIO_VERSION:  # True == 1 in Python
         raise ConfigError(f"scenario version must be {SCENARIO_VERSION}")
     out_dir = Path(out_dir) if out_dir is not None else Path.cwd()
 
@@ -285,19 +287,24 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     solution norm grows without bound in the truncation dimension; the study
     reports that growth next to the norm reached by the iteration. The
     iterate of dimension d is the first d components of the largest one, so
-    the iteration runs once, at the largest dimension.
+    both norms come from one pass, at the largest dimension, that holds no
+    array of its length. A norm that overflows, or an iterate that the
+    coefficients drive to infinity, raises FloatingPointError naming the
+    first such dimension.
     """
     max_iters = as_count(max_iters, "max_iters")
-    closed = problems.diagonal_truncation_norms(p, r, dims)
-    dims = [int(d) for d in dims]
-    u = problems.run_diagonal_landweber(p, r, max(dims), Schedule.constant(alpha), max_iters)
-    sums = problems.prefix_sums(np.square(u, out=u), dims)  # of squares
-    return [{
-        "d": d,
-        "limit_norm": float(limit_norm),
-        "iterate_norm": math.sqrt(total),
-        "iters": int(max_iters),
-    } for d, limit_norm, total in zip(dims, closed, sums)]
+    sched = Schedule.constant(alpha)
+    with np.errstate(all="ignore"):  # a non-finite sum is reported below, by its dimension
+        limit_sums, iterate_sums = problems.truncation_sums(p, r, dims, sched, max_iters)
+    rows = []
+    for d, limit_sum, iterate_sum in zip(dims, limit_sums.tolist(), iterate_sums.tolist()):
+        row = {"d": int(d), "limit_norm": math.sqrt(limit_sum),
+               "iterate_norm": math.sqrt(iterate_sum), "iters": max_iters}
+        for key in ("limit_norm", "iterate_norm"):
+            if not math.isfinite(row[key]):
+                raise FloatingPointError(f"non-finite {key} at d={row['d']}")
+        rows.append(row)
+    return rows
 
 
 def _parse_float_list(text, option):

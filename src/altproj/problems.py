@@ -102,63 +102,94 @@ def random_point_in(space, seed, scale=1.0):
 def diagonal_truncation_norms(p, r, dims):
     """Closed-form minimum-norm-solution norms for the diagonal family with
     singular values i^-p and data coefficients i^-r, truncated to each
-    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r))). *p* must be finite
-    and positive, *r* finite, and each dimension a positive integer (a
-    float with an integral value is accepted)."""
+    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r))), from the sums of
+    truncation_sums."""
+    return np.sqrt(truncation_sums(p, r, dims)[0])
+
+
+# Indices per block of the diagonal model's pass: its seven scratch arrays
+# of this length take 448 KiB, well inside a core's L2 cache.
+LANDWEBER_BLOCK = 2 ** 13
+
+
+def _diagonal_blocks(p, r, d, runs):
+    """The diagonal model over indices 1 .. d, one block of LANDWEBER_BLOCK
+    indices at a time: (start, t, u) for the indices start + 1 ..
+    start + len(t), where t_i = i^(2(p-r)) = (w_i / sigma_i)^2 and, unless
+    *runs* is None, u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate
+    after the (alpha, m) *runs* of coefficients (else u is None). t and u
+    are scratch, overwritten by the next block."""
+    offsets = np.arange(1, min(d, LANDWEBER_BLOCK) + 1, dtype=float)
+    i, t, lam, f, g, a, b = (np.empty_like(offsets) for _ in range(7))
+    mask = np.empty(offsets.shape, dtype=bool)
+    for start in range(0, d, LANDWEBER_BLOCK):
+        k = min(d - start, LANDWEBER_BLOCK)
+        np.add(offsets[:k], start, out=i[:k])
+        np.power(i[:k], 2.0 * (p - r), out=t[:k])
+        if runs is None:
+            yield start, t[:k], None
+            continue
+        np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2
+        _filter_runs(runs, lam[:k], f[:k], g[:k], a[:k], b[:k], mask[:k], keep_f=False)
+        yield start, t[:k], np.multiply(g[:k], np.sqrt(t[:k], out=a[:k]), out=g[:k])
+
+
+def truncation_sums(p, r, dims, schedule=None, max_iters=0):
+    """For the diagonal family with singular values i^-p and data i^-r,
+    truncated to each dimension d of *dims* (in the order given): the sums
+    over i <= d of t_i = i^(2(p-r)), the squared norm of the minimum-norm
+    solution, and of u_i^2, the squared norm of the iterate after
+    *max_iters* steps of *schedule* from zero (zeros when *schedule* is
+    None). *p* must be finite and positive, *r* finite, and *dims* a
+    nonempty list of positive integers below 2 ** 53, where float indices
+    stop being exact (a float with an integral value is accepted).
+
+    One pass over the largest dimension, in blocks of LANDWEBER_BLOCK
+    indices, with no array of its length: each block adds its share of
+    each segment between the sorted dimensions, summed pairwise, to
+    that segment's running sum, and the segment sums are added in order.
+    The rounding grows with the number of blocks and of dimensions, where
+    a running sum's grows with d."""
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"p must be finite and positive, got {p!r}")
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r!r}")
-    if not all(float(d).is_integer() and d >= 1 for d in dims):
-        raise ValueError(f"dimensions must be positive integers, got {list(dims)!r}")
+    if not dims or not all(float(d).is_integer() and 1 <= d < 2 ** 53 for d in dims):
+        raise ValueError(f"dimensions must be positive integers below 2 ** 53, "
+                         f"got {list(dims)!r}")
     dims = [int(d) for d in dims]
-    terms = np.arange(1, max(dims) + 1, dtype=float)
-    np.power(terms, 2.0 * (p - r), out=terms)
-    return np.sqrt(prefix_sums(terms, dims))
-
-
-def prefix_sums(values, ends):
-    """The sums of values[:e] for each e in *ends*, in the order given (each
-    e a positive integer, at most the length of *values*). Each segment
-    between consecutive sorted ends is summed by np.sum, which adds
-    pairwise, and the segment totals are added in order: the rounding grows
-    with the number of ends and the logarithm of e, where a running sum's
-    grows with e."""
-    totals, total, start = {}, 0.0, 0
-    for end in sorted(set(ends)):
-        total += np.sum(values[start:end])
-        totals[end], start = total, end
-    return np.array([totals[e] for e in ends])
-
-
-# Indices per block of run_diagonal_landweber: its six scratch arrays of
-# this length take 384 KiB, well inside a core's L2 cache.
-LANDWEBER_BLOCK = 2 ** 13
+    p, r = float(p), float(r)
+    ends = sorted(set(dims))
+    runs = None if schedule is None else _runs(schedule.alphas(int(max_iters)))
+    parts = np.zeros((len(ends), 2))  # each segment's sums of t and of u^2
+    j = 0  # the segment that holds index lo + 1
+    for start, t, u in _diagonal_blocks(p, r, ends[-1], runs):
+        if u is not None:
+            np.square(u, out=u)
+        lo, stop = start, start + t.size
+        while lo < stop:
+            hi = min(ends[j], stop)
+            parts[j, 0] += t[lo - start:hi - start].sum()
+            if u is not None:
+                parts[j, 1] += u[lo - start:hi - start].sum()
+            if hi == ends[j]:
+                j += 1
+            lo = hi
+    totals = dict(zip(ends, np.cumsum(parts, axis=0)))
+    return tuple(np.array([totals[d][col] for d in dims]) for col in (0, 1))
 
 
 def run_diagonal_landweber(p, r, d, schedule, max_iters):
     """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
     from u = 0 on the diagonal model, in closed form through the filter
-    polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i.
-
-    The components are formed in blocks of LANDWEBER_BLOCK indices, into
-    the one full-length array returned; the coefficients are drawn and
-    split into runs once."""
+    polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i, filled in from the
+    blocks of truncation_sums' pass; the coefficients are drawn and split
+    into runs once."""
     d = int(d)
-    runs = _runs(schedule.alphas(int(max_iters)))
     u = np.empty(d)
-    offsets = np.arange(1, min(d, LANDWEBER_BLOCK) + 1, dtype=float)
-    sigma, lam, f, g, a, b = (np.empty_like(offsets) for _ in range(6))
-    mask = np.empty(offsets.shape, dtype=bool)
-    for start in range(0, d, LANDWEBER_BLOCK):
-        out = u[start:start + LANDWEBER_BLOCK]
-        k = out.size
-        i = np.add(offsets[:k], start, out=sigma[:k])
-        np.power(i, -float(r), out=out)  # w
-        s = np.power(i, -float(p), out=sigma[:k])
-        _filter_runs(runs, np.multiply(s, s, out=lam[:k]), f[:k], g[:k], a[:k], b[:k], mask[:k])
-        out *= g[:k]
-        out /= s
+    runs = _runs(schedule.alphas(int(max_iters)))
+    for start, _, block in _diagonal_blocks(float(p), float(r), d, runs):
+        u[start:start + block.size] = block
     return u
 
 

@@ -158,6 +158,8 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("a schedule must be a JSON object")
         data = dict(data)
         kind = data.pop("kind", None)
         if kind not in KINDS:
@@ -262,9 +264,11 @@ def _runs(alphas):
     return list(zip(alphas[starts].tolist(), np.diff(starts, append=alphas.size).tolist()))
 
 
-def _filter_runs(runs, lam, f, g, a, b, mask):
+def _filter_runs(runs, lam, f, g, a, b, mask, keep_f=True):
     """Set *f* and *g* to F_n(lam) and 1 - F_n(lam) over the (alpha, m)
     *runs*; *a*, *b* (float) and *mask* (bool) are scratch of lam's shape.
+    With *keep_f* false, for a caller that reads only *g*, the last run
+    leaves *f* as it was before that run.
 
     A single step multiplies F by 1 - alpha lam and adds alpha lam F to
     1 - F, exactly as a step-by-step product does, so a schedule with no
@@ -274,24 +278,35 @@ def _filter_runs(runs, lam, f, g, a, b, mask):
     near 1, and adds F (1 - F_m) to 1 - F. Where F_m > 0, 1 - F_m is
     -expm1(m log1p(max(-h, h - 2))), the logarithm of |1 - h| from an
     argument that is exact near h = 0 and h = 2, so it keeps its relative
-    accuracy where F_m rounds to 1; elsewhere 1 - F_m does not cancel."""
+    accuracy where F_m rounds to 1; elsewhere 1 - F_m does not cancel. F_m
+    can be 0 or below only where h >= 1, so a last run of *keep_f* false
+    with every h < 1 takes the expm1 form everywhere, with no pow and the
+    same results."""
     f.fill(1.0)
     g.fill(0.0)
-    for alpha, m in runs:
+    last = len(runs) - 1
+    for j, (alpha, m) in enumerate(runs):
+        keep = keep_f or j < last
         if m == 1:
             np.multiply(lam, alpha, out=a)
             g += np.multiply(a, f, out=a)  # alpha lam F_j, what step j moves to 1 - F
-            f *= np.subtract(1.0, np.multiply(lam, alpha, out=a), out=a)
+            if keep:
+                f *= np.subtract(1.0, np.multiply(lam, alpha, out=a), out=a)
             continue
         np.multiply(lam, alpha, out=a)
         np.minimum(a, np.subtract(2.0, a, out=b), out=b)
         np.negative(b, out=b)  # max(-h, h - 2)
-        np.power(np.subtract(1.0, a, out=a), m, out=a)  # F_m
         # b becomes F_m - 1, so that 1 - F takes f (1 - F_m) by subtraction
+        if not keep and a.max() < 1.0:
+            np.expm1(np.multiply(np.log1p(b, out=b), m, out=b), out=b)
+            g -= np.multiply(f, b, out=b)
+            continue
+        np.power(np.subtract(1.0, a, out=a), m, out=a)  # F_m
         np.greater(a, 0.0, out=mask)
         np.log1p(b, out=b, where=mask)
         np.multiply(b, m, out=b, where=mask)
         np.expm1(b, out=b, where=mask)
         np.subtract(a, 1.0, out=b, where=np.logical_not(mask, out=mask))
         g -= np.multiply(f, b, out=b)
-        f *= a
+        if keep:
+            f *= a

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from altproj import cli, linalg, problems
 from altproj.engine import contraction_factor, run_alternating
 from altproj.problems import (LANDWEBER_BLOCK, diagonal_truncation_norms, geometry_from_config,
-                              random_geometry, run_diagonal_landweber)
+                              random_geometry, run_diagonal_landweber, truncation_sums)
 from altproj.projector import build
 from altproj.schedule import Schedule, diagnose
 from altproj.subspace import canonicalize
@@ -304,18 +305,18 @@ class TestTruncation:
 
     @pytest.mark.parametrize("kind", ["constant", "cyclic", "explicit", "random-uniform"])
     def test_one_pass_matches_per_dimension_runs(self, monkeypatch, kind):
-        # the iteration runs once, at the largest dimension; each row's norm
-        # is that of the iterate filtered at its own dimension, in input order
+        # the pass runs once, to the largest dimension; each row's norm is
+        # that of the iterate filtered at its own dimension, in input order
         p, r, n, dims = 1.0, 0.6, 60, [1000, 10, 1000, 100]
         sched = _sweep_schedule(kind, n)
         monkeypatch.setattr(cli, "Schedule", SimpleNamespace(constant=lambda alpha: sched))
         calls = []
 
         def counted(*args):
-            calls.append(args[2])
-            return run_diagonal_landweber(*args)
+            calls.append(max(args[2]))
+            return truncation_sums(*args)
 
-        monkeypatch.setattr(cli.problems, "run_diagonal_landweber", counted)
+        monkeypatch.setattr(cli.problems, "truncation_sums", counted)
         rows = cli.truncation_study(p, r, dims, max_iters=n)
         assert calls == [1000]
         assert [row["d"] for row in rows] == dims
@@ -349,6 +350,31 @@ class TestTruncation:
         assert u.shape == (d,)
         np.testing.assert_allclose(u, diagonal_landweber_reference(1.0, 0.6, d, sched, n),
                                    rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["constant", "cyclic", "explicit", "random-uniform"])
+    def test_segment_ends_at_block_edges(self, kind):
+        # segments that end just before, at and just after a block's end, and
+        # one that spans two blocks, given unsorted and repeated
+        p, r, n, b = 1.0, 0.6, 60, LANDWEBER_BLOCK
+        dims = [2 * b + 1, b, b - 1, b + 1, b, 2 * b + 1, b - 1]
+        sched = _sweep_schedule(kind, n)
+        limit_sums, iterate_sums = truncation_sums(p, r, dims, sched, n)
+        terms = np.arange(1, 2 * b + 2, dtype=float) ** (2.0 * (p - r))
+        for d, limit_sum, iterate_sum in zip(dims, limit_sums, iterate_sums):
+            expected = np.linalg.norm(run_diagonal_landweber(p, r, d, sched, n))
+            assert math.sqrt(iterate_sum) == pytest.approx(expected, rel=1e-12, abs=0), d
+            assert limit_sum == pytest.approx(math.fsum(terms[:d].tolist()), rel=1e-15), d
+
+    def test_study_holds_no_array_of_the_dimension(self):
+        # 10**6 float64 values take 7.6 MiB; the pass keeps a few blocks
+        tracemalloc.start()
+        try:
+            rows = cli.truncation_study(1.0, 0.6, [10 ** 6, 10 ** 3], max_iters=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row["d"] for row in rows] == [10 ** 6, 10 ** 3]
+        assert peak < 2 ** 20, f"peak {peak} B"
 
     def test_coefficients_are_drawn_once(self, monkeypatch):
         # once per study, not once per block of the iterate
@@ -516,6 +542,12 @@ class TestScenarioSections:
         assert (rc, captured.out, written) == (2, "", [])
         assert f"{section} must be a JSON object" in captured.err
 
+    def test_boolean_version(self, tmp_path, capsys):
+        # True == 1 in Python, so it used to run as version 1
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(version=True))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert captured.err == "error: scenario version must be 1\n"
+
     def test_integral_floats_are_accepted(self, tmp_path, capsys):
         def summary(name, geometry, u0):
             work = tmp_path / name
@@ -543,7 +575,8 @@ def refuse_work(monkeypatch):
 
     for holder, attr in [(cli, "canonicalize"), (cli, "build"),
                          (problems, "run_diagonal_landweber"),
-                         (problems, "diagonal_truncation_norms")]:
+                         (problems, "diagonal_truncation_norms"),
+                         (problems, "truncation_sums")]:
         monkeypatch.setattr(holder, attr, refuse)
 
 
@@ -663,10 +696,18 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "diverges-numerically"
 
-    def test_bad_schedule_file_gives_config_exit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("schedule, message", [
+        ({"kind": "mystery"}, "error: unknown schedule kind 'mystery'\n"),
+        # an array used to end in a TypeError traceback (exit 1), and a
+        # string in the text of dict()'s error
+        ([1, 2], "error: a schedule must be a JSON object\n"),
+        ("x", "error: a schedule must be a JSON object\n"),
+    ], ids=["unknown-kind", "array", "string"])
+    def test_bad_schedule_file_gives_config_exit(self, tmp_path, capsys, schedule, message):
         sched_file = tmp_path / "sched.json"
-        sched_file.write_text(json.dumps({"kind": "mystery"}))
+        sched_file.write_text(json.dumps(schedule))
         assert cli.main(["check-schedule", str(sched_file), "--mu", "1.0"]) == 2
+        assert capsys.readouterr() == ("", message)
 
     def test_malformed_tol_env_gives_config_exit(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ALTPROJ_TOL", "not-a-number")
@@ -713,6 +754,16 @@ class TestMain:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
         assert "non-finite error norm or residual at step 1" in capsys.readouterr().err
+
+    def test_overflowing_truncate_iterate_gives_numerical_exit(self, tmp_path, capsys):
+        # alpha sigma_1^2 = 3, so the first component grows as 2^n; it used
+        # to print numpy's overflow warnings and iterate_norm=inf with exit 0
+        out_csv = tmp_path / "trunc.csv"
+        rc = cli.main(["truncate", "--p", "1", "--r", "0.6", "--dims", "10", "--alpha", "3",
+                       "--max-iters", "2000", "--out", str(out_csv)])
+        assert rc == 3
+        assert capsys.readouterr() == ("", "numerical failure: non-finite iterate_norm at d=10\n")
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("holder, attr", [(np.linalg, "svd"), (linalg, "sine_svd")])
     def test_svd_failure_gives_numerical_exit(self, tmp_path, monkeypatch, capsys,
@@ -906,6 +957,8 @@ class TestMain:
         (["--p=inf"], "p must be finite and positive"),
         (["--r=nan"], "r must be finite"),
         (["--r=-inf"], "r must be finite"),
+        # parsed as 2 ** 53 exactly, where float indices stop being exact
+        (["--dims=10,9007199254740993"], "dimensions must be positive integers below 2 ** 53"),
     ])
     def test_bad_truncate_input_gives_config_exit(self, tmp_path, capsys, args, message):
         # a fractional dimension used to run silently at its integer part,

@@ -472,7 +472,10 @@ def main(argv=None):
             print(args)
             return 0
         global_tol()  # fail fast on a malformed ALTPROJ_TOL
-        return handler(args)
+        # a floating-point fault is reported by the exit code below, not by
+        # numpy's warnings
+        with np.errstate(all="ignore"):
+            return handler(args)
     # before ValueError: LinAlgError subclasses it
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

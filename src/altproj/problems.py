@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .schedule import _filter_runs, _runs
+from .schedule import Schedule, _filter_runs
 from .subspace import AffineSubspace, ProblemGeometry
 from .validation import as_count, as_matrix, as_real, as_vector, check_keys
 
@@ -102,47 +102,47 @@ def random_point_in(space, seed, scale=1.0):
 def diagonal_truncation_norms(p, r, dims):
     """Closed-form minimum-norm-solution norms for the diagonal family with
     singular values i^-p and data coefficients i^-r, truncated to each
-    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r))), from the sums of
-    truncation_sums."""
-    return np.sqrt(truncation_sums(p, r, dims)[0])
+    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r))), from the limit sums
+    of a zero-step truncation_sums."""
+    return np.sqrt(truncation_sums(p, r, dims, Schedule.constant(1.0), 0)[0])
 
 
-# Indices per block of the diagonal model's pass: its seven scratch arrays
-# of this length take 448 KiB, well inside a core's L2 cache.
+# Indices per block of the diagonal model's pass: its seven float scratch
+# arrays of this length take 448 KiB, well inside a core's L2 cache.
 LANDWEBER_BLOCK = 2 ** 13
 
 
 def _diagonal_blocks(p, r, d, runs):
     """The diagonal model over indices 1 .. d, one block of LANDWEBER_BLOCK
     indices at a time: (start, t, u) for the indices start + 1 ..
-    start + len(t), where t_i = i^(2(p-r)) = (w_i / sigma_i)^2 and, unless
-    *runs* is None, u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate
-    after the (alpha, m) *runs* of coefficients (else u is None). t and u
-    are scratch, overwritten by the next block."""
+    start + len(t), where t_i = i^(2(p-r)) = (w_i / sigma_i)^2 and
+    u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate after the
+    (alpha, m) *runs* of coefficients. t and u are scratch, overwritten by
+    the next block."""
     offsets = np.arange(1, min(d, LANDWEBER_BLOCK) + 1, dtype=float)
     i, t, lam, f, g, a, b = (np.empty_like(offsets) for _ in range(7))
-    mask = np.empty(offsets.shape, dtype=bool)
+    mask, small = np.empty((2, offsets.size), dtype=bool)
     for start in range(0, d, LANDWEBER_BLOCK):
         k = min(d - start, LANDWEBER_BLOCK)
         np.add(offsets[:k], start, out=i[:k])
         np.power(i[:k], 2.0 * (p - r), out=t[:k])
-        if runs is None:
-            yield start, t[:k], None
-            continue
         np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2
-        _filter_runs(runs, lam[:k], f[:k], g[:k], a[:k], b[:k], mask[:k], keep_f=False)
+        _filter_runs(runs, lam[:k], f[:k], g[:k], a[:k], b[:k], mask[:k], small[:k],
+                     keep_f=False)
         yield start, t[:k], np.multiply(g[:k], np.sqrt(t[:k], out=a[:k]), out=g[:k])
 
 
-def truncation_sums(p, r, dims, schedule=None, max_iters=0):
+def truncation_sums(p, r, dims, schedule, max_iters):
     """For the diagonal family with singular values i^-p and data i^-r,
     truncated to each dimension d of *dims* (in the order given): the sums
     over i <= d of t_i = i^(2(p-r)), the squared norm of the minimum-norm
     solution, and of u_i^2, the squared norm of the iterate after
-    *max_iters* steps of *schedule* from zero (zeros when *schedule* is
-    None). *p* must be finite and positive, *r* finite, and *dims* a
-    nonempty list of positive integers below 2 ** 53, where float indices
-    stop being exact (a float with an integral value is accepted).
+    *max_iters* steps of *schedule* from zero. *p* must be finite and
+    positive, *r* finite, and *dims* a nonempty list of positive integers
+    below 2 ** 53, where float indices stop being exact (a float with an
+    integral value is accepted). The schedule's coefficients are split
+    into runs once (Schedule.runs), so a constant schedule costs O(1)
+    memory in *max_iters*.
 
     One pass over the largest dimension, in blocks of LANDWEBER_BLOCK
     indices, with no array of its length: each block adds its share of
@@ -160,18 +160,15 @@ def truncation_sums(p, r, dims, schedule=None, max_iters=0):
     dims = [int(d) for d in dims]
     p, r = float(p), float(r)
     ends = sorted(set(dims))
-    runs = None if schedule is None else _runs(schedule.alphas(int(max_iters)))
     parts = np.zeros((len(ends), 2))  # each segment's sums of t and of u^2
     j = 0  # the segment that holds index lo + 1
-    for start, t, u in _diagonal_blocks(p, r, ends[-1], runs):
-        if u is not None:
-            np.square(u, out=u)
+    for start, t, u in _diagonal_blocks(p, r, ends[-1], schedule.runs(int(max_iters))):
+        np.square(u, out=u)
         lo, stop = start, start + t.size
         while lo < stop:
             hi = min(ends[j], stop)
             parts[j, 0] += t[lo - start:hi - start].sum()
-            if u is not None:
-                parts[j, 1] += u[lo - start:hi - start].sum()
+            parts[j, 1] += u[lo - start:hi - start].sum()
             if hi == ends[j]:
                 j += 1
             lo = hi
@@ -183,11 +180,11 @@ def run_diagonal_landweber(p, r, d, schedule, max_iters):
     """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
     from u = 0 on the diagonal model, in closed form through the filter
     polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i, filled in from the
-    blocks of truncation_sums' pass; the coefficients are drawn and split
-    into runs once."""
+    blocks of truncation_sums' pass; the coefficients are split into runs
+    once."""
     d = int(d)
     u = np.empty(d)
-    runs = _runs(schedule.alphas(int(max_iters)))
+    runs = schedule.runs(int(max_iters))
     for start, _, block in _diagonal_blocks(float(p), float(r), d, runs):
         u[start:start + block.size] = block
     return u

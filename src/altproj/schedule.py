@@ -108,6 +108,19 @@ class Schedule:
             raise ValueError(f"explicit schedule has only {self.length} terms, {n} requested")
         return self._terms(0, n, self._generator())
 
+    def runs(self, n):
+        """(alpha, m) for each run of m equal consecutive terms among the
+        first *n* coefficients, the split of alphas(n), with its errors. A
+        constant schedule gives its one run without drawing its terms, in
+        O(1) memory whatever *n* is."""
+        if self.kind == "constant" and n > 0:
+            return [(self.params["value"], n)]
+        alphas = self.alphas(n)
+        # a run starts where a term differs from the one before it (the NaN
+        # put before the first term differs from every term)
+        starts = np.flatnonzero(np.diff(alphas, prepend=np.nan))
+        return list(zip(alphas[starts].tolist(), np.diff(starts, append=alphas.size).tolist()))
+
     def stream(self, sizes):
         """The coefficients in consecutive blocks, one array per length in
         *sizes*, from one generator: the blocks of sizes n1, n2, ... joined
@@ -244,44 +257,43 @@ def filter_pair(schedule, lam, n):
     O(len lam) memory; a scalar *lam* gives floats, an array of them arrays
     of its shape. 1 - F_n is the share of the minimum-norm solution that n
     steps from zero reach; it keeps its relative accuracy where F_n rounds
-    to 1.
+    to 1, and F_n keeps its own where 1 - alpha lam rounds, whatever n is.
 
-    The coefficients are taken in runs of equal consecutive terms, and each
-    run costs a fixed number of passes over lam, whatever its length: the
-    whole product costs O(len lam) per run (see _filter_runs)."""
+    The coefficients are taken in runs of equal consecutive terms
+    (Schedule.runs), and each run costs a fixed number of passes over lam,
+    whatever its length: the whole product costs O(len lam) per run, and a
+    constant schedule O(len lam) in all (see _filter_runs)."""
     lam = np.asarray(lam, dtype=float)
     f, g = np.empty_like(lam), np.empty_like(lam)
-    scratch = np.empty_like(lam), np.empty_like(lam), np.empty(lam.shape, dtype=bool)
-    _filter_runs(_runs(schedule.alphas(n)), lam, f, g, *scratch)
+    scratch = (np.empty_like(lam), np.empty_like(lam),
+               np.empty(lam.shape, dtype=bool), np.empty(lam.shape, dtype=bool))
+    _filter_runs(schedule.runs(n), lam, f, g, *scratch)
     return (float(f), float(g)) if f.ndim == 0 else (f, g)
 
 
-def _runs(alphas):
-    """(alpha, m) for each run of m equal consecutive terms of *alphas*."""
-    # a run starts where a term differs from the one before it (the NaN put
-    # before the first term differs from every term)
-    starts = np.flatnonzero(np.diff(alphas, prepend=np.nan))
-    return list(zip(alphas[starts].tolist(), np.diff(starts, append=alphas.size).tolist()))
-
-
-def _filter_runs(runs, lam, f, g, a, b, mask, keep_f=True):
+def _filter_runs(runs, lam, f, g, a, b, mask, small, keep_f=True):
     """Set *f* and *g* to F_n(lam) and 1 - F_n(lam) over the (alpha, m)
-    *runs*; *a*, *b* (float) and *mask* (bool) are scratch of lam's shape.
-    With *keep_f* false, for a caller that reads only *g*, the last run
-    leaves *f* as it was before that run.
+    *runs*; *a*, *b* (float), *mask* and *small* (bool) are scratch of
+    lam's shape. With *keep_f* false, for a caller that reads only *g*, the
+    last run leaves *f* as it was before that run.
 
     A single step multiplies F by 1 - alpha lam and adds alpha lam F to
     1 - F, exactly as a step-by-step product does, so a schedule with no
     two equal consecutive terms gives that product's results bit for bit.
     A run of m > 1 steps with h = alpha lam multiplies F by
-    F_m = (1 - h)^m, from pow, which keeps F's relative accuracy where h is
-    near 1, and adds F (1 - F_m) to 1 - F. Where F_m > 0, 1 - F_m is
-    -expm1(m log1p(max(-h, h - 2))), the logarithm of |1 - h| from an
-    argument that is exact near h = 0 and h = 2, so it keeps its relative
-    accuracy where F_m rounds to 1; elsewhere 1 - F_m does not cancel. F_m
-    can be 0 or below only where h >= 1, so a last run of *keep_f* false
-    with every h < 1 takes the expm1 form everywhere, with no pow and the
-    same results."""
+    F_m = (1 - h)^m and adds F (1 - F_m) to 1 - F. Both come from
+    L = m log1p(max(-h, h - 2)), m times the logarithm of |1 - h| from an
+    argument that is exact near h = 0 and h = 2:
+    - 1 - F_m is -expm1(L) where F_m > 0, so it keeps its relative
+      accuracy where F_m rounds to 1; elsewhere 1 - F_m does not cancel;
+    - F_m is exp(L) where h < 1/2, where 1 - h rounds and its m-th power
+      would compound that rounding m times. Where h >= 1/2, 1 - h is exact
+      (Sterbenz) and F_m comes from pow, which keeps its relative accuracy
+      where h is near 1 and its sign where h > 1.
+    pow's F_m is 0 or below only where h >= 1 or where it underflows, and
+    where it underflows -expm1(L) rounds to 1 as well, so a last run of
+    *keep_f* false with every h < 1 takes the expm1 form everywhere, with
+    no pow and the same results."""
     f.fill(1.0)
     g.fill(0.0)
     last = len(runs) - 1
@@ -301,10 +313,13 @@ def _filter_runs(runs, lam, f, g, a, b, mask, keep_f=True):
             np.expm1(np.multiply(np.log1p(b, out=b), m, out=b), out=b)
             g -= np.multiply(f, b, out=b)
             continue
+        np.less(a, 0.5, out=small)
         np.power(np.subtract(1.0, a, out=a), m, out=a)  # F_m
-        np.greater(a, 0.0, out=mask)
+        np.logical_or(np.greater(a, 0.0, out=mask), small, out=mask)
         np.log1p(b, out=b, where=mask)
-        np.multiply(b, m, out=b, where=mask)
+        np.multiply(b, m, out=b, where=mask)  # L
+        if keep:
+            np.exp(b, out=a, where=small)
         np.expm1(b, out=b, where=mask)
         np.subtract(a, 1.0, out=b, where=np.logical_not(mask, out=mask))
         g -= np.multiply(f, b, out=b)

@@ -376,16 +376,45 @@ class TestTruncation:
         assert [row["d"] for row in rows] == [10 ** 6, 10 ** 3]
         assert peak < 2 ** 20, f"peak {peak} B"
 
+    def test_study_memory_does_not_grow_with_the_horizon(self):
+        # a constant schedule is one run, whatever its length: 10**6 steps
+        # drawn one by one would take 7.6 MiB
+        tracemalloc.start()
+        try:
+            rows = cli.truncation_study(1.0, 0.6, [10], max_iters=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row["iters"] for row in rows] == [10 ** 6]
+        assert peak < 2 ** 20, f"peak {peak} B"
+
+    def test_billion_step_horizon(self, monkeypatch, capsys):
+        # no term is drawn, so the horizon costs neither memory nor time;
+        # at d = 10 every component has converged
+        def refuse(self, n):
+            raise AssertionError(f"drew {n} terms")
+
+        monkeypatch.setattr(Schedule, "alphas", refuse)
+        assert cli.main(["truncate", "--p", "1", "--r", "0.6", "--dims", "10,100000",
+                         "--max-iters", "1000000000"]) == 0
+        out, err = capsys.readouterr()
+        rows = cli.truncation_study(1.0, 0.6, [10, 10 ** 5], max_iters=10 ** 9)
+        assert out.splitlines() == [
+            f"d={row['d']} limit_norm={row['limit_norm']:.6g} iterate_norm={row['iterate_norm']:.6g}"
+            for row in rows]
+        assert err == ""
+        assert rows[0]["iterate_norm"] == pytest.approx(rows[0]["limit_norm"], rel=1e-15)
+
     def test_coefficients_are_drawn_once(self, monkeypatch):
         # once per study, not once per block of the iterate
         calls = []
-        alphas = Schedule.alphas
+        runs = Schedule.runs
 
         def counted(self, n):
             calls.append(n)
-            return alphas(self, n)
+            return runs(self, n)
 
-        monkeypatch.setattr(Schedule, "alphas", counted)
+        monkeypatch.setattr(Schedule, "runs", counted)
         rows = cli.truncation_study(1.0, 0.6, [10, 3 * LANDWEBER_BLOCK], max_iters=50)
         assert calls == [50]
         assert len(rows) == 2
@@ -754,6 +783,16 @@ class TestMain:
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
         assert "non-finite error norm or residual at step 1" in capsys.readouterr().err
+
+    def test_overflowing_squares_give_only_the_named_failure(self, tmp_path, capsys):
+        # the data are finite but their squared norms overflow; numpy's
+        # overflow warnings stay off stderr, which names the failure alone
+        geometry = {"type": "random", "dim": 4, "dim_u": 2, "dim_w": 2, "seed": 1,
+                    "offset_scale": 1e155}
+        rc, captured, _ = _run_config(tmp_path, capsys, {
+            "version": 1, "geometry": geometry, "schedule": {"kind": "constant", "value": 1.0}})
+        assert rc == 3
+        assert captured == ("", "numerical failure: non-finite error norm or residual at step 0\n")
 
     def test_overflowing_truncate_iterate_gives_numerical_exit(self, tmp_path, capsys):
         # alpha sigma_1^2 = 3, so the first component grows as 2^n; it used

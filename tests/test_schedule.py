@@ -1,3 +1,4 @@
+import itertools
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -94,6 +95,41 @@ class TestStream:
     def test_length(self):
         assert Schedule.explicit([0.5, 1.0]).length == 2
         assert Schedule.constant(1.0).length is None
+
+
+def _split(values):
+    """(value, count) for each run of equal consecutive *values*, one by one."""
+    return [(v, len(list(group))) for v, group in itertools.groupby(values)]
+
+
+class TestRuns:
+    @pytest.mark.parametrize("s", [*ALL_KINDS, Schedule.explicit([0.5, 0.5, 1.0, 1.0, 1.0, 0.5]),
+                                   Schedule.cyclic([1.0, 1.0, 0.5])], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 7, 10_000])
+    def test_runs_split_the_coefficients(self, s, n):
+        if s.length is not None and n > s.length:
+            with pytest.raises(ValueError, match="explicit schedule has only"):
+                s.runs(n)
+            return
+        runs = s.runs(n)
+        assert runs == _split(s.alphas(n).tolist())
+        assert all(type(alpha) is float and type(m) is int for alpha, m in runs)
+
+    @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
+    def test_negative_count_rejected(self, s):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            s.runs(-1)
+
+    def test_explicit_schedule_past_its_end_rejected(self):
+        with pytest.raises(ValueError, match="explicit schedule has only 3 terms, 4 requested"):
+            Schedule.explicit([0.5, 1.0, 1.0]).runs(4)
+
+    def test_constant_run_draws_no_terms(self, monkeypatch):
+        def refuse(self, n):
+            raise AssertionError(f"drew {n} terms")
+
+        monkeypatch.setattr(Schedule, "alphas", refuse)
+        assert Schedule.constant(0.5).runs(10 ** 18) == [(0.5, 10 ** 18)]
 
 
 class TestDiagnose:
@@ -216,6 +252,18 @@ class TestFilterPoly:
         assert filter_pair(Schedule.constant(0.5), 1.0, 100)[0] == 2.0 ** -100
         f = filter_pair(Schedule.constant(0.9), 1.0, 40)[0]
         assert f == pytest.approx(np.prod(np.full(40, 1.0 - 0.9)), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, lam, n", [(1.0, 1e-9, 10 ** 7), (1.0, 3e-8, 10 ** 7),
+                                               (1.0, 1e-7, 10 ** 6), (0.5, 1e-20, 10 ** 18)])
+    def test_filter_keeps_relative_accuracy_where_one_minus_h_rounds(self, alpha, lam, n):
+        # 1 - h rounds where h = alpha lam < 1/2, and its n-th power would
+        # compound that rounding n times (up to ~4e-10 relative here; F = 1
+        # against 0.995 at n = 10^18); (1 - h)^n in 60-digit arithmetic
+        f = filter_pair(Schedule.constant(alpha), lam, n)[0]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = float((1 - Decimal(alpha) * Decimal(lam)) ** n)
+        assert f == pytest.approx(exact, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.9])
     @pytest.mark.parametrize("n", [200, 2000, 20_000])

@@ -249,6 +249,7 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
     beyond the classical limit of 2, and growth above the boundary. Returns a
     list of row dicts (alpha, alpha_nu2, verdict, empirical_rate, rho_alpha).
     """
+    seed = as_count(seed, "seed")
     if not (0 < nu2 <= 1):
         raise ConfigError("nu2 must be in (0, 1]")
     schedules = [Schedule.constant(alpha) for alpha in alphas]  # rejects a bad alpha up front

@@ -70,6 +70,9 @@ def random_geometry(dim, dim_u, dim_w, seed, offset_scale=1.0, shared_dims=0):
     *shared_dims* spanning directions are common to both direction spaces,
     forcing an intersection of at least that dimension (exactly, generically).
     """
+    if max(dim_u, dim_w) > dim:
+        raise ValueError(f"dim_u and dim_w cannot exceed dim, got dim_u={dim_u} and "
+                         f"dim_w={dim_w} with dim={dim}")
     if shared_dims > min(dim_u, dim_w):
         raise ValueError("shared_dims cannot exceed either subspace dimension")
     rng = np.random.default_rng(seed)
@@ -107,29 +110,29 @@ def diagonal_truncation_norms(p, r, dims):
     return np.sqrt(truncation_sums(p, r, dims, Schedule.constant(1.0), 0)[0])
 
 
-# Indices per block of the diagonal model's pass: its seven float scratch
-# arrays of this length take 448 KiB, well inside a core's L2 cache.
+# Indices per block of the diagonal model's pass: its three arrays and the
+# filter kernel's four of this length take 448 KiB, inside a core's L2.
 LANDWEBER_BLOCK = 2 ** 13
 
 
-def _diagonal_blocks(p, r, d, runs):
+def _diagonal_blocks(p, r, d, schedule, max_iters):
     """The diagonal model over indices 1 .. d, one block of LANDWEBER_BLOCK
     indices at a time: (start, t, u) for the indices start + 1 ..
     start + len(t), where t_i = i^(2(p-r)) = (w_i / sigma_i)^2 and
-    u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate after the
-    (alpha, m) *runs* of coefficients. t and u are scratch, overwritten by
-    the next block."""
-    offsets = np.arange(1, min(d, LANDWEBER_BLOCK) + 1, dtype=float)
-    i, t, lam, f, g, a, b = (np.empty_like(offsets) for _ in range(7))
-    mask, small = np.empty((2, offsets.size), dtype=bool)
+    u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate after *max_iters*
+    steps of *schedule*, split into runs once. t is scratch, overwritten by
+    the next block; u is the filter kernel's fresh array for each block."""
+    p, r = float(p), float(r)
+    runs = schedule.runs(int(max_iters))
+    i = np.arange(1.0, min(d, LANDWEBER_BLOCK) + 1)
+    t, lam = np.empty((2, i.size))
     for start in range(0, d, LANDWEBER_BLOCK):
         k = min(d - start, LANDWEBER_BLOCK)
-        np.add(offsets[:k], start, out=i[:k])
         np.power(i[:k], 2.0 * (p - r), out=t[:k])
         np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2
-        _filter_runs(runs, lam[:k], f[:k], g[:k], a[:k], b[:k], mask[:k], small[:k],
-                     keep_f=False)
-        yield start, t[:k], np.multiply(g[:k], np.sqrt(t[:k], out=a[:k]), out=g[:k])
+        u = _filter_runs(runs, lam[:k], keep_f=False)[1]
+        yield start, t[:k], np.multiply(u, np.sqrt(t[:k], out=lam[:k]), out=u)
+        i += LANDWEBER_BLOCK
 
 
 def truncation_sums(p, r, dims, schedule, max_iters):
@@ -158,11 +161,10 @@ def truncation_sums(p, r, dims, schedule, max_iters):
         raise ValueError(f"dimensions must be positive integers below 2 ** 53, "
                          f"got {list(dims)!r}")
     dims = [int(d) for d in dims]
-    p, r = float(p), float(r)
     ends = sorted(set(dims))
     parts = np.zeros((len(ends), 2))  # each segment's sums of t and of u^2
     j = 0  # the segment that holds index lo + 1
-    for start, t, u in _diagonal_blocks(p, r, ends[-1], schedule.runs(int(max_iters))):
+    for start, t, u in _diagonal_blocks(p, r, ends[-1], schedule, max_iters):
         np.square(u, out=u)
         lo, stop = start, start + t.size
         while lo < stop:
@@ -180,12 +182,10 @@ def run_diagonal_landweber(p, r, d, schedule, max_iters):
     """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
     from u = 0 on the diagonal model, in closed form through the filter
     polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i, filled in from the
-    blocks of truncation_sums' pass; the coefficients are split into runs
-    once."""
+    blocks of truncation_sums' pass."""
     d = int(d)
     u = np.empty(d)
-    runs = schedule.runs(int(max_iters))
-    for start, _, block in _diagonal_blocks(float(p), float(r), d, runs):
+    for start, _, block in _diagonal_blocks(p, r, d, schedule, max_iters):
         u[start:start + block.size] = block
     return u
 

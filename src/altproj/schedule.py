@@ -254,74 +254,70 @@ def filter_pair(schedule, lam, n):
     """(F_n(lam), 1 - F_n(lam)) for the filter polynomial
     F_n(lam) = prod_{j<n} (1 - alpha_j * lam), the factor by which n steps
     multiply the error component of eigenvalue lam (1 at n = 0), in
-    O(len lam) memory; a scalar *lam* gives floats, an array of them arrays
-    of its shape. 1 - F_n is the share of the minimum-norm solution that n
-    steps from zero reach; it keeps its relative accuracy where F_n rounds
-    to 1, and F_n keeps its own where 1 - alpha lam rounds, whatever n is.
+    O(len lam) memory; a scalar *lam* gives floats, an array of them fresh
+    arrays of its shape, and lam is only read. 1 - F_n is the share of the
+    minimum-norm solution that n steps from zero reach; it keeps its
+    relative accuracy where F_n rounds to 1, and F_n its own where
+    1 - alpha lam rounds, whatever n is.
 
     The coefficients are taken in runs of equal consecutive terms
     (Schedule.runs), and each run costs a fixed number of passes over lam,
     whatever its length: the whole product costs O(len lam) per run, and a
     constant schedule O(len lam) in all (see _filter_runs)."""
-    lam = np.asarray(lam, dtype=float)
-    f, g = np.empty_like(lam), np.empty_like(lam)
-    scratch = (np.empty_like(lam), np.empty_like(lam),
-               np.empty(lam.shape, dtype=bool), np.empty(lam.shape, dtype=bool))
-    _filter_runs(schedule.runs(n), lam, f, g, *scratch)
+    f, g = _filter_runs(schedule.runs(n), np.asarray(lam, dtype=float))
     return (float(f), float(g)) if f.ndim == 0 else (f, g)
 
 
-def _filter_runs(runs, lam, f, g, a, b, mask, small, keep_f=True):
-    """Set *f* and *g* to F_n(lam) and 1 - F_n(lam) over the (alpha, m)
-    *runs*; *a*, *b* (float), *mask* and *small* (bool) are scratch of
-    lam's shape. With *keep_f* false, for a caller that reads only *g*, the
-    last run leaves *f* as it was before that run.
+def _filter_runs(runs, lam, keep_f=True):
+    """(F_n(lam), 1 - F_n(lam)) over the (alpha, m) *runs*, as two fresh
+    arrays of lam's shape, worked on in place; lam is only read. With
+    *keep_f* false, for a caller that reads only 1 - F, F is left as it was
+    before the last run.
 
-    A single step multiplies F by 1 - alpha lam and adds alpha lam F to
-    1 - F, exactly as a step-by-step product does, so a schedule with no
-    two equal consecutive terms gives that product's results bit for bit.
-    A run of m > 1 steps with h = alpha lam multiplies F by
-    F_m = (1 - h)^m and adds F (1 - F_m) to 1 - F. Both come from
-    L = m log1p(max(-h, h - 2)), m times the logarithm of |1 - h| from an
-    argument that is exact near h = 0 and h = 2:
-    - 1 - F_m is -expm1(L) where F_m > 0, so it keeps its relative
-      accuracy where F_m rounds to 1; elsewhere 1 - F_m does not cancel;
-    - F_m is exp(L) where h < 1/2, where 1 - h rounds and its m-th power
-      would compound that rounding m times. Where h >= 1/2, 1 - h is exact
-      (Sterbenz) and F_m comes from pow, which keeps its relative accuracy
-      where h is near 1 and its sign where h > 1.
-    pow's F_m is 0 or below only where h >= 1 or where it underflows, and
-    where it underflows -expm1(L) rounds to 1 as well, so a last run of
-    *keep_f* false with every h < 1 takes the expm1 form everywhere, with
-    no pow and the same results."""
-    f.fill(1.0)
-    g.fill(0.0)
+    With h = alpha lam, each run sets F_m - 1 (and F_m where F is kept) in
+    one of three forms, and one update follows: 1 - F -= F (F_m - 1), then
+    F *= F_m.
+    - A single step: F_1 = 1 - h, so that a schedule with no two equal
+      consecutive terms gives the step-by-step product bit for bit.
+    - A run of m > 1 steps, from L = m log1p(max(-h, h - 2)), m times the
+      logarithm of |1 - h| from an argument exact near h = 0 and h = 2.
+      F_m - 1 is expm1(L) where F_m > 0, so 1 - F keeps its relative
+      accuracy where F_m rounds to 1; elsewhere 1 - F_m does not cancel.
+      F_m is exp(L) where h < 1/2, where 1 - h rounds and its m-th power
+      would compound that rounding m times; where h >= 1/2, 1 - h is exact
+      (Sterbenz) and F_m is pow's, which keeps its relative accuracy near
+      h = 1 and its sign where h > 1.
+    - The last run of a *keep_f* false call with every h < 1: F_m - 1 is
+      expm1(L) everywhere, with no pow. pow's F_m is 0 or below only where
+      h >= 1 or where it underflows, and there expm1(L) rounds to -1 as
+      well, so the results are the same."""
+    f, g = np.ones(lam.shape), np.zeros(lam.shape)
+    a, b = np.empty(lam.shape), np.empty(lam.shape)  # h, then F_m; F_m - 1
+    mask, small = np.empty(lam.shape, dtype=bool), np.empty(lam.shape, dtype=bool)
     last = len(runs) - 1
     for j, (alpha, m) in enumerate(runs):
         keep = keep_f or j < last
-        if m == 1:
-            np.multiply(lam, alpha, out=a)
-            g += np.multiply(a, f, out=a)  # alpha lam F_j, what step j moves to 1 - F
-            if keep:
-                f *= np.subtract(1.0, np.multiply(lam, alpha, out=a), out=a)
-            continue
         np.multiply(lam, alpha, out=a)
-        np.minimum(a, np.subtract(2.0, a, out=b), out=b)
-        np.negative(b, out=b)  # max(-h, h - 2)
-        # b becomes F_m - 1, so that 1 - F takes f (1 - F_m) by subtraction
-        if not keep and a.max() < 1.0:
-            np.expm1(np.multiply(np.log1p(b, out=b), m, out=b), out=b)
-            g -= np.multiply(f, b, out=b)
-            continue
-        np.less(a, 0.5, out=small)
-        np.power(np.subtract(1.0, a, out=a), m, out=a)  # F_m
-        np.logical_or(np.greater(a, 0.0, out=mask), small, out=mask)
-        np.log1p(b, out=b, where=mask)
-        np.multiply(b, m, out=b, where=mask)  # L
-        if keep:
-            np.exp(b, out=a, where=small)
-        np.expm1(b, out=b, where=mask)
-        np.subtract(a, 1.0, out=b, where=np.logical_not(mask, out=mask))
+        if m == 1:
+            np.negative(a, out=b)
+            if keep:
+                np.subtract(1.0, a, out=a)
+        else:
+            np.minimum(a, np.subtract(2.0, a, out=b), out=b)
+            np.negative(b, out=b)  # max(-h, h - 2)
+            if keep or a.max() >= 1.0:
+                np.less(a, 0.5, out=small)
+                np.power(np.subtract(1.0, a, out=a), m, out=a)  # F_m
+                np.logical_or(np.greater(a, 0.0, out=mask), small, out=mask)
+                np.log1p(b, out=b, where=mask)
+                np.multiply(b, m, out=b, where=mask)  # L
+                if keep:
+                    np.exp(b, out=a, where=small)
+                np.expm1(b, out=b, where=mask)
+                np.subtract(a, 1.0, out=b, where=np.logical_not(mask, out=mask))
+            else:
+                np.expm1(np.multiply(np.log1p(b, out=b), m, out=b), out=b)
         g -= np.multiply(f, b, out=b)
         if keep:
             f *= a
+    return f, g

@@ -884,6 +884,32 @@ class TestMain:
         assert "max_iters must be a nonnegative integer" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_negative_overrelax_seed_gives_config_exit(self, tmp_path, capsys):
+        # the seed used to reach numpy's default_rng, whose message does not
+        # name the option
+        out_csv = tmp_path / "sweep.csv"
+        rc = cli.main(["overrelax", "--nu2", "0.5", "--alphas", "1.0", "--seed", "-1",
+                       "--out", str(out_csv)])
+        assert rc == 2
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("dim_u, dim_w", [(4, 2), (2, 5)])
+    def test_subspace_dimension_above_ambient_gives_config_exit(self, tmp_path, capsys,
+                                                                 dim_u, dim_w):
+        # such a subspace used to become all of R^dim, and the run converged
+        # after one step
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+        cfg["geometry"] = {"type": "random", "dim": 3, "dim_u": dim_u, "dim_w": dim_w,
+                           "seed": 1}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "dim_u and dim_w cannot exceed dim" in err
+        assert f"dim_u={dim_u} and dim_w={dim_w} with dim=3" in err
+        assert not (tmp_path / "two_lines_30deg_summary.json").exists()
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_schedule_coefficient_gives_config_exit(self, tmp_path, capsys, value):
         # json reads NaN and Infinity; such a coefficient is a configuration

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from altproj.engine import rate_bound
-from altproj.schedule import Schedule, diagnose, filter_pair
+from altproj.schedule import Schedule, _filter_runs, diagnose, filter_pair
 
 from reference import product_lemma_check, stepwise_filter_pair
 
@@ -316,6 +316,39 @@ class TestFilterPoly:
             f, g = filter_pair(sched, lam, n)
             f_ref, g_ref = stepwise_filter_pair(sched, lam, n)
             assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+
+    # every kind, and two schedules with runs of repeated terms
+    KINDS = [
+        Schedule.constant(0.9),
+        Schedule.cyclic([0.3, 1.1, 1.7]),
+        Schedule.harmonic_to_2(),
+        Schedule.geometric_to_2(),
+        Schedule.explicit([0.4, 0.4, 0.4, 1.2, 0.7, 0.7] * 50),
+        Schedule.random_uniform(0.5, 1.5, seed=4),
+        Schedule.cyclic([0.6, 0.6, 0.6, 0.2]),
+        Schedule.explicit([0.3] * 5 + [0.8] * 295),
+    ]
+
+    @pytest.mark.parametrize("sched", KINDS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("top", [0.99, 1.5])
+    def test_complement_only_last_run_gives_the_same_complement(self, sched, top):
+        # the last run's h = alpha lam spans [0, top], across 1/2: below 1
+        # it takes the expm1-only form, and with some h >= 1 the closed form
+        # without F_m; either way 1 - F is filter_pair's, bit for bit
+        for n in (1, 2, 7, 300):
+            runs = sched.runs(n)
+            lam = np.linspace(0.0, top / runs[-1][0], 41)
+            g = _filter_runs(runs, lam, keep_f=False)[1]
+            assert np.array_equal(g, filter_pair(sched, lam, n)[1])
+
+    @pytest.mark.parametrize("sched", KINDS, ids=lambda s: s.kind)
+    def test_read_only_lam_is_left_unchanged(self, sched):
+        lam = np.linspace(0.0, 1.2, 25)
+        f_ref, g_ref = filter_pair(sched, lam.copy(), 40)
+        lam.setflags(write=False)
+        f, g = filter_pair(sched, lam, 40)
+        assert np.array_equal(lam, np.linspace(0.0, 1.2, 25))
+        assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
 
     def test_divergent_schedule_drives_filter_to_zero(self):
         s = Schedule.constant(1.0)

@@ -18,7 +18,8 @@ trace has the columns n, alpha_n, error_norm, residual_dW, rho_alpha_n. Every
 JSON (run's summary file and stdout, check-schedule's stdout) is indented by
 two with sorted keys. An output path that is a directory, or whose directory
 does not exist, is rejected before any work. check-schedule diagnoses an
-explicit schedule over at most its own terms, as run does.
+explicit schedule over at most its own terms; run reports only the verdict,
+with its max_iters as the horizon.
 
 Exit codes: 0 success, 2 config error (including an output file that cannot
 be written, and a MemoryError, from an allocation of the size that the
@@ -30,6 +31,7 @@ runs out of terms ("schedule_exhausted"), exits 0.
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -43,7 +45,7 @@ from .validation import (INTERSECTION_TOL, as_count, as_real, as_vector, check_k
                          global_tol)
 from .subspace import canonicalize
 from .projector import build, compute_report, least_squares_set
-from .schedule import Schedule, diagnose
+from .schedule import Schedule, classify, diagnose
 from .engine import contraction_factor, rate_bound, run_alternating
 from . import problems
 
@@ -217,9 +219,8 @@ def run_scenario(path, out_dir=None):
     operator_nonzero = q.kept.any()
     alphas = trace.alphas_used if trace.n_steps else next(sched.stream([1]), [])
     bound = rate_bound(report.nu, report.gamma, alphas).bound if operator_nonzero else None
-    horizon = min(max_iters, 10_000)
-    verdict = diagnose(sched, report.nu ** 2, horizon=horizon).verdict \
-        if operator_nonzero and horizon >= 1 and sched.length != 0 else "indeterminate"
+    verdict = classify(sched, report.nu ** 2, max_iters)[0] \
+        if operator_nonzero and max_iters >= 1 and sched.length != 0 else "indeterminate"
 
     summary = {
         "nu": report.nu,
@@ -353,17 +354,8 @@ def _cmd_truncate(args):
 
 
 def _cmd_check_schedule(args):
-    sched = Schedule.from_dict(_load_json(args.schedule))
-    diag = diagnose(sched, args.mu, horizon=args.horizon,
-                    growth_threshold=args.growth_threshold)
-    sys.stdout.write(_json_text({
-        "verdict": diag.verdict,
-        "partial_sum": float(diag.partial_sums[-1]),
-        "in_box": diag.in_box,
-        "box_eps": diag.box_eps,
-        "violations": diag.violations,
-        "scaled_by": diag.scaled_by,
-    }))
+    diag = diagnose(Schedule.from_dict(_load_json(args.schedule)), args.mu, horizon=args.horizon)
+    sys.stdout.write(_json_text(dataclasses.asdict(diag)))
     return 0
 
 
@@ -380,7 +372,7 @@ VERBS = {
         "p": (float, REQUIRED), "r": (float, REQUIRED), "dims": (str, REQUIRED),
         "alpha": (float, 1.0), "max_iters": (int, 2000), "out": (str, None)}),
     "check-schedule": (_cmd_check_schedule, "diagnose a schedule file", ("schedule",), {
-        "mu": (float, REQUIRED), "horizon": (int, 10_000), "growth_threshold": (float, 50.0)}),
+        "mu": (float, REQUIRED), "horizon": (int, 10_000)}),
 }
 METAVARS = {"alphas": "A1,A2,...", "dims": "D1,D2,..."}  # others: the name in capitals
 

@@ -1,13 +1,16 @@
 """Relaxation schedules and their diagnostics.
 
 A schedule is an immutable description of a nonnegative coefficient sequence.
-The convergence condition of interest is that the scaled sequence s_n = alpha_n * mu
-stays in [0, 2] and the series sum s_n (2 - s_n) diverges. Divergence of a
-series is not decidable from finitely many terms, so the diagnostic verdict is
-an explicit numerical heuristic with an "indeterminate" outcome, never a proof.
+The paper's admissible class is that the scaled sequence s_n = alpha_n * mu
+stays in [0, 2] and the series sum s_n (2 - s_n) diverges, the variable-step
+Landweber condition. classify decides it for each kind of schedule by a
+theorem, in closed form: a verdict, not an estimate from finitely many terms
+(for a random schedule, one that holds almost surely).
 """
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +26,13 @@ KINDS = (
     "random-uniform",
 )
 
-# diagnose calls a series diverging when its last quarter still contributes
-# at least this share of the partial sum.
-GROWTH_FRACTION = 0.01
+# The error of mu = nu^2 from the SVD, in units of eps, that classify allows
+# for: it also decides the class at mu (1 - MU_ULPS eps) and mu (1 + MU_ULPS eps).
+# Measured against 40-digit references: at most 3 on the bundled scenarios,
+# 5 on 25-dimensional controlled angles and 13 (standard deviation 4.5) on
+# 100 random pairs of 10-dimensional subspaces of R^1500. The error grows
+# with the dimension, so the band is known to hold only up to about d = 1500.
+MU_ULPS = 32
 
 
 def _coefficients(values, name):
@@ -101,9 +108,11 @@ class Schedule:
         return len(self.params["values"]) if self.kind == "explicit" else None
 
     def alphas(self, n):
-        """First *n* coefficients as an array (prefix-stable for every kind)."""
+        """First *n* coefficients as an array (prefix-stable for every kind);
+        *n* must be an integer (a float with an integral value is accepted)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
+        n = as_count(n, "n")
         if self.length is not None and n > self.length:
             raise ValueError(f"explicit schedule has only {self.length} terms, {n} requested")
         return self._terms(0, n, self._generator())
@@ -114,7 +123,7 @@ class Schedule:
         constant schedule gives its one run without drawing its terms, in
         O(1) memory whatever *n* is."""
         if self.kind == "constant" and n > 0:
-            return [(self.params["value"], n)]
+            return [(self.params["value"], as_count(n, "n"))]
         alphas = self.alphas(n)
         # a run starts where a term differs from the one before it (the NaN
         # put before the first term differs from every term)
@@ -183,71 +192,113 @@ class Schedule:
             raise ValueError(f"bad parameters for schedule kind {kind!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ScheduleDiagnostics:
-    """Numerical diagnostics of the scaled sequence s_n = alpha_n * scaled_by."""
-
-    scaled_by: float
-    partial_sums: np.ndarray  # cumulative sums of s_n * (2 - s_n)
-    in_box: bool
-    box_eps: float  # largest eps with s_n in [eps, 2 - eps] for all n (0 if none)
-    violations: int  # number of terms with s_n outside [0, 2]
-    verdict: str  # diverges-numerically | converges-numerically | indeterminate
-
-    def __post_init__(self):
-        ps = np.asarray(self.partial_sums, dtype=float)
-        ps.setflags(write=False)
-        object.__setattr__(self, "partial_sums", ps)
+def _sign(alpha, mu):
+    """The sign of alpha mu - 2, in exact arithmetic on the two floats."""
+    (a, b), (c, d) = alpha.as_integer_ratio(), mu.as_integer_ratio()
+    return (a * c > 2 * b * d) - (a * c < 2 * b * d)
 
 
-def diagnose(schedule, mu, horizon=10_000, growth_threshold=50.0):
-    """Heuristic membership verdict for the divergent-series condition on the
-    scaled sequence alpha_n * mu over a finite horizon.
+def _threshold(mu):
+    """The least float alpha with alpha mu > 2 in exact arithmetic, or inf:
+    the coefficients outside the class at *mu* are those at or above it."""
+    top = math.nextafter(2.0 / mu, 0.0)  # below 2 / mu, which rounds to nearest
+    while top < math.inf and _sign(top, mu) <= 0:
+        top = math.nextafter(top, math.inf)
+    return top
 
-    "diverges-numerically": partial sums exceed *growth_threshold* and the last
-    quarter still contributes at least GROWTH_FRACTION of the total.
-    "converges-numerically": the tail contribution is numerically negligible.
-    Anything else is "indeterminate". Terms outside [0, 2] are counted as
-    violations of the admissible class (the verdict then only describes the
-    series itself).
-    """
+
+def _inside(values, mu):
+    """Whether some alpha of *values* (none above 2 / mu) has 0 < alpha mu < 2."""
+    return any(alpha > 0 and _sign(alpha, mu) for alpha in values)
+
+
+def _theorem(schedule, mu):
+    """(verdict, first_violation) at *mu* itself, by the theorem for the
+    schedule's kind (see classify)."""
+    p, kind, top = schedule.params, schedule.kind, _threshold(mu)
+    if kind in ("harmonic-to-2", "geometric-to-2"):
+        # The terms rise toward 2 and never pass it. For mu <= 1 (top > 2),
+        # s_n (2 - s_n) tends to 2 mu (2 - 2 mu) > 0 below 1; at 1 it is
+        # (2 - 1/m) / m (harmonic), or at most 2 gap ratio^n (geometric).
+        harmonic = kind == "harmonic-to-2"
+        if top > 2.0:
+            return ("converges" if mu == 1.0 and not harmonic else "diverges"), None
+        # For mu > 1, alpha_n >= top once 1 / (n + 1 + offset), or gap ratio^n,
+        # is at most 2 - top; the float terms, which never decrease, are
+        # bisected for the first, so that their rounding is taken into account.
+        term = lambda n: schedule._terms(n, 1, None)[0]
+        return "outside-class", bisect.bisect_left(range(2 ** 62), top, key=term)  # term(2^62) is 2
+    if kind == "random-uniform":  # i.i.d. terms: the index of a violation is random
+        if p["hi"] >= top:
+            return "outside-class", None
+        # terms of positive mean are added without end, almost surely
+        positive = p["lo"] < p["hi"] or _inside([p["lo"]], mu)
+        return ("diverges-almost-surely" if positive else "converges"), None
+    values = p["values"] if "values" in p else [p["value"]]  # a cyclic one's period
+    over = np.flatnonzero(np.asarray(values) >= top)
+    if over.size:
+        return "outside-class", int(over[0])
+    return ("finite" if kind == "explicit" else
+            "diverges" if _inside(values, mu) else "converges"), None
+
+
+def classify(schedule, mu, horizon=10_000):
+    """(verdict, first_violation) of the class for s_n = alpha_n * mu, where
+    s_n is the exact product of mu and the float coefficient, at a cost that
+    does not grow with *horizon*. *mu* is a computed nu^2, off by a few ulp,
+    so the class is also decided at mu (1 -+ MU_ULPS eps): where a verdict
+    there differs, the verdict is "ambiguous", unless the first violation
+    on either side lies at or past *horizon*, which a run of *horizon* steps
+    never reaches."""
+    mu = as_real(mu, "mu")
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be finite and positive, got {mu!r}")
-    if not math.isfinite(growth_threshold):
-        raise ValueError(f"growth_threshold must be finite, got {growth_threshold!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if schedule.length == 0:
         raise ValueError("an empty explicit schedule has no terms to diagnose")
-    if schedule.length is not None:  # an explicit schedule is diagnosed over its own terms
-        horizon = min(horizon, schedule.length)
-    s = schedule.alphas(horizon) * mu
-    violations = int(np.count_nonzero((s < 0) | (s > 2)))
-    terms = s * (2.0 - s)
-    cum = np.cumsum(terms)
-    total = float(cum[-1])
-    tail = total - float(cum[(3 * horizon) // 4 - 1]) if horizon >= 4 else total
+    verdict, first_violation = _theorem(schedule, mu)
+    spread = MU_ULPS * sys.float_info.epsilon
+    for widened in (mu * (1 - spread), min(mu * (1 + spread), sys.float_info.max)):
+        other, index = _theorem(schedule, widened)
+        known = [i for i in (index, first_violation) if i is not None]
+        if other != verdict and min(known, default=0) < horizon:
+            return "ambiguous", first_violation
+    return verdict, first_violation
 
-    box_eps = float(max(0.0, min(np.min(s), 2.0 - np.max(s))))
-    in_box = box_eps > 0.0
 
-    if violations > 0:
-        verdict = "indeterminate"
-    elif total >= growth_threshold and tail >= GROWTH_FRACTION * max(total, 1e-300):
-        verdict = "diverges-numerically"
-    elif abs(tail) <= 1e-9:
-        verdict = "converges-numerically"
+@dataclass(frozen=True)
+class ScheduleDiagnostics:
+    """classify's verdict on s_n = alpha_n * scaled_by, and its first terms."""
+
+    scaled_by: float
+    verdict: str
+    first_violation: int | None  # the first n with s_n > 2, if one is known
+    partial_sum: float  # of s_n (2 - s_n) over the horizon
+    in_box: bool
+    box_eps: float  # largest eps with s_n in [eps, 2 - eps] for all n (0 if none)
+    violations: int  # number of terms with s_n > 2 in the horizon
+
+
+def diagnose(schedule, mu, horizon=10_000):
+    """classify's verdict, with the first *horizon* terms (all of an
+    explicit schedule's, if it has fewer): a constant schedule's one run
+    (Schedule.runs), in O(1) whatever the horizon, and any other kind's
+    terms as an array, where a list of runs would hold objects per term."""
+    verdict, first_violation = classify(schedule, mu, horizon)
+    mu, top = float(mu), _threshold(float(mu))
+    n = min(horizon, schedule.length or horizon)
+    if schedule.kind == "constant":
+        (alpha, count), = schedule.runs(n)
+        alphas = np.array([alpha])
     else:
-        verdict = "indeterminate"
-
+        alphas, count = schedule.alphas(n), 1
+    s = alphas * mu
+    box_eps = float(max(0.0, min(np.min(s), 2.0 - np.max(s))))
     return ScheduleDiagnostics(
-        scaled_by=float(mu),
-        partial_sums=cum,
-        in_box=in_box,
-        box_eps=box_eps,
-        violations=violations,
-        verdict=verdict,
-    )
+        scaled_by=mu, verdict=verdict, first_violation=first_violation,
+        partial_sum=count * float(np.sum(s * (2.0 - s))), in_box=box_eps > 0.0,
+        box_eps=box_eps, violations=count * int(np.count_nonzero(alphas >= top)))
 
 
 def filter_pair(schedule, lam, n):

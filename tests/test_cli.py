@@ -19,7 +19,7 @@ from altproj.engine import contraction_factor, run_alternating
 from altproj.problems import (LANDWEBER_BLOCK, diagonal_truncation_norms, geometry_from_config,
                               random_geometry, run_diagonal_landweber, truncation_sums)
 from altproj.projector import build
-from altproj.schedule import Schedule, diagnose
+from altproj.schedule import Schedule, classify, diagnose
 from altproj.subspace import canonicalize
 
 from helpers import random_u0
@@ -55,7 +55,27 @@ class TestRunScenario:
         assert summary["stop_reason"] == "stalled"
         # frozen error ~ prod_{j >= 1} (1 - 2^-j)
         assert summary["final_error"] == pytest.approx(0.288788, abs=1e-4)
-        assert summary["schedule_verdict"] == "converges-numerically"
+        # nu^2 sits on the boundary at 1: converges there, outside the class
+        # from step ~50 a few ulp above it
+        assert summary["schedule_verdict"] == "ambiguous"
+
+    def test_verdict_draws_no_coefficients_and_reads_the_whole_horizon(self, tmp_path,
+                                                                       monkeypatch):
+        # the run's verdict is classify's, over max_iters steps (it used to
+        # be diagnose's over at most 10 000 drawn terms, then thrown away)
+        calls = []
+
+        def spy(sched, mu, horizon):
+            calls.append(horizon)
+            return classify(sched, mu, horizon)
+
+        def refuse(self, n):
+            raise AssertionError(f"drew {n} terms")
+
+        monkeypatch.setattr(cli, "classify", spy)
+        monkeypatch.setattr(Schedule, "alphas", refuse)
+        summary = cli.run_scenario(str(scenario_path("outside_C_stall.json")), out_dir=tmp_path)
+        assert (calls, summary["schedule_verdict"]) == ([100_000], "ambiguous")
 
     def test_trace_csv_is_deterministic(self, tmp_path):
         cfg = {
@@ -723,7 +743,7 @@ class TestMain:
         rc = cli.main(["check-schedule", str(sched_file), "--mu", "1.0"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["verdict"] == "diverges-numerically"
+        assert out["verdict"] == "diverges"
 
     @pytest.mark.parametrize("schedule, message", [
         ({"kind": "mystery"}, "error: unknown schedule kind 'mystery'\n"),
@@ -760,6 +780,33 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path} is not valid JSON: ")
+
+    @pytest.mark.parametrize("value", ["50", "nan", "inf"])
+    def test_growth_threshold_is_an_unknown_option(self, tmp_path, capsys, value):
+        # the verdict is a theorem's, with no threshold to set; the value,
+        # finite or not, is never read
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps({"kind": "constant", "value": 1.0}))
+        argv = ["check-schedule", str(sched_file), "--mu", "1", "--growth-threshold", value]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unknown option --growth-threshold",
+                                             cli._usage("check-schedule")]
+
+    def test_check_schedule_billion_step_horizon(self, tmp_path, monkeypatch, capsys):
+        # a constant schedule is one run: no term is drawn
+        def refuse(self, n):
+            raise AssertionError(f"drew {n} terms")
+
+        monkeypatch.setattr(Schedule, "alphas", refuse)
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps({"kind": "constant", "value": 1.0}))
+        argv = ["check-schedule", str(sched_file), "--mu", "1", "--horizon", "1000000000"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "diverges", "first_violation": None, "partial_sum": 1e9,
+            "in_box": True, "box_eps": 1.0, "violations": 0, "scaled_by": 1.0}
 
     def test_check_schedule_horizon_below_one_gives_config_exit(self, tmp_path, capsys):
         sched_file = tmp_path / "sched.json"
@@ -922,9 +969,7 @@ class TestMain:
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "coefficients must be finite and nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--mu", "inf"), ("--mu", "-inf"),
-                                             ("--growth-threshold", "nan"),
-                                             ("--growth-threshold", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--mu", "nan"), ("--mu", "inf"), ("--mu", "-inf")])
     def test_non_finite_check_schedule_input_gives_config_exit(self, tmp_path, capsys,
                                                                flag, value):
         # a NaN mu passed the old "mu <= 0" check and printed bare NaN tokens
@@ -953,9 +998,10 @@ class TestMain:
     ], ids=["check-schedule", "truncate"])
     def test_allocation_failure_gives_config_exit(self, tmp_path, capsys, argv):
         # 10**18 float64 values fit no address space, so the allocation
-        # fails at once; it used to end in a MemoryError traceback (exit 1)
+        # fails at once; it used to end in a MemoryError traceback (exit 1).
+        # A harmonic schedule has a run per term (a constant one has one).
         sched_file = tmp_path / "sched.json"
-        sched_file.write_text(json.dumps({"kind": "constant", "value": 1.0}))
+        sched_file.write_text(json.dumps({"kind": "harmonic-to-2"}))
         argv = [str(sched_file) if a == "SCHEDULE" else a for a in argv]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -971,7 +1017,7 @@ class TestMain:
         assert cli.main(["check-schedule", str(sched_file), "--mu", "0.5"]) == 0
         out = json.loads(capsys.readouterr().out)
         expected = diagnose(sched, 0.5, horizon=5)
-        assert out["partial_sum"] == float(expected.partial_sums[-1])
+        assert out["partial_sum"] == expected.partial_sum
         assert (out["verdict"], out["box_eps"]) == (expected.verdict, expected.box_eps)
 
     def test_empty_explicit_schedule_keeps_its_outcomes(self, tmp_path, capsys):
@@ -1082,10 +1128,9 @@ class TestArgv:
 
     def test_namespace(self):
         handler, args = cli._parse_argv(["check-schedule", "--mu", "2", "--mu", "0.5",
-                                         "--g", "9", "s.json"])
+                                         "--ho", "9", "s.json"])
         assert handler is cli._cmd_check_schedule
-        assert vars(args) == {"schedule": "s.json", "mu": 0.5, "horizon": 10_000,
-                              "growth_threshold": 9.0}
+        assert vars(args) == {"schedule": "s.json", "mu": 0.5, "horizon": 9}
         _, args = cli._parse_argv(["truncate", "--r", "-0.5", "--p", "1", "--dims", "-",
                                    "--out", "--p"])
         assert (args.p, args.r, args.dims, args.out) == (1.0, -0.5, "-", "--p")

@@ -1,11 +1,17 @@
 import itertools
+import re
+import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from altproj.engine import rate_bound
-from altproj.schedule import Schedule, _filter_runs, diagnose, filter_pair
+from altproj.schedule import (MU_ULPS, Schedule, _filter_runs, _theorem, classify, diagnose,
+                              filter_pair)
 
 from reference import product_lemma_check, stepwise_filter_pair
 
@@ -120,6 +126,18 @@ class TestRuns:
         with pytest.raises(ValueError, match="n must be nonnegative"):
             s.runs(-1)
 
+    @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_count_rejected(self, s, n):
+        # a constant schedule used to take 2.5 as a run of 2.5 steps, and
+        # filter_pair to give 0.5^2.5 for it
+        with pytest.raises(ValueError, match=re.escape(f"n must be a nonnegative integer, got {n!r}")):
+            s.runs(n)
+        with pytest.raises(ValueError, match="n must be"):
+            s.alphas(n)
+        with pytest.raises(ValueError, match="n must be"):
+            filter_pair(s, 1.0, n)
+
     def test_explicit_schedule_past_its_end_rejected(self):
         with pytest.raises(ValueError, match="explicit schedule has only 3 terms, 4 requested"):
             Schedule.explicit([0.5, 1.0, 1.0]).runs(4)
@@ -135,43 +153,209 @@ class TestRuns:
 class TestDiagnose:
     def test_constant_one_diverges(self):
         diag = diagnose(Schedule.constant(1.0), mu=1.0, horizon=10_000)
-        assert diag.verdict == "diverges-numerically"
-        assert diag.partial_sums[-1] == pytest.approx(10_000.0)
+        assert diag.verdict == "diverges"
+        assert diag.partial_sum == pytest.approx(10_000.0)
         assert diag.in_box and diag.box_eps == pytest.approx(1.0)
 
     def test_geometric_approach_converges(self):
-        # sum of s*(2-s) is bounded by a geometric series
-        diag = diagnose(Schedule.geometric_to_2(gap=1.0, ratio=0.5), mu=1.0, horizon=10_000)
-        assert diag.verdict == "converges-numerically"
-        assert diag.partial_sums[-1] <= 4.0
+        # sum of s*(2-s) is bounded by a geometric series; mu = 1 is the
+        # boundary of the class, which one ulp more of mu leaves
+        sched = Schedule.geometric_to_2(gap=1.0, ratio=0.5)
+        assert _theorem(sched, 1.0) == ("converges", None)
+        diag = diagnose(sched, mu=1.0, horizon=10_000)
+        assert diag.verdict == "ambiguous"
+        assert diag.partial_sum <= 4.0
 
     def test_harmonic_approach_diverges(self):
         # partial sums grow like twice the harmonic series
-        diag = diagnose(Schedule.harmonic_to_2(), mu=1.0, horizon=10_000,
-                        growth_threshold=15.0)
-        assert diag.verdict == "diverges-numerically"
+        diag = diagnose(Schedule.harmonic_to_2(), mu=1.0, horizon=10_000)
+        assert diag.verdict == "diverges"
         expected = np.sum((2.0 - 1.0 / np.arange(1, 10_001)) / np.arange(1, 10_001))
-        assert diag.partial_sums[-1] == pytest.approx(expected)
+        assert diag.partial_sum == pytest.approx(expected)
 
     def test_out_of_range_counted_as_violations(self):
         diag = diagnose(Schedule.constant(1.5), mu=2.0, horizon=100)
         assert diag.violations == 100
-        assert diag.verdict == "indeterminate"
+        assert diag.verdict == "outside-class"
 
     def test_explicit_schedule_diagnosed_over_its_own_terms(self):
         # a horizon past the last term diagnoses the terms there are
         sched = Schedule.explicit([0.5, 1.0, 1.5])
         capped, exact = diagnose(sched, 1.0, horizon=10_000), diagnose(sched, 1.0, horizon=3)
-        assert capped.partial_sums.tolist() == exact.partial_sums.tolist()
+        assert capped.partial_sum == exact.partial_sum
         assert (capped.verdict, capped.box_eps) == (exact.verdict, exact.box_eps)
 
     def test_empty_explicit_schedule_rejected(self):
         with pytest.raises(ValueError, match="no terms"):
             diagnose(Schedule.explicit([]), 1.0)
 
-    def test_partial_sums_nondecreasing_in_range(self):
-        diag = diagnose(Schedule.random_uniform(0.0, 2.0, seed=5), mu=1.0, horizon=500)
-        assert np.all(np.diff(diag.partial_sums) >= 0)
+    @pytest.mark.parametrize("sched", [
+        Schedule.constant(1.2),
+        Schedule.cyclic([0.5, 1.0, 1.5]),
+        Schedule.harmonic_to_2(offset=1),
+        Schedule.geometric_to_2(gap=0.5, ratio=0.999),
+        Schedule.explicit(np.linspace(0.1, 1.9, 700)),
+        Schedule.random_uniform(0.0, 2.0, seed=5),
+    ], ids=lambda s: s.kind)
+    def test_partial_sum_is_the_series_over_the_horizon(self, sched):
+        # every term lies in [0, 2] at mu = 1; the sum is taken over runs
+        diag = diagnose(sched, mu=1.0, horizon=500)
+        expected = product_lemma_check(sched.alphas(500), horizon=500)[0]
+        assert diag.partial_sum == pytest.approx(expected, rel=1e-12)
+
+
+ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+
+# (schedule, mu, the theorem's verdict and first violation at mu itself,
+# classify's verdict at the default horizon), at mu below, at and above
+# each boundary of each kind's rule
+THEOREMS = [
+    # constant c: in the class iff c mu <= 2; the series diverges iff 0 < c mu < 2
+    (Schedule.constant(1.0), 1.5, "diverges", None, "diverges"),
+    (Schedule.constant(1.0), 2.0, "converges", None, "ambiguous"),
+    (Schedule.constant(1.0), 2.5, "outside-class", 0, "outside-class"),
+    (Schedule.constant(0.0), 1.0, "converges", None, "converges"),
+    # 1.5 mu rounds to 2 at the float 4/3 (the exact product is 2 - 2^-53),
+    # and 1.5 is the least coefficient above 2 / mu one ulp higher
+    (Schedule.constant(1.5), 4 / 3, "diverges", None, "ambiguous"),
+    (Schedule.constant(1.5), float(np.nextafter(4 / 3, 2.0)), "outside-class", 0, "ambiguous"),
+    # cyclic: decided over one period
+    (Schedule.cyclic([0.5, 1.0, 2.0]), 0.5, "diverges", None, "diverges"),
+    (Schedule.cyclic([0.5, 1.0, 2.0]), 1.0, "diverges", None, "ambiguous"),
+    (Schedule.cyclic([0.5, 1.0, 2.0]), 1.5, "outside-class", 2, "outside-class"),
+    (Schedule.cyclic([0.0, 2.0]), 1.0, "converges", None, "ambiguous"),
+    (Schedule.cyclic([0.0, 0.0]), 1.0, "converges", None, "converges"),
+    # harmonic-to-2: diverges for mu <= 1; above, s_n > 2 from the first
+    # m = n + 1 + offset > mu / (2 (mu - 1))
+    (Schedule.harmonic_to_2(), 0.5, "diverges", None, "diverges"),
+    (Schedule.harmonic_to_2(), 1.0, "diverges", None, "diverges"),
+    (Schedule.harmonic_to_2(), ABOVE_ONE, "outside-class", 3002399751580330, "outside-class"),
+    (Schedule.harmonic_to_2(), 1.25, "outside-class", 2, "outside-class"),
+    (Schedule.harmonic_to_2(offset=3), 1.25, "outside-class", 0, "outside-class"),
+    # geometric-to-2: diverges for mu < 1, converges at 1; above, s_n > 2
+    # once gap ratio^n < 2 (1 - 1/mu)
+    (Schedule.geometric_to_2(1.0, 0.5), 0.5, "diverges", None, "diverges"),
+    (Schedule.geometric_to_2(1.0, 0.5), 1.0, "converges", None, "ambiguous"),
+    (Schedule.geometric_to_2(1.0, 0.5), ABOVE_ONE, "outside-class", 52, "ambiguous"),
+    (Schedule.geometric_to_2(1.0, 0.5), 1.25, "outside-class", 2, "outside-class"),
+    # random-uniform: diverges almost surely when [lo mu, hi mu] lies in
+    # [0, 2] and is not a single point at 0 or 2
+    (Schedule.random_uniform(0.5, 2.0, 1), 0.5, "diverges-almost-surely", None,
+     "diverges-almost-surely"),
+    (Schedule.random_uniform(0.5, 2.0, 1), 1.0, "diverges-almost-surely", None, "ambiguous"),
+    (Schedule.random_uniform(0.5, 2.0, 1), 1.5, "outside-class", None, "outside-class"),
+    (Schedule.random_uniform(0.0, 2.0, 1), 1.0, "diverges-almost-surely", None, "ambiguous"),
+    (Schedule.random_uniform(1.0, 1.0, 1), 1.0, "diverges-almost-surely", None,
+     "diverges-almost-surely"),
+    (Schedule.random_uniform(0.0, 0.0, 1), 1.0, "converges", None, "converges"),
+    (Schedule.random_uniform(2.0, 2.0, 1), 1.0, "converges", None, "ambiguous"),
+    # explicit: a finite sequence, inside the box or not
+    (Schedule.explicit([0.5, 1.0, 2.0]), 0.5, "finite", None, "finite"),
+    (Schedule.explicit([0.5, 1.0, 2.0]), 1.0, "finite", None, "ambiguous"),
+    (Schedule.explicit([0.5, 1.0, 2.0]), 1.5, "outside-class", 2, "outside-class"),
+]
+
+
+def _assert_first_violation(sched, index, mu):
+    """Term *index* of s_n = alpha_n mu exceeds 2 and the term before it
+    does not, in exact products of the float coefficients and mu (a
+    product just above 2 can round to 2)."""
+    s = [Fraction(float(a)) * Fraction(mu) for a in sched.alphas(index + 1)[-2:]]
+    assert s[-1] > 2
+    assert index == 0 or s[0] <= 2
+
+
+class TestClassify:
+    @pytest.mark.parametrize("sched, mu, theorem, index, verdict", THEOREMS,
+                             ids=lambda v: v.kind if isinstance(v, Schedule) else repr(v))
+    def test_each_kind_follows_its_theorem(self, sched, mu, theorem, index, verdict):
+        assert _theorem(sched, mu) == (theorem, index)
+        assert classify(sched, mu) == (verdict, index)
+        diag = diagnose(sched, mu)
+        assert (diag.verdict, diag.first_violation, diag.scaled_by) == (verdict, index, mu)
+        if sched.kind != "random-uniform":  # the horizon holds a violation iff it reaches it
+            assert (diag.violations > 0) == (index is not None and index < 10_000)
+        if index is not None and index < 10_000:
+            _assert_first_violation(sched, index, mu)
+
+    def test_widened_violation_past_the_horizon_is_not_ambiguous(self):
+        # a run of 1 step never reaches the term at 2, which leaves the
+        # class one ulp above mu = 1
+        sched = Schedule.explicit([0.5, 2.0])
+        assert classify(sched, 1.0, horizon=1) == ("finite", None)
+        assert classify(sched, 1.0, horizon=2) == ("ambiguous", None)
+        # harmonic-to-2 leaves the class ~7e13 steps in, MU_ULPS ulp above 1
+        assert classify(Schedule.harmonic_to_2(), 1.0, horizon=10 ** 13)[0] == "diverges"
+        assert classify(Schedule.harmonic_to_2(), 1.0, horizon=10 ** 14)[0] == "ambiguous"
+        assert _theorem(Schedule.harmonic_to_2(), 1.0 + MU_ULPS * np.finfo(float).eps)[0] \
+            == "outside-class"
+        # the violation can lie on mu's side: one ulp above 1, harmonic-to-2
+        # leaves the class ~3e15 steps in, and MU_ULPS ulp below it does not
+        index = 3002399751580330
+        assert classify(Schedule.harmonic_to_2(), ABOVE_ONE, horizon=index) \
+            == ("outside-class", index)
+        assert classify(Schedule.harmonic_to_2(), ABOVE_ONE, horizon=index + 1) \
+            == ("ambiguous", index)
+        assert _theorem(Schedule.harmonic_to_2(), 1.0 - MU_ULPS * np.finfo(float).eps) \
+            == ("diverges", None)
+
+    def test_harmonic_diverges_at_the_default_horizon(self):
+        diag = diagnose(Schedule.harmonic_to_2(), 1.0)
+        assert (diag.verdict, diag.first_violation) == ("diverges", None)
+        assert diag.partial_sum == pytest.approx(17.93, abs=5e-3)
+
+    def test_geometric_one_ulp_above_the_boundary_is_ambiguous(self):
+        diag = diagnose(Schedule.geometric_to_2(gap=1.0, ratio=0.5), np.nextafter(1.0, 2.0))
+        assert (diag.verdict, diag.first_violation) == ("ambiguous", 52)
+
+    @pytest.mark.parametrize("mu", [True, "1.0", float("nan"), 0.0, -1.0, float("inf")])
+    def test_mu_must_be_a_positive_finite_number(self, mu):
+        with pytest.raises(ValueError, match="mu must be"):
+            classify(Schedule.constant(1.0), mu)
+        with pytest.raises(ValueError, match="mu must be"):
+            diagnose(Schedule.constant(1.0), mu)
+
+    def test_extreme_mu_is_decided(self):
+        # 2 / mu overflows, and mu (1 + MU_ULPS eps) would
+        assert classify(Schedule.constant(1.0), 5e-324) == ("diverges", None)
+        assert classify(Schedule.constant(1.0), np.finfo(float).max) == ("outside-class", 0)
+
+    def test_constant_schedule_costs_no_memory_in_the_horizon(self):
+        tracemalloc.start()
+        try:
+            diag = diagnose(Schedule.constant(1.0), 1.0, horizon=10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (diag.verdict, diag.partial_sum, diag.violations) == ("diverges", 1e9, 0)
+        assert peak < 2 ** 20
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.floats(1.0, 4.0, exclude_min=True), st.integers(0, 50))
+    def test_harmonic_first_violation(self, mu, offset):
+        self._check_first_violation(Schedule.harmonic_to_2(offset), mu)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.floats(1.0, 4.0, exclude_min=True), st.floats(0.0, 2.0, exclude_min=True),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_geometric_first_violation(self, mu, gap, ratio):
+        self._check_first_violation(Schedule.geometric_to_2(gap, ratio), mu)
+
+    @staticmethod
+    def _check_first_violation(sched, mu):
+        verdict, index = _theorem(sched, mu)
+        assert verdict == "outside-class"
+        assume(index <= 10 ** 6)
+        _assert_first_violation(sched, index, mu)
+
+    def test_readme_names_every_verdict(self):
+        # the check-schedule paragraph of README documents each verdict
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("\n- `check-schedule`", 1)[1].split("\n#", 1)[0]
+        verdicts = {v for row in THEOREMS for v in (row[2], row[4])}
+        assert len(verdicts) == 6
+        for verdict in verdicts:
+            assert f"`{verdict}`" in paragraph
 
 
 class TestFilterPoly:

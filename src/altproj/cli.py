@@ -24,8 +24,8 @@ with its max_iters as the horizon.
 Exit codes: 0 success, 2 config error (including an output file that cannot
 be written, and a MemoryError, from an allocation of the size that the
 configuration asked for), 3 numerical failure (an iteration that stops as
-"nonfinite", a truncate norm that is not finite, an SVD that fails to
-converge, or a violated normal equation).
+"nonfinite", a truncate norm or a JSON value that is not finite, an SVD
+that fails to converge, or a violated normal equation).
 A run that stops for any other reason, including an explicit schedule that
 runs out of terms ("schedule_exhausted"), exits 0.
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
@@ -82,8 +82,7 @@ def _build_u0(cfg, u_space):
         return as_vector(cfg["value"], dim=u_space.dim_ambient, name="u0")
     if "seed" not in cfg:
         raise ConfigError("random u0 requires a seed")
-    return problems.random_point_in(u_space, as_count(cfg["seed"], "seed"),
-                                    scale=as_real(cfg.get("scale", 1.0), "scale"))
+    return problems.random_point_in(u_space, cfg["seed"], scale=cfg.get("scale", 1.0))
 
 
 def _fmt(x):
@@ -164,7 +163,13 @@ def _write_rows_csv(path, rows, columns):
 
 
 def _json_text(record):
-    """The text of every JSON that the program writes: *record* and a newline."""
+    """The text of every JSON that the program writes: the flat dict *record*
+    and a newline. A value that is not finite, which strict JSON cannot
+    hold, is a numerical failure."""
+    bad = [key for key, value in sorted(record.items())
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise FloatingPointError(f"non-finite {', '.join(bad)} in the JSON output")
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
@@ -236,10 +241,11 @@ def run_scenario(path, out_dir=None):
         "schedule_verdict": verdict,
     }
 
+    text = _json_text(summary)  # a non-finite value fails before any file is written
     if "trace_csv" in outputs:
         _write_trace_csv(out_dir / outputs["trace_csv"], trace, q)
     if "summary_json" in outputs:
-        _write_file(out_dir / outputs["summary_json"], lambda fh: fh.write(_json_text(summary)))
+        _write_file(out_dir / outputs["summary_json"], lambda fh: fh.write(text))
     return summary
 
 
@@ -294,7 +300,6 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     coefficients drive to infinity, raises FloatingPointError naming the
     first such dimension.
     """
-    max_iters = as_count(max_iters, "max_iters")
     sched = Schedule.constant(alpha)
     with np.errstate(all="ignore"):  # a non-finite sum is reported below, by its dimension
         limit_sums, iterate_sums = problems.truncation_sums(p, r, dims, sched, max_iters)

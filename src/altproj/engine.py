@@ -18,13 +18,12 @@ available in finite dimensions, rather than against successive differences.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .schedule import filter_pair
-from .validation import as_vector
+from .validation import as_count, as_vector
 from .subspace import project, project_relaxed
 from . import projector as proj
 
@@ -112,7 +111,8 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     schedule runs out of terms ("schedule_exhausted"). After each step the
     rules are tested in that order, nonfinite first, and the first step at
     which one holds ends the run. *max_iters* must be a nonnegative integer
-    and *conv_tol* not NaN; a negative *conv_tol* runs the whole horizon.
+    (a float with an integral value is accepted) and *conv_tol* not NaN; a
+    negative *conv_tol* runs the whole horizon.
 
     The run works in the coordinates z = Y^T A^T u, on the error d = z - z_lim
     and the residual vector rz = X^T w - s z, whose norm with
@@ -124,8 +124,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     stop rules on every step of the block at once. The trace keeps the
     coordinates; ambient iterates A Y z are formed only when read.
     """
-    if not isinstance(max_iters, numbers.Integral) or max_iters < 0:
-        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
+    max_iters = as_count(max_iters, "max_iters")
     if math.isnan(conv_tol):
         raise ValueError("conv_tol must not be NaN")
     a, yt, s, x = q.domain_basis, q.right_vectors, q.sines, q.codomain_basis

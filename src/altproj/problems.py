@@ -40,11 +40,13 @@ def controlled_angle_geometry(angles, offset_norm=0.0, extra_dims=0, rotation_se
         orthogonal matrix, hiding the coordinate alignment without changing
         any angle.
     """
+    offset_norm = as_real(offset_norm, "offset_norm")
+    extra_dims = as_count(extra_dims, "extra_dims")
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if np.any((angles < 0) | (angles > np.pi / 2 + 1e-12)):
         raise ValueError("angles must lie in [0, pi/2]")
     k = angles.size
-    d = 2 * k + 1 + int(extra_dims)
+    d = 2 * k + 1 + extra_dims
     u_span = np.eye(d)[:, :k]
     w_span = np.zeros((d, k))
     for i, phi in enumerate(angles):
@@ -54,7 +56,7 @@ def controlled_angle_geometry(angles, offset_norm=0.0, extra_dims=0, rotation_se
     offset[2 * k] = offset_norm
 
     if rotation_seed is not None:
-        rot = _random_orthogonal(d, np.random.default_rng(rotation_seed))
+        rot = _random_orthogonal(d, np.random.default_rng(as_count(rotation_seed, "rotation_seed")))
         u_span = rot @ u_span
         w_span = rot @ w_span
         offset = rot @ offset
@@ -70,6 +72,9 @@ def random_geometry(dim, dim_u, dim_w, seed, offset_scale=1.0, shared_dims=0):
     *shared_dims* spanning directions are common to both direction spaces,
     forcing an intersection of at least that dimension (exactly, generically).
     """
+    dim, dim_u, dim_w, seed, shared_dims = (as_count(v, name) for v, name in zip(
+        (dim, dim_u, dim_w, seed, shared_dims), ("dim", "dim_u", "dim_w", "seed", "shared_dims")))
+    offset_scale = as_real(offset_scale, "offset_scale")
     if max(dim_u, dim_w) > dim:
         raise ValueError(f"dim_u and dim_w cannot exceed dim, got dim_u={dim_u} and "
                          f"dim_w={dim_w} with dim={dim}")
@@ -87,9 +92,10 @@ def random_geometry(dim, dim_u, dim_w, seed, offset_scale=1.0, shared_dims=0):
 
 
 def explicit_geometry(u_span, w_span, u_point=None, w_point=None):
-    """Geometry from explicit spanning vectors (given as rows) and points."""
-    u_mat = as_matrix(np.atleast_2d(u_span), name="u_span").T
-    w_mat = as_matrix(np.atleast_2d(w_span), name="w_span").T
+    """Geometry from explicit spanning vectors (rows, or one vector) and
+    points; a span is checked as given, where a boolean is not yet a number."""
+    u_mat = as_matrix([u_span] if np.ndim(u_span) == 1 else u_span, name="u_span").T
+    w_mat = as_matrix([w_span] if np.ndim(w_span) == 1 else w_span, name="w_span").T
     u_space = AffineSubspace.from_span(u_mat, point=u_point)
     w_space = AffineSubspace.from_span(w_mat, point=w_point)
     return ProblemGeometry(u_space, w_space)
@@ -97,8 +103,8 @@ def explicit_geometry(u_span, w_span, u_point=None, w_point=None):
 
 def random_point_in(space, seed, scale=1.0):
     """Seeded random point of an affine subspace."""
-    rng = np.random.default_rng(seed)
-    coords = rng.standard_normal(space.dim) * scale
+    rng = np.random.default_rng(as_count(seed, "seed"))
+    coords = rng.standard_normal(space.dim) * as_real(scale, "scale")
     return space.offset + space.basis @ coords
 
 
@@ -115,6 +121,23 @@ def diagonal_truncation_norms(p, r, dims):
 LANDWEBER_BLOCK = 2 ** 13
 
 
+def _diagonal_gate(p, r, dims, max_iters):
+    """The diagonal family's one check, before any array of length d exists:
+    (p, r, dims, max_iters) as floats, ints and an int, for *p* finite and
+    positive, *r* finite, *dims* a nonempty list of integers in [1, 2 ** 53),
+    where float indices stop being exact, and *max_iters* a count."""
+    p, r = as_real(p, "p"), as_real(r, "r")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and positive, got {p!r}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r!r}")
+    if not dims or not all(as_real(d, "dimension").is_integer() and 1 <= d < 2 ** 53
+                           for d in dims):
+        raise ValueError(f"dimensions must be positive integers below 2 ** 53, "
+                         f"got {list(dims)!r}")
+    return p, r, [int(d) for d in dims], as_count(max_iters, "max_iters")
+
+
 def _diagonal_blocks(p, r, d, schedule, max_iters):
     """The diagonal model over indices 1 .. d, one block of LANDWEBER_BLOCK
     indices at a time: (start, t, u) for the indices start + 1 ..
@@ -122,8 +145,7 @@ def _diagonal_blocks(p, r, d, schedule, max_iters):
     u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate after *max_iters*
     steps of *schedule*, split into runs once. t is scratch, overwritten by
     the next block; u is the filter kernel's fresh array for each block."""
-    p, r = float(p), float(r)
-    runs = schedule.runs(int(max_iters))
+    runs = schedule.runs(max_iters)
     i = np.arange(1.0, min(d, LANDWEBER_BLOCK) + 1)
     t, lam = np.empty((2, i.size))
     for start in range(0, d, LANDWEBER_BLOCK):
@@ -140,12 +162,10 @@ def truncation_sums(p, r, dims, schedule, max_iters):
     truncated to each dimension d of *dims* (in the order given): the sums
     over i <= d of t_i = i^(2(p-r)), the squared norm of the minimum-norm
     solution, and of u_i^2, the squared norm of the iterate after
-    *max_iters* steps of *schedule* from zero. *p* must be finite and
-    positive, *r* finite, and *dims* a nonempty list of positive integers
-    below 2 ** 53, where float indices stop being exact (a float with an
-    integral value is accepted). The schedule's coefficients are split
-    into runs once (Schedule.runs), so a constant schedule costs O(1)
-    memory in *max_iters*.
+    *max_iters* steps of *schedule* from zero, for input that
+    _diagonal_gate accepts. The schedule's coefficients are split into runs
+    once (Schedule.runs), so a constant schedule costs O(1) memory in
+    *max_iters*.
 
     One pass over the largest dimension, in blocks of LANDWEBER_BLOCK
     indices, with no array of its length: each block adds its share of
@@ -153,14 +173,7 @@ def truncation_sums(p, r, dims, schedule, max_iters):
     that segment's running sum, and the segment sums are added in order.
     The rounding grows with the number of blocks and of dimensions, where
     a running sum's grows with d."""
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"p must be finite and positive, got {p!r}")
-    if not math.isfinite(r):
-        raise ValueError(f"r must be finite, got {r!r}")
-    if not dims or not all(float(d).is_integer() and 1 <= d < 2 ** 53 for d in dims):
-        raise ValueError(f"dimensions must be positive integers below 2 ** 53, "
-                         f"got {list(dims)!r}")
-    dims = [int(d) for d in dims]
+    p, r, dims, max_iters = _diagonal_gate(p, r, dims, max_iters)
     ends = sorted(set(dims))
     parts = np.zeros((len(ends), 2))  # each segment's sums of t and of u^2
     j = 0  # the segment that holds index lo + 1
@@ -182,8 +195,8 @@ def run_diagonal_landweber(p, r, d, schedule, max_iters):
     """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
     from u = 0 on the diagonal model, in closed form through the filter
     polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i, filled in from the
-    blocks of truncation_sums' pass."""
-    d = int(d)
+    blocks of truncation_sums' pass, for input that _diagonal_gate accepts."""
+    p, r, (d,), max_iters = _diagonal_gate(p, r, [d], max_iters)
     u = np.empty(d)
     for start, _, block in _diagonal_blocks(p, r, d, schedule, max_iters):
         u[start:start + block.size] = block
@@ -200,30 +213,16 @@ GEOMETRY_KEYS = {
 
 def geometry_from_config(cfg):
     """Build a geometry from a scenario config dict (see the cli module). A
-    key the type does not read, or an integer field with a fractional
-    value, is rejected."""
+    key the type does not read is rejected here, and a bad value by the
+    constructor that receives it."""
     kind = cfg.get("type")
     if kind not in GEOMETRY_KEYS:
         raise ValueError(f"unknown geometry type {kind!r}")
     check_keys(cfg, ("type", *GEOMETRY_KEYS[kind]), "geometry")
-    if kind == "explicit":
-        return explicit_geometry(
-            cfg["u_span"], cfg["w_span"],
-            u_point=cfg.get("u_point"), w_point=cfg.get("w_point"),
-        )
-    if kind == "random":
-        if "seed" not in cfg:
-            raise ValueError("random geometry requires a seed")
-        return random_geometry(
-            *(as_count(cfg[key], key) for key in ("dim", "dim_u", "dim_w", "seed")),
-            offset_scale=as_real(cfg.get("offset_scale", 1.0), "offset_scale"),
-            shared_dims=as_count(cfg.get("shared_dims", 0), "shared_dims"),
-        )
-    angles = np.deg2rad(as_vector(cfg["angles_deg"], name="angles_deg"))
-    seed = cfg.get("rotation_seed")
-    return controlled_angle_geometry(
-        angles,
-        offset_norm=as_real(cfg.get("offset_norm", 0.0), "offset_norm"),
-        extra_dims=as_count(cfg.get("extra_dims", 0), "extra_dims"),
-        rotation_seed=None if seed is None else as_count(seed, "rotation_seed"),
-    )
+    args = {key: cfg[key] for key in GEOMETRY_KEYS[kind] if key in cfg}
+    if kind == "random" and "seed" not in args:
+        raise ValueError("random geometry requires a seed")
+    if kind == "controlled_angle":
+        args["angles"] = np.deg2rad(as_vector(args.pop("angles_deg"), name="angles_deg"))
+    return {"explicit": explicit_geometry, "random": random_geometry,
+            "controlled_angle": controlled_angle_geometry}[kind](**args)

@@ -212,6 +212,5 @@ def limit_point(q, w, u0):
 
 
 def distance_to_w(g, u):
-    """Distance from *u* to the constraint set W."""
-    u = as_vector(u, dim=g.dim_ambient, name="u")
+    """Distance from *u* to the constraint set W; :func:`project` checks *u*."""
     return float(np.linalg.norm(u - project(g.w_space, u)))

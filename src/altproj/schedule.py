@@ -96,8 +96,6 @@ class Schedule:
         (lo,), (hi,) = _coefficients([lo], "lo"), _coefficients([hi], "hi")
         if hi < lo:
             raise ValueError("need 0 <= lo <= hi")
-        if seed is None:
-            raise ValueError("random schedules require a seed for reproducibility")
         return cls("random-uniform", {"lo": lo, "hi": hi, "seed": as_count(seed, "seed")})
 
     # -- generation --------------------------------------------------------
@@ -110,8 +108,6 @@ class Schedule:
     def alphas(self, n):
         """First *n* coefficients as an array (prefix-stable for every kind);
         *n* must be an integer (a float with an integral value is accepted)."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
         n = as_count(n, "n")
         if self.length is not None and n > self.length:
             raise ValueError(f"explicit schedule has only {self.length} terms, {n} requested")

@@ -49,9 +49,10 @@ class AffineSubspace:
 
     @classmethod
     def from_span(cls, span, point=None):
-        """Build from a spanning set (columns, not necessarily independent) and
-        any point of the subspace. The offset is canonicalized."""
-        b = linalg.orthonormalize(as_matrix(span, name="span"))
+        """Build from a spanning set (columns, not necessarily independent,
+        which orthonormalize checks) and any point of the subspace. The
+        offset is canonicalized."""
+        b = linalg.orthonormalize(span)
         d = b.shape[0]
         p = np.zeros(d) if point is None else as_vector(point, dim=d, name="point")
         off = p - b @ (b.T @ p)
@@ -81,10 +82,9 @@ def project(a, u):
 
 def project_relaxed(a, u, alpha):
     """Relaxed projection u + alpha * (P_a u - u); alpha = 1 is the plain
-    projection, alpha = 2 the reflection."""
+    projection, alpha = 2 the reflection. :func:`project` checks *u*."""
     if alpha < 0:
         raise ValueError("relaxation coefficient must be nonnegative")
-    u = as_vector(u, dim=a.dim_ambient, name="u")
     return u + alpha * (project(a, u) - u)
 
 

@@ -1,4 +1,10 @@
-"""Input validation helpers and the global tolerance policy.
+"""Input checks and the global tolerance policy.
+
+Each input is checked once, by the entry point that receives it, on the
+value its caller passed (a JSON list, not an array made from it, so that a
+boolean is seen), with one checker per kind: as_real, as_count, and
+as_vector and as_matrix, which share one body. A bad value raises
+ValueError; none is truncated.
 
 All rank decisions in the package use a single *relative* tolerance,
 never an absolute cutoff, so that subspace geometry is scale invariant.
@@ -37,15 +43,17 @@ def as_real(x, name="value"):
     return float(x)
 
 
-def as_vector(x, dim=None, name="vector"):
+def _as_array(x, ndim, dim, name):
+    """The one check of as_vector and as_matrix: *x* as a finite float array
+    of *ndim* dimensions, and of length *dim* along the first when given."""
     arr = np.asarray(x)
     # a string or a boolean, which float() reads, is refused, also among numbers
     if arr.dtype.kind not in "iuf" or not isinstance(x, np.ndarray) and \
             bool in map(type, np.asarray(x, dtype=object).flat):
         raise ValueError(f"{name} must hold only numbers")
     arr = arr.astype(float, copy=False)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
@@ -53,20 +61,12 @@ def as_vector(x, dim=None, name="vector"):
     return arr
 
 
-def as_matrix(x, rows=None, name="matrix"):
-    arr = np.asarray(x)
-    # a string or a boolean, which float() reads, is refused, also among numbers
-    if arr.dtype.kind not in "iuf" or not isinstance(x, np.ndarray) and \
-            bool in map(type, np.asarray(x, dtype=object).flat):
-        raise ValueError(f"{name} must hold only numbers")
-    arr = arr.astype(float, copy=False)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if rows is not None and arr.shape[0] != rows:
-        raise ValueError(f"{name} must have {rows} rows, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def as_vector(x, dim=None, name="vector"):
+    return _as_array(x, 1, dim, name)
+
+
+def as_matrix(x, name="matrix"):
+    return _as_array(x, 2, None, name)
 
 
 def as_count(x, name="value"):

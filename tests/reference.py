@@ -69,11 +69,19 @@ def sym_eig(m):
     return w[order], v[:, order]
 
 
+def _basis_pair(a_basis, b_basis):
+    """Both bases as matrices, which must have the same number of rows."""
+    a = as_matrix(a_basis, name="a_basis")
+    b = as_matrix(b_basis, name="b_basis")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"b_basis must have {a.shape[0]} rows, got {b.shape[0]}")
+    return a, b
+
+
 def principal_cosines(a_basis, b_basis):
     """Nonincreasing singular values of the cross-Gram matrix a^T b, clipped
     to [0, 1]. Either basis empty yields an empty list."""
-    a = as_matrix(a_basis, name="a_basis")
-    b = as_matrix(b_basis, rows=a.shape[0], name="b_basis")
+    a, b = _basis_pair(a_basis, b_basis)
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros(0)
     s = np.linalg.svd(a.T @ b, compute_uv=False)
@@ -83,8 +91,7 @@ def principal_cosines(a_basis, b_basis):
 def _reduced_pair(a_basis, b_basis, tol):
     """Split off the intersection: returns (a_reduced, b_reduced, dim_intersection)
     where the reduced bases span a ∩ J-perp and b ∩ J-perp for J = a ∩ b."""
-    a = as_matrix(a_basis)
-    b = as_matrix(b_basis, rows=a.shape[0])
+    a, b = _basis_pair(a_basis, b_basis)
     if a.shape[1] == 0 or b.shape[1] == 0:
         return a, b, 0
     x, s, yt = np.linalg.svd(a.T @ b, full_matrices=True)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -440,6 +441,56 @@ class TestTruncation:
         assert len(rows) == 2
 
 
+# The diagonal family's three entry points, on (p, r, d, max_iters);
+# diagonal_truncation_norms takes no horizon.
+DIAGONAL_ENTRY_POINTS = {
+    "truncation_sums": lambda p, r, d, n: truncation_sums(p, r, [d], Schedule.constant(1.0), n),
+    "run_diagonal_landweber":
+        lambda p, r, d, n: run_diagonal_landweber(p, r, d, Schedule.constant(1.0), n),
+    "diagonal_truncation_norms": lambda p, r, d, n: diagonal_truncation_norms(p, r, [d]),
+}
+BIG = 10 ** 6  # 7.6 MiB as one float64 array
+BAD_DIAGONAL_INPUT = [
+    # the first three used to run: a 2-step iterate, 2 components, and NaNs
+    (1.0, 0.6, BIG, 2.5, "max_iters must be a nonnegative integer, got 2.5"),
+    (1.0, 0.6, 2.5, 3, "dimensions must be positive integers below 2 ** 53, got [2.5]"),
+    (math.nan, 0.6, BIG, 3, "p must be finite and positive, got nan"),
+    (math.inf, 0.6, BIG, 3, "p must be finite and positive, got inf"),
+    (-1.0, 0.6, BIG, 3, "p must be finite and positive, got -1.0"),
+    (1.0, math.nan, BIG, 3, "r must be finite, got nan"),
+    (1.0, 0.6, 0, 3, "dimensions must be positive integers below 2 ** 53, got [0]"),
+    (1.0, 0.6, 2 ** 53, 3, "dimensions must be positive integers below 2 ** 53"),
+    (True, 0.6, BIG, 3, "p must be a number, got True"),
+    (1.0, 0.6, BIG, True, "max_iters must be a nonnegative integer, got True"),
+    (1.0, 0.6, BIG, -1, "max_iters must be a nonnegative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("entry, p, r, d, n, message", [
+    (entry, *case) for entry in DIAGONAL_ENTRY_POINTS for case in BAD_DIAGONAL_INPUT
+    if entry != "diagonal_truncation_norms" or case[3] == 3])
+def test_diagonal_family_refuses_bad_input(entry, p, r, d, n, message):
+    # with the same message at each entry point, before any array of length d exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DIAGONAL_ENTRY_POINTS[entry](p, r, d, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("entry", list(DIAGONAL_ENTRY_POINTS))
+def test_diagonal_family_checks_its_input_once(monkeypatch, entry):
+    calls = []
+    gate = problems._diagonal_gate
+    monkeypatch.setattr(problems, "_diagonal_gate",
+                        lambda *args: calls.append(args) or gate(*args))
+    DIAGONAL_ENTRY_POINTS[entry](1.0, 0.6, 100, 3)
+    assert len(calls) == 1
+
+
 def _sweep_schedule(kind, n):
     """A schedule of *kind* whose first *n* coefficients reach 1.9."""
     return {"constant": Schedule.constant(1.3),
@@ -460,6 +511,45 @@ def _run_config(tmp_path, capsys, cfg):
 
 
 RANDOM_GEOMETRY = {"type": "random", "dim": 6, "dim_u": 2, "dim_w": 2, "seed": 3}
+
+
+# A valid value of every field that each type of a section reads, and the
+# numeric top-level fields; the boolean rows are generated from them.
+GEOMETRY_FIELDS = {
+    "explicit": {"u_span": [[1, 0, 0], [0, 1, 1]], "w_span": [[0, 1, 0]],
+                 "u_point": [0, 0, 2], "w_point": [0, 0, 1]},
+    "random": {"dim": 6, "dim_u": 2, "dim_w": 3, "seed": 3, "offset_scale": 2, "shared_dims": 1},
+    "controlled_angle": {"angles_deg": [30, 60], "offset_norm": 0.5, "extra_dims": 1,
+                         "rotation_seed": 2},
+}
+U0_FIELDS = {"zero": {}, "explicit": {"value": [1, 0, 0]}, "random": {"seed": 1, "scale": 2}}
+TOP_FIELDS = {"max_iters": 100, "conv_tol": 1e-10, "intersection_tol": 1e-8}
+# (section, fields): every type of each section with all its fields set,
+# and the top-level fields, whose section is None
+FULL_SECTIONS = [
+    *(("geometry", {"type": kind, **fields}) for kind, fields in GEOMETRY_FIELDS.items()),
+    *(("u0", {"type": kind, **fields}) for kind, fields in U0_FIELDS.items()),
+    (None, TOP_FIELDS),
+]
+
+
+def _sections(section, fields):
+    """The scenario update that sets *fields* in *section*, or at the top level."""
+    return {section: fields} if section else fields
+
+
+def _with_true(value):
+    """*value* with True in its place, or in place of the first number of a list."""
+    return [_with_true(value[0]), *value[1:]] if isinstance(value, list) else True
+
+
+FULL_ROWS = [pytest.param(_sections(section, fields), id=f"{section}-{fields['type']}"
+                          if section else "top") for section, fields in FULL_SECTIONS]
+# one row per numeric field: a full section with True in that field
+BOOLEAN_ROWS = [
+    pytest.param(_sections(section, {**fields, key: _with_true(value)}),
+                 id="-".join(filter(None, (section, fields.get("type"), key))))
+    for section, fields in FULL_SECTIONS for key, value in fields.items() if key != "type"]
 
 
 class TestScenarioSections:
@@ -496,6 +586,11 @@ class TestScenarioSections:
         ({**RANDOM_GEOMETRY, "shared_dims": 3},
          "error: shared_dims cannot exceed either subspace dimension"),
         ({"type": "sphere"}, "error: unknown geometry type 'sphere'"),
+        # numpy made the list a number array, which hid the boolean, so these ran
+        ({"type": "explicit", "u_span": [[True, 0, 0]], "w_span": [[0, 1, 0]],
+          "w_point": [0, 0, 1]}, "error: u_span must hold only numbers"),
+        ({"type": "explicit", "u_span": [[1, 0, 0]], "w_span": [[0, True, 0]],
+          "w_point": [0, 0, 1]}, "error: w_span must hold only numbers"),
     ])
     def test_geometry(self, tmp_path, capsys, geometry, message):
         rc, captured, written = _run_config(tmp_path, capsys, self.scenario(geometry=geometry))
@@ -590,6 +685,26 @@ class TestScenarioSections:
         rc, captured, written = _run_config(tmp_path, capsys, self.scenario(**{section: value}))
         assert (rc, captured.out, written) == (2, "", [])
         assert f"{section} must be a JSON object" in captured.err
+
+    def test_boolean_rows_cover_every_field(self):
+        assert {kind: set(fields) for kind, fields in GEOMETRY_FIELDS.items()} == \
+            {kind: set(keys) for kind, keys in problems.GEOMETRY_KEYS.items()}
+        assert {kind: set(fields) for kind, fields in U0_FIELDS.items()} == \
+            {kind: set(keys) for kind, keys in cli.U0_KEYS.items()}
+        assert set(TOP_FIELDS) < cli.SCENARIO_KEYS
+
+    @pytest.mark.parametrize("sections", FULL_ROWS)
+    def test_full_sections_run(self, tmp_path, capsys, sections):
+        # so that a boolean row fails for its boolean alone
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(**sections))
+        assert (rc, captured.err) == (0, "")
+
+    @pytest.mark.parametrize("sections", BOOLEAN_ROWS)
+    def test_boolean_in_a_numeric_field(self, tmp_path, capsys, sections):
+        rc, captured, written = _run_config(tmp_path, capsys, self.scenario(**sections))
+        assert (rc, captured.out, written) == (2, "", [])
+        assert re.fullmatch(r"error: \w+ must (be a number|be a nonnegative integer"
+                            r"|hold only numbers)(, got True)?\n", captured.err), captured.err
 
     def test_boolean_version(self, tmp_path, capsys):
         # True == 1 in Python, so it used to run as version 1
@@ -850,6 +965,26 @@ class TestMain:
         assert rc == 3
         assert capsys.readouterr() == ("", "numerical failure: non-finite iterate_norm at d=10\n")
         assert not out_csv.exists()
+
+    def test_non_finite_diagnosis_gives_numerical_exit(self, tmp_path, capsys):
+        # s_n = 1e300 * 1e10 overflows, so s_n (2 - s_n) = -inf; it used to print
+        # "partial_sum": -Infinity, which strict JSON readers refuse, with exit 0
+        sched_file = tmp_path / "s.json"
+        sched_file.write_text(json.dumps({"kind": "constant", "value": 1e300}))
+        assert cli.main(["check-schedule", str(sched_file), "--mu", "1e10"]) == 3
+        assert capsys.readouterr() == (
+            "", "numerical failure: non-finite partial_sum in the JSON output\n")
+
+    def test_non_finite_summary_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the summary is checked before the first output file is opened
+        monkeypatch.setattr(cli, "rate_bound", lambda *args: SimpleNamespace(bound=math.inf))
+        rc, captured, written = _run_config(tmp_path, capsys, {
+            "version": 1, "geometry": {"type": "controlled_angle", "angles_deg": [30]},
+            "schedule": {"kind": "constant", "value": 1.0},
+            "outputs": {"trace_csv": "t.csv", "summary_json": "s.json"}})
+        assert (rc, written) == (3, [])
+        assert captured == ("", "numerical failure: non-finite theoretical_bound "
+                                "in the JSON output\n")
 
     @pytest.mark.parametrize("holder, attr", [(np.linalg, "svd"), (linalg, "sine_svd")])
     def test_svd_failure_gives_numerical_exit(self, tmp_path, monkeypatch, capsys,

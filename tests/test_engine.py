@@ -122,13 +122,23 @@ class TestRunAlternating:
         trace = run_alternating(q, g.w_offset, Schedule.explicit([]), u0, max_iters=4)
         assert trace.stop_reason == "schedule_exhausted" and trace.n_steps == 0
 
+    # a boolean used to pass as an integer and fail later with numpy's TypeError
     @pytest.mark.parametrize("kw", [dict(max_iters=-1), dict(max_iters=2.7),
-                                    dict(max_iters=2.0), dict(conv_tol=float("nan"))])
+                                    dict(max_iters=True), dict(conv_tol=float("nan"))])
     def test_rejects_bad_horizon_or_tolerance(self, kw):
         g = one_step_geometry()
         with pytest.raises(ValueError, match="max_iters|conv_tol"):
             run_alternating(build(g), g.w_offset, Schedule.constant(1.0),
                             np.array([1.0, 0.0, 0.0]), **kw)
+
+    def test_integral_float_horizon_runs_that_many_steps(self):
+        # as a scenario's "max_iters": 10.0 does; it used to be refused
+        g = one_step_geometry()
+        runs = [run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
+                                np.array([1.0, 0.0, 0.0]), max_iters=n, conv_tol=-1.0)
+                for n in (10, 10.0)]
+        assert [(t.stop_reason, t.n_steps) for t in runs] == [("max_iters", 10)] * 2
+        np.testing.assert_array_equal(runs[0].error_norms, runs[1].error_norms)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_converges_to_oracle_limit(self, seed):

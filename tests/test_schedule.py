@@ -123,7 +123,7 @@ class TestRuns:
 
     @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
     def test_negative_count_rejected(self, s):
-        with pytest.raises(ValueError, match="n must be nonnegative"):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer, got -1"):
             s.runs(-1)
 
     @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)

@@ -10,22 +10,23 @@ even when it starts with "-". ``altproj -h`` lists the verbs and
 command line that does not fit prints "error: ..." and the usage line on
 stderr, and ``main`` returns 2.
 
-Scenario files are JSON with a top-level "version" field; all randomness must
-be seeded so a scenario fully determines its outputs. Every CSV (run's trace
-and the --out of overrelax and truncate) is written as csv.writer writes it,
-each float as "%.17g", TRACE_BLOCK rows at a time, never held whole; the
-trace has the columns n, alpha_n, error_norm, residual_dW, rho_alpha_n. Every
-JSON (run's summary file and stdout, check-schedule's stdout) is indented by
-two with sorted keys. An output path that is a directory, or whose directory
-does not exist, is rejected before any work. check-schedule diagnoses an
-explicit schedule over at most its own terms; run reports only the verdict,
-with its max_iters as the horizon.
+Scenario and schedule files are JSON, read as UTF-8 (RFC 8259) whatever the
+locale. A scenario has a top-level "version" field; all randomness must be
+seeded so a scenario fully determines its outputs. Every CSV (run's trace and
+the --out of overrelax and truncate) is written as csv.writer writes it, each
+float as "%.17g", TRACE_BLOCK rows at a time, never held whole; the trace has
+the columns n, alpha_n, error_norm, residual_dW, rho_alpha_n. Every JSON (run's
+summary file and stdout, check-schedule's stdout) is indented by two with
+sorted keys. An output path that is a directory, or whose directory does not
+exist, is rejected before any work. check-schedule diagnoses an explicit
+schedule over at most its own terms; run reports only the verdict, with its
+max_iters as the horizon.
 
-Exit codes: 0 success, 2 config error (including an output file that cannot
-be written, and a MemoryError, from an allocation of the size that the
-configuration asked for), 3 numerical failure (an iteration that stops as
-"nonfinite", a truncate norm or a JSON value that is not finite, an SVD
-that fails to converge, or a violated normal equation).
+Exit codes: 0 success, 2 config error (including a file that cannot be read or
+is not UTF-8 JSON, an output file that cannot be written, and a MemoryError,
+from an allocation of the size that the configuration asked for), 3 numerical
+failure (an iteration that stops as "nonfinite", a truncate norm or a JSON
+value that is not finite, or an SVD that fails to converge).
 A run that stops for any other reason, including an explicit schedule that
 runs out of terms ("schedule_exhausted"), exits 0.
 The ALTPROJ_TOL environment variable overrides the global rank tolerance.
@@ -63,11 +64,11 @@ class ConfigError(ValueError):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import INTERSECTION_TOL, as_vector, readonly
+from .validation import INTERSECTION_TOL, as_vector, frozen
 from .subspace import project
 from . import linalg
 
@@ -77,11 +77,6 @@ class RestrictedProjector:
     nullspace_basis: np.ndarray
     tol: float
 
-    def __post_init__(self):
-        for name in ("right_vectors", "domain_basis", "codomain_basis", "constraint_basis",
-                     "sines", "nullspace_basis"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
-
     @property
     def matrix(self):
         """S Y^T, formed on each access: the operator from coordinates in
@@ -114,30 +109,27 @@ class LeastSquaresSet:
     nullspace_basis: np.ndarray
     residual_norm: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_norm_solution", readonly(self.min_norm_solution))
-        object.__setattr__(self, "nullspace_basis", readonly(self.nullspace_basis))
-
 
 def build(g, tol=INTERSECTION_TOL):
     """Analyze a canonicalized geometry: the restricted projector from one
     thin factorization (:func:`altproj.linalg.sine_svd`). *tol* is the
     intersection tolerance, in (0, 1); sines at or below
-    ``nullspace_cutoff(tol)`` span the null space."""
+    ``nullspace_cutoff(tol)`` span the null space. Nothing is copied: the
+    arrays it makes are frozen in place, and *g*'s bases stored as they are."""
     if not 0.0 < tol < 1.0:  # also rejects NaN
         raise ValueError(f"intersection tolerance must lie in (0, 1), got {tol!r}")
     if not g.is_canonical:
         raise ValueError("geometry must be canonicalized first (call .canonical())")
     a = g.u_space.basis
     b = g.w_space.basis
-    x, sigma, yt = linalg.sine_svd(a, b)
+    x, sigma, yt = map(frozen, linalg.sine_svd(a, b))
     return RestrictedProjector(
         right_vectors=yt,
         domain_basis=a,
         codomain_basis=x,
         constraint_basis=b,
         sines=sigma,
-        nullspace_basis=a @ yt[sigma <= nullspace_cutoff(tol)].T,
+        nullspace_basis=frozen(a @ yt[sigma <= nullspace_cutoff(tol)].T),
         tol=tol,
     )
 
@@ -175,10 +167,10 @@ def least_squares_set(q, w):
     Returns the minimum-norm solution, the null-space basis, and the optimal
     residual norm. The solution comes from the stored factorization: with
     the sines S_k above the null-space cutoff and their right singular
-    vectors Y_k, it is Y_k S_k^-1 X_k^T w. The normal equation is verified on
-    the truncated operator M_k = S_k Y_k^T. The residual is taken in ambient
-    coordinates, because w may have a component outside the range of the
-    codomain basis.
+    vectors Y_k, it is Y_k S_k^-1 X_k^T w. Its normal equation is checked by
+    the tests, on an operator formed from the bases, not from these factors.
+    The residual is taken in ambient coordinates, because w may have a
+    component outside the range of the codomain basis.
     """
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
     # ||B^T w|| is the distance from w to V-perp
@@ -186,17 +178,10 @@ def least_squares_set(q, w):
         raise ValueError("w must lie in the codomain (the complement of the constraint directions)")
     kept = q.kept
     yt_k, s_k = q.right_vectors[kept], q.sines[kept]
-    wc = q.codomain_basis.T @ w
-    wc_k = wc[kept]
-    sol_c = yt_k.T @ (wc_k / s_k)
-    # normal equation: M_k^T M_k s = M_k^T wc_k
-    m_k = s_k[:, None] * yt_k
-    ne = np.linalg.norm(m_k.T @ (m_k @ sol_c - wc_k))
-    if ne > 1e-10 * (1.0 + np.linalg.norm(wc)):
-        raise ArithmeticError("normal equation violated beyond tolerance; ill-conditioned input")
+    sol_c = yt_k.T @ ((q.codomain_basis.T @ w)[kept] / s_k)
     residual = float(np.linalg.norm(w - q.codomain_basis @ (q.matrix @ sol_c)))
     return LeastSquaresSet(
-        min_norm_solution=q.domain_basis @ sol_c,
+        min_norm_solution=frozen(q.domain_basis @ sol_c),
         nullspace_basis=q.nullspace_basis,
         residual_norm=residual,
     )

@@ -5,13 +5,16 @@ plus the canonical offset (the point of the subspace closest to the origin,
 which is orthogonal to the direction space). For the constraint set W with
 direction space V, the canonical offset is exactly the vector P_W 0 in V-perp
 that drives the whole least-squares analysis.
+
+The constructor checks its caller's input; the subspaces that the package
+builds (from_span, translate, canonical) are not checked again, but tested.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import as_matrix, as_vector, readonly
+from .validation import as_matrix, as_vector, frozen, readonly
 from . import linalg
 
 _ORTHO_ATOL = 1e-12
@@ -36,16 +39,24 @@ class AffineSubspace:
     def __post_init__(self):
         b = as_matrix(self.basis, name="basis")
         off = as_vector(self.offset, dim=b.shape[0], name="offset")
-        k = b.shape[1]
-        if k > 0:
-            gram_err = np.linalg.norm(b.T @ b - np.eye(k))
-            if gram_err > _ORTHO_ATOL * max(1.0, k):
-                raise ValueError("basis columns are not orthonormal")
-            comp = np.linalg.norm(b.T @ off)
-            if comp > _ORTHO_ATOL * (1.0 + np.linalg.norm(off)):
-                raise ValueError("offset is not canonical (not orthogonal to the basis)")
+        k = b.shape[1]  # with k = 0 both norms below are 0
+        if np.linalg.norm(b.T @ b - np.eye(k)) > _ORTHO_ATOL * max(1.0, k):
+            raise ValueError("basis columns are not orthonormal")
+        if np.linalg.norm(b.T @ off) > _ORTHO_ATOL * (1.0 + np.linalg.norm(off)):
+            raise ValueError("offset is not canonical (not orthogonal to the basis)")
         object.__setattr__(self, "basis", readonly(b))
         object.__setattr__(self, "offset", readonly(off))
+
+    @classmethod
+    def _made(cls, basis, offset):
+        """The subspace of the read-only orthonormal *basis* and an offset just
+        formed from it, frozen in place; only an offset that overflowed is refused."""
+        if not np.all(np.isfinite(offset)):
+            raise ValueError("offset contains non-finite entries")
+        a = object.__new__(cls)
+        object.__setattr__(a, "basis", basis)
+        object.__setattr__(a, "offset", frozen(offset))
+        return a
 
     @classmethod
     def from_span(cls, span, point=None):
@@ -55,8 +66,7 @@ class AffineSubspace:
         b = linalg.orthonormalize(span)
         d = b.shape[0]
         p = np.zeros(d) if point is None else as_vector(point, dim=d, name="point")
-        off = p - b @ (b.T @ p)
-        return cls(b, off)
+        return cls._made(readonly(b), p - b @ (b.T @ p))
 
     @property
     def dim_ambient(self):
@@ -69,8 +79,7 @@ class AffineSubspace:
     def translate(self, s):
         """The subspace shifted by the vector *s* (offset re-canonicalized)."""
         s = as_vector(s, dim=self.dim_ambient, name="shift")
-        off = self.offset + s - self.basis @ (self.basis.T @ s)
-        return AffineSubspace(self.basis, off)
+        return self._made(self.basis, self.offset + s - self.basis @ (self.basis.T @ s))
 
 
 def project(a, u):
@@ -131,7 +140,7 @@ class ProblemGeometry:
         if self.is_canonical:
             return self
         t = self.u_space.offset
-        u_lin = AffineSubspace(self.u_space.basis, np.zeros(self.dim_ambient))
+        u_lin = AffineSubspace._made(self.u_space.basis, np.zeros(self.dim_ambient))
         return ProblemGeometry(u_lin, self.w_space.translate(-t), self.shift + t)
 
 

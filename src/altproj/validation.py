@@ -89,7 +89,11 @@ def check_keys(cfg, allowed, section):
 
 
 def readonly(arr):
-    """Return a read-only view-safe copy of *arr* (immutability by construction)."""
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+    """A read-only float copy of *arr*, in its layout: for a caller's array."""
+    return frozen(np.array(arr, dtype=float, copy=True))
+
+
+def frozen(arr):
+    """*arr* itself, made read-only: for an array the package has just made."""
+    arr.setflags(write=False)
+    return arr

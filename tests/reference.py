@@ -328,3 +328,19 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
     if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):
         trace.estimated_rate = estimate_rate(trace.error_norms, window)
     return trace
+
+
+def normal_equation_residual(g, lss, w, tol=INTERSECTION_TOL):
+    """The normal-equation residual M^T (M x - C^T w) of the least-squares set
+    *lss* of the canonical geometry *g* and data *w*, with its part along the
+    reference null space projected out, and ||x||: x is the minimum-norm
+    solution in coordinates of U's basis A, and M = C^T A the operator formed
+    by :func:`reference_build` from the bases, so no factor of the package's
+    projector is read."""
+    ref = reference_build(g, tol)
+    a = g.u_space.basis
+    x = a.T @ lss.min_norm_solution
+    m = ref.matrix
+    r = m.T @ (m @ x - ref.codomain_basis.T @ w)
+    n = a.T @ ref.nullspace_basis
+    return float(np.linalg.norm(r - n @ (n.T @ r))), float(np.linalg.norm(x))

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -24,7 +23,9 @@ from altproj.schedule import Schedule, classify, diagnose
 from altproj.subspace import canonicalize
 
 from helpers import random_u0
-from reference import diagonal_landweber_reference, reference_build, reference_report
+from reference import (diagonal_landweber_reference, reference_build, reference_least_squares,
+                       reference_report)
+from rounding import EPS
 
 
 def scenario_path(name):
@@ -262,6 +263,38 @@ class TestRunScenario:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("case", ["point_on_u", "rotated_axes"])
+    def test_far_point_runs_and_matches_the_reference(self, tmp_path, capsys, case):
+        # a far point's offset rounds to the scale of the point, not of the
+        # offset; the public constructor's checks once refused both runs
+        # with exit 2, "offset is not canonical"
+        if case == "point_on_u":
+            # U is the line along (1, 1, 0) through the origin, W the z axis
+            geometry = {"type": "explicit", "u_span": [[1, 1, 0]], "w_span": [[0, 0, 1]],
+                        "u_point": [1e6, 1e6, 0], "w_point": [0, 0, 0]}
+            distance = 0.0
+        else:
+            # U = span(e1) through 1e4 e2 and W = span(e2) through e3 / 2, in
+            # rotated axes: two lines at right angles, 1/2 apart
+            rot = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+            geometry = {"type": "explicit", "u_span": [rot[:, 0].tolist()],
+                        "w_span": [rot[:, 1].tolist()], "u_point": (1e4 * rot[:, 1]).tolist(),
+                        "w_point": (0.5 * rot[:, 2]).tolist()}
+            distance = 0.5
+        rc, captured, _ = _run_config(tmp_path, capsys, {
+            "version": 1, "geometry": geometry, "schedule": {"kind": "constant", "value": 1.0}})
+        assert rc == 0, captured.err
+        summary = json.loads(captured.out)
+        g = canonicalize(geometry_from_config(geometry))
+        ref = reference_report(g)
+        _, ref_residual = reference_least_squares(reference_build(g), g.w_offset)
+        assert abs(summary["nu"] - ref.nu) <= 1e-10 and abs(summary["nu"] - 1.0) <= 1e-10
+        assert abs(summary["gamma"] - ref.gamma) <= 1e-8 and abs(summary["gamma"] - 1.0) <= 1e-8
+        # rounding that follows the far point
+        tol = 100 * EPS * np.linalg.norm(geometry["u_point"])
+        assert abs(summary["residual_at_limit"] - ref_residual) <= tol
+        assert abs(summary["residual_at_limit"] - distance) <= tol
 
 
 class TestOverrelaxation:
@@ -999,24 +1032,33 @@ class TestMain:
                          "--out-dir", str(tmp_path)]) == 3
         assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
-    def test_violated_normal_equation_gives_numerical_exit(self, tmp_path, monkeypatch, capsys):
-        cfg = {
-            "version": 1,
-            "geometry": {"type": "random", "dim": 6, "dim_u": 2, "dim_w": 2, "seed": 3},
-            "schedule": {"kind": "constant", "value": 1.0},
-        }
+    def test_scenario_is_read_as_utf8_under_the_c_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259); under the C locale a file opened with the
+        # locale's encoding is read as ASCII, and the degree sign is refused
+        cfg = json.loads(scenario_path("two_lines_30deg.json").read_text(encoding="utf-8"))
+        cfg["comment"] = "two lines at 30\u00b0 (\u0150)"
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, altproj.cli; sys.exit(altproj.cli.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", str(path), "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                 "PYTHONUTF8": "0"})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == cli.run_scenario(cfg, out_dir=tmp_path)
 
-        def tampered_build(g, tol):
-            # right singular vectors that are not orthonormal, so the solve
-            # taken from them misses the operator's normal equation
-            q = build(g, tol)
-            return dataclasses.replace(q, right_vectors=2.0 * q.right_vectors)
-
-        monkeypatch.setattr(cli, "build", tampered_build)
-        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
-        assert "numerical failure: normal equation violated" in capsys.readouterr().err
+    @pytest.mark.parametrize("verb", ["run", "check-schedule"])
+    def test_file_that_is_not_utf8_gives_config_exit_naming_it(self, tmp_path, capsys, verb):
+        path = tmp_path / "input.json"
+        path.write_bytes('{"version": 1, "comment": "30\u00b0"}'.encode("latin-1"))
+        argv = [verb, str(path)] + (["--mu", "1"] if verb == "check-schedule" else [])
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec "
+                                       "can't decode byte 0xb0")
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "1.5", "-1e-8"])
     def test_bad_intersection_tol_gives_config_exit(self, tmp_path, capsys, value):
@@ -1293,7 +1335,7 @@ class TestArgv:
         assert words >= {*positionals, *("--" + name.replace("_", "-") for name in options)}
 
     def test_readme_usage_block_matches_verbs(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Command line", 1)[1].split("```", 2)[1]
         documented = {}
         for line in block.strip().splitlines():

@@ -350,7 +350,7 @@ class TestClassify:
 
     def test_readme_names_every_verdict(self):
         # the check-schedule paragraph of README documents each verdict
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         paragraph = readme.split("\n- `check-schedule`", 1)[1].split("\n#", 1)[0]
         verdicts = {v for row in THEOREMS for v in (row[2], row[4])}
         assert len(verdicts) == 6

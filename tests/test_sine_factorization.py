@@ -11,8 +11,9 @@ from altproj.linalg import orthogonal_complement
 from altproj.projector import build, least_squares_set, limit_point, nullspace_cutoff
 
 from helpers import canonical_controlled, canonical_random, property_geometries
-from reference import (principal_cosines, reference_build, reference_least_squares,
-                       reference_report)
+from reference import (normal_equation_residual, principal_cosines, reference_build,
+                       reference_least_squares, reference_report)
+from rounding import normal_equation_bound
 
 SMALL_ANGLES = [2e-4, 1e-3, 0.5]
 
@@ -176,8 +177,9 @@ def test_projector_fields_are_thin():
 
 def test_sine_below_cutoff_is_dropped_from_solve_and_check():
     # sines 0.507 and 1.9e-6 (plus two rounding zeros): the second lies
-    # below the null-space cutoff, so the solve and the normal-equation check
-    # both drop it; the check once kept it and rejected the problem
+    # below the null-space cutoff, so the solve and the normal-equation
+    # oracle both drop it; the package's own check, now gone, once kept it
+    # and rejected the problem
     g = canonical_random(1160396831, dim=10, dim_u=4, dim_w=8, shared_dims=2)
     q, ref = build(g), reference_build(g)
     assert 1e-8 < q.sines[1] <= nullspace_cutoff(q.tol) < q.sines[0]
@@ -186,6 +188,8 @@ def test_sine_below_cutoff_is_dropped_from_solve_and_check():
     lss = least_squares_set(q, g.w_offset)
     assert np.linalg.norm(lss.min_norm_solution - sol_ref) <= 1e-12 * (1.0 + np.linalg.norm(sol_ref))
     assert lss.residual_norm == pytest.approx(residual_ref, abs=1e-12)
+    residual, x_norm = normal_equation_residual(g, lss, g.w_offset)
+    assert residual <= normal_equation_bound(10, 4, 8, x_norm, np.linalg.norm(g.w_offset))
     u0 = g.u_space.basis @ np.random.default_rng(0).standard_normal(4)
     n_ref = ref.nullspace_basis
     assert np.allclose(limit_point(q, g.w_offset, u0), sol_ref + n_ref @ (n_ref.T @ u0),

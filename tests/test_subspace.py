@@ -9,7 +9,11 @@ from altproj.subspace import (
     project_relaxed,
 )
 
-from reference import relaxed_w_projection_formula, translate_identity_check
+from altproj.projector import build, compute_report, least_squares_set
+
+from reference import (reference_build, reference_least_squares, reference_report,
+                       relaxed_w_projection_formula, translate_identity_check)
+from rounding import EPS
 
 X_AXIS = AffineSubspace.from_span(np.array([[1.0], [0.0]]))
 # the vertical line {(0, s, 1) : s real} in R^3
@@ -188,3 +192,37 @@ class TestValidation:
         a = AffineSubspace.from_span(np.array([[1.0, 2.0], [1.0, 2.0]]), point=[0.0, 2.0])
         assert a.dim == 1
         assert np.allclose(a.offset, [-1.0, 1.0])  # canonical: closest point to 0
+
+
+class TestFarPoints:
+    def test_far_point_on_a_random_span(self):
+        # p lies 1e6 out along the span and 1e-4 off it, so its offset,
+        # p - B (B^T p), rounds to the scale of ||p||; the subspace must
+        # still be built, and the run's angles and residual match the
+        # complement-based reference
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            span = rng.standard_normal((10, 3))
+            p = span @ rng.standard_normal(3) * 1e6 + 1e-4 * rng.standard_normal(10)
+            u = AffineSubspace.from_span(span, point=p)
+            w = AffineSubspace.from_span(rng.standard_normal((10, 4)), point=rng.standard_normal(10))
+            g = canonicalize(ProblemGeometry(u, w))
+            q = build(g)
+            report, ref_report = compute_report(q), reference_report(g)
+            _, ref_residual = reference_least_squares(reference_build(g), g.w_offset)
+            assert abs(report.nu - ref_report.nu) <= 1e-10
+            assert abs(report.gamma - ref_report.gamma) <= 1e-8
+            residual = least_squares_set(q, g.w_offset).residual_norm
+            assert abs(residual - ref_residual) <= 1e-12 * (1.0 + ref_residual)
+            # the offset is the step off the span, to rounding that follows ||p||
+            off = p - span @ np.linalg.lstsq(span, p, rcond=None)[0]
+            assert np.linalg.norm(u.offset - off) <= 100 * EPS * np.linalg.norm(p)
+
+    def test_offset_that_overflows_is_refused(self):
+        # B^T p overflows for a finite point this far out along (1, 1, 0)
+        span, far = np.array([[1.0], [1.0], [0.0]]), [1.7e308, 1.7e308, 0.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for build_it in (lambda: AffineSubspace.from_span(span, point=far),
+                             lambda: AffineSubspace.from_span(span).translate(far)):
+                with pytest.raises(ValueError, match="^offset contains non-finite entries$"):
+                    build_it()

@@ -29,7 +29,6 @@ failure (an iteration that stops as "nonfinite", a truncate norm or a JSON
 value that is not finite, or an SVD that fails to converge).
 A run that stops for any other reason, including an explicit schedule that
 runs out of terms ("schedule_exhausted"), exits 0.
-The ALTPROJ_TOL environment variable overrides the global rank tolerance.
 """
 
 import dataclasses
@@ -42,8 +41,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .validation import (INTERSECTION_TOL, as_count, as_real, as_vector, check_keys,
-                         global_tol)
+from .validation import INTERSECTION_TOL, as_count, as_real, as_vector, check_keys
 from .subspace import canonicalize
 from .projector import build, compute_report, least_squares_set
 from .schedule import Schedule, classify, diagnose
@@ -470,7 +468,6 @@ def main(argv=None):
         if handler is None:  # args is the help text
             print(args)
             return 0
-        global_tol()  # fail fast on a malformed ALTPROJ_TOL
         # a floating-point fault is reported by the exit code below, not by
         # numpy's warnings
         with np.errstate(all="ignore"):

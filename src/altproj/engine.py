@@ -25,6 +25,7 @@ import numpy as np
 from .schedule import filter_pair
 from .validation import as_count, as_vector
 from .subspace import project, project_relaxed
+from .linalg import lengths
 from . import projector as proj
 
 # A run whose error changes by less than STALL_RTOL relative over
@@ -98,9 +99,9 @@ def geometric_step(g, u, alpha):
 
 def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, divergence_cap=1e9):
     """Run the iteration u <- u + alpha_n Q*(w - Qu) from the restricted
-    projector *q* (:func:`altproj.projector.build`) and data *w* in its
-    codomain. With *w* the offset of W of a canonicalized geometry this is
-    the alternating iteration u <- P_U(u + alpha_n (P_W u - u)).
+    projector *q* (:func:`altproj.projector.build`) and data *w*. With *w*
+    the offset of W of a canonicalized geometry this is the alternating
+    iteration u <- P_U(u + alpha_n (P_W u - u)).
 
     An initial iterate outside U is silently projected and flagged on the
     trace. The run stops when the error reaches *conv_tol* ("converged"),
@@ -116,13 +117,17 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
 
     The run works in the coordinates z = Y^T A^T u, on the error d = z - z_lim
     and the residual vector rz = X^T w - s z, whose norm with
-    ||w - X X^T w|| gives the distance to W exactly, because w lies in V-perp
-    and R = X S Y^T. Since Y is orthogonal, ||d|| is the error of the
-    iterate. A step multiplies both elementwise by 1 - alpha_n s^2, so the
-    run advances a block of steps at a time (:func:`_block_sizes`) by prefix
-    products over the block, with no Python work per step, and tests the
-    stop rules on every step of the block at once. The trace keeps the
-    coordinates; ambient iterates A Y z are formed only when read.
+    ||w - X X^T w|| gives ||w - Qu|| exactly, because R = X S Y^T. That is
+    the trace's residual column: the distance to W when *w* lies in V-perp,
+    as the offset of a canonicalized geometry does, and the residual of the
+    least-squares problem 'Qu = w' otherwise. Since Y is orthogonal, ||d||
+    is the error of the iterate. Every such length is measured by
+    :func:`altproj.linalg.lengths`. A step multiplies both elementwise by
+    1 - alpha_n s^2, so the run advances a block of steps at a time
+    (:func:`_block_sizes`) by prefix products over the block, with no Python
+    work per step, and tests the stop rules on every step of the block at
+    once. The trace keeps the coordinates; ambient iterates A Y z are formed
+    only when read.
     """
     max_iters = as_count(max_iters, "max_iters")
     if math.isnan(conv_tol):
@@ -134,11 +139,11 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     u0 = np.asarray(u0, dtype=float)
     w = np.asarray(w, dtype=float)
     c = a.T @ u0
-    projected = bool(np.linalg.norm(u0 - a @ c) > 1e-10 * (1.0 + np.linalg.norm(u0)))
+    projected = bool(lengths(u0 - a @ c) > 1e-10 * (1.0 + lengths(u0)))
     z = yt @ c
     z_lim = yt @ (a.T @ limit)
     wc = x.T @ w
-    r_perp = float(np.linalg.norm(w - x @ wc))
+    r_perp = lengths(w - x @ wc)
 
     # The limit fixes the components of sines above the cutoff (rz_lim is
     # rounding there) and keeps those of zero sines, but a sine in
@@ -151,7 +156,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
 
     rz = wc - s * z
     d = z - z_lim
-    e_cap = divergence_cap * max(math.sqrt(d @ d), 1e-300)
+    e_cap = divergence_cap * max(lengths(d), 1e-300)
     errors, residuals, coords, iterate_steps, used = [], [], [], [], []
     # the errors of the STALL_WINDOW states before a block, NaN before state 0
     back = np.full(STALL_WINDOW, np.nan)
@@ -165,8 +170,8 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     blocks = schedule.stream(_block_sizes(s.size, max_iters))
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            e = np.sqrt(np.einsum("ij,ij->i", dd, dd))
-            res = np.hypot(r_perp, np.sqrt(np.einsum("ij,ij->i", rr, rr)))
+            e = lengths(dd)
+            res = np.hypot(r_perp, lengths(rr))
             hist = np.concatenate([back, e])
             back = hist[e.size:]
             steps = np.arange(n - e.size + 1, n + 1)
@@ -256,8 +261,7 @@ def error_recursion_check(q, schedule, e0, n):
     e0 = as_vector(e0, dim=q.domain_basis.shape[0], name="e0")
     nb = q.nullspace_basis
     if nb.shape[1] > 0:
-        comp = np.linalg.norm(nb.T @ e0)
-        if comp > 1e-10 * (1.0 + np.linalg.norm(e0)):
+        if lengths(nb.T @ e0) > 1e-10 * (1.0 + lengths(e0)):
             raise ValueError("e0 has a null-space component above tolerance")
     a, yt = q.domain_basis, q.right_vectors
     m = q.matrix

@@ -4,30 +4,37 @@ analysis takes: the angle report, least squares, the limit, the loop and the
 spectral check all read its singular values and vectors), and orthogonal
 complements (for the tests' reference only).
 
-Everything is backed by LAPACK via numpy.linalg; this module pins down the
-rank-tolerance conventions used throughout the package.
+Everything is backed by LAPACK via numpy.linalg. This module also holds the
+package's one rank cutoff, and its one measure of length (:func:`lengths`).
 """
 
 import numpy as np
 
-from .validation import as_matrix, global_tol
+from .validation import as_matrix
+
+# Every rank decision keeps the singular values above RANK_TOL * s_max: the
+# cutoff is relative to the data's own scale, so rank is scale invariant.
+RANK_TOL = 1e-10
+_TINY = np.finfo(float).tiny
+
+
+def _rank(s):
+    """The number of the nonincreasing singular values *s* above RANK_TOL * s_max."""
+    return int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size else 0
 
 
 def orthonormalize(columns):
     """Orthonormal basis of the column space of *columns*.
 
-    Rank-deficient input yields fewer columns; singular values below
-    ``global_tol() * s_max`` are treated as zero. A zero or empty input
-    returns a (d x 0) matrix rather than raising.
+    Rank-deficient input yields fewer columns; singular values at or below
+    ``RANK_TOL * s_max`` are treated as zero. A zero or empty input returns a
+    (d x 0) matrix rather than raising.
     """
     a = as_matrix(columns)
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((a.shape[0], 0))
-    rank = int(np.count_nonzero(s > global_tol() * s[0]))
-    return u[:, :rank]
+    return u[:, :_rank(s)]
 
 
 def sine_svd(a, b):
@@ -55,8 +62,34 @@ def orthogonal_complement(basis):
     if b.shape[1] == 0:
         return np.eye(d)
     u, s, _ = np.linalg.svd(b, full_matrices=True)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > global_tol() * s[0]))
-    return u[:, rank:]
+    return u[:, _rank(s):]
+
+
+def _sum_of_squares(a):
+    """The sum of squares of the vector *a*, by a BLAS dot, or of each row of
+    the matrix *a*, by one einsum."""
+    return a @ a if a.ndim == 1 else np.einsum("ij,ij->i", a, a)
+
+
+def lengths(a):
+    """The Euclidean length of the vector *a*, as a float, or of each row of
+    the matrix *a*, as an array: the square root of the sum of squares.
+
+    Where that sum overflows, or falls below the smallest normal float (a
+    zero row among them), the row is scaled by the power of two that brings
+    its largest entry into [1/2, 1), and its length scaled back. Scaling by
+    a power of two is exact, so such a length is right wherever it is a
+    finite float. Every other row keeps the bits of the plain sum, and is
+    read once; a row holding a NaN gives NaN.
+    """
+    # a sum that overflows is mended below; a length that does is inf
+    with np.errstate(over="ignore"):
+        sq = np.atleast_1d(_sum_of_squares(a))
+        out = np.sqrt(sq)
+        bad = np.flatnonzero((sq < _TINY) | (sq == np.inf))
+        if bad.size:
+            rows = np.atleast_2d(a)[bad]
+            e = np.frexp(np.abs(rows).max(axis=1, initial=0.0))[1]
+            scaled = np.ldexp(rows, -e[:, None])
+            out[bad] = np.ldexp(np.sqrt(_sum_of_squares(scaled if a.ndim == 2 else scaled[0])), e)
+    return out if a.ndim == 2 else float(out[0])

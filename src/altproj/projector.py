@@ -162,24 +162,23 @@ def compute_report(q):
 
 
 def least_squares_set(q, w):
-    """Least-squares solutions of 'Qu = w' as an affine set.
+    """Least-squares solutions of 'Qu = w' as an affine set, for any w in R^d.
 
     Returns the minimum-norm solution, the null-space basis, and the optimal
     residual norm. The solution comes from the stored factorization: with
     the sines S_k above the null-space cutoff and their right singular
-    vectors Y_k, it is Y_k S_k^-1 X_k^T w. Its normal equation is checked by
-    the tests, on an operator formed from the bases, not from these factors.
-    The residual is taken in ambient coordinates, because w may have a
-    component outside the range of the codomain basis.
+    vectors Y_k, it is Y_k S_k^-1 X_k^T w. The kept left vectors X_k lie in
+    V-perp, so this is the minimum-norm least-squares solution whatever
+    component w has in V, and ||w - R c|| its residual. Its normal equation
+    is checked by the tests, on an operator formed from the bases, not from
+    these factors. The residual is taken in ambient coordinates, because w
+    may have a component outside the range of the codomain basis.
     """
     w = as_vector(w, dim=q.codomain_basis.shape[0], name="w")
-    # ||B^T w|| is the distance from w to V-perp
-    if np.linalg.norm(q.constraint_basis.T @ w) > 1e-10 * (1.0 + np.linalg.norm(w)):
-        raise ValueError("w must lie in the codomain (the complement of the constraint directions)")
     kept = q.kept
     yt_k, s_k = q.right_vectors[kept], q.sines[kept]
     sol_c = yt_k.T @ ((q.codomain_basis.T @ w)[kept] / s_k)
-    residual = float(np.linalg.norm(w - q.codomain_basis @ (q.matrix @ sol_c)))
+    residual = linalg.lengths(w - q.codomain_basis @ (q.matrix @ sol_c))
     return LeastSquaresSet(
         min_norm_solution=frozen(q.domain_basis @ sol_c),
         nullspace_basis=q.nullspace_basis,

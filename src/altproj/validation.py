@@ -1,38 +1,19 @@
-"""Input checks and the global tolerance policy.
+"""Input checks.
 
 Each input is checked once, by the entry point that receives it, on the
 value its caller passed (a JSON list, not an array made from it, so that a
 boolean is seen), with one checker per kind: as_real, as_count, and
 as_vector and as_matrix, which share one body. A bad value raises
 ValueError; none is truncated.
-
-All rank decisions in the package use a single *relative* tolerance,
-never an absolute cutoff, so that subspace geometry is scale invariant.
 """
 
 import numbers
-import os
 
 import numpy as np
-
-DEFAULT_TOL = 1e-10
 
 # Threshold on principal cosines used to detect subspace intersections
 # (cosine >= 1 - INTERSECTION_TOL counts as an intersection direction).
 INTERSECTION_TOL = 1e-8
-
-ENV_TOL = "ALTPROJ_TOL"
-
-
-def global_tol():
-    """Global relative rank tolerance, overridable via the ALTPROJ_TOL env var."""
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return DEFAULT_TOL
-    tol = float(raw)
-    if not np.isfinite(tol) or tol <= 0:
-        raise ValueError(f"{ENV_TOL} must be a positive finite number, got {raw!r}")
-    return tol
 
 
 def as_real(x, name="value"):

@@ -1,7 +1,9 @@
 """Shared construction helpers for the test suite."""
 
+import os
+
 import numpy as np
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from altproj.problems import controlled_angle_geometry, random_geometry
 
@@ -58,3 +60,13 @@ def property_geometries(draw):
     shared = k if kind == "nested" else draw(st.integers(1, k))
     return canonical_random(seed, dim=dim, dim_u=dim_u, dim_w=dim_w, shared_dims=shared,
                             offset_scale=draw(st.floats(0.1, 10.0)))
+
+
+def property_settings(max_examples):
+    """The Hypothesis settings of every property: *max_examples* examples,
+    derandomized, with no deadline. With the environment variable
+    HYPOTHESIS_PROFILE=wide, ten times as many examples, drawn afresh on
+    each run."""
+    if os.environ.get("HYPOTHESIS_PROFILE") == "wide":
+        return settings(max_examples=10 * max_examples, deadline=None)
+    return settings(max_examples=max_examples, deadline=None, derandomize=True)

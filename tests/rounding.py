@@ -107,3 +107,39 @@ def normal_equation_bound(d, k_u, k_w, sol_norm, w_norm):
     is at most 4 gamma(d (k_u + k_w + 2)) (2 ||x|| + ||w||).
     """
     return 4.0 * gamma(d * (k_u + k_w + 2)) * (2.0 * sol_norm + w_norm)
+
+
+def least_squares_agreement_bounds(d, k_u, k_w, sines, cutoff, x_norm, r_norm, w_norm):
+    """Bounds on how far the least-squares solution and residual of the
+    package, for data w of norm *w_norm* and any direction, may lie from
+    those of ``np.linalg.lstsq`` on R = A - B (B^T A) formed by the test,
+    truncated at the same *cutoff*: a pair (on ||x - x'||, on |r - r'|).
+    *sines* are the package's singular values of R, *x_norm* and *r_norm*
+    the norms of lstsq's solution and residual.
+
+    Each side solves the problem of a matrix R + E with ||E|| <= eta,
+    eta = gamma(d (k_u + k_w + 2)), as in normal_equation_bound (forming R,
+    its SVD or lstsq's, and the rounding of the solution), and ||R|| <= 1.
+    Let sigma be the smallest kept sine and delta its gap to the largest
+    dropped one (sigma itself if none is dropped). When no sine lies within
+    2 eta of the cutoff and delta > 4 eta, both sides keep the same sines
+    (Weyl), and the kept singular subspaces of R + E turn by at most
+    eta / delta (Wedin), so the truncated operators differ from the exact
+    truncation by tau = eta (1 + 2 / delta) at most. Wedin's three-term
+    expansion of the pseudo-inverse of a perturbation of the same rank
+    then moves the solution by at most tau (2 ||x|| / sigma + ||r|| /
+    (sigma - eta)^2), and the residual, the distance from w to the range,
+    by at most tau (||x|| + 2 ||w|| / sigma). Each side lies that far from
+    the exact truncated problem, hence the factor 2. A margin that fails
+    raises ValueError; with no sine kept both solutions are 0, and sigma
+    and delta are taken as 1.
+    """
+    eta = gamma(d * (k_u + k_w + 2))
+    kept, dropped = sines[sines > cutoff], sines[sines <= cutoff]
+    sigma = float(kept.min()) if kept.size else 1.0
+    delta = sigma - float(dropped.max()) if kept.size and dropped.size else sigma
+    if delta <= 4 * eta or np.any(np.abs(sines - cutoff) <= 2 * eta):
+        raise ValueError("a sine lies too near the cutoff for the same truncation")
+    tau = eta * (1.0 + 2.0 / delta)
+    return (2 * tau * (2 * x_norm / sigma + r_norm / (sigma - eta) ** 2),
+            2 * tau * (x_norm + 2 * w_norm / sigma))

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from altproj import engine
 from altproj.engine import run_alternating
@@ -22,7 +22,7 @@ from altproj.projector import build, limit_point
 from altproj.schedule import KINDS, Schedule
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
-from helpers import property_geometries, random_u0
+from helpers import property_geometries, property_settings, random_u0
 from reference import geometric_reference, stepwise_reference
 
 
@@ -62,7 +62,7 @@ def schedule_of(kind, hi, seed, length):
     }[kind]()
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@property_settings(150)
 @given(property_geometries(), st.sampled_from(KINDS), st.integers(0, 5), st.integers(-1, 1),
        st.sampled_from([1.0, 4.0]), st.sampled_from([1e-9, 1e-6]), st.integers(0, 2 ** 31 - 1))
 def test_block_loop_matches_stepwise_reference_at_block_edges(g, kind, edge, offset, reach,

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from altproj import cli, linalg, problems
 from altproj.engine import contraction_factor, run_alternating
@@ -22,10 +22,10 @@ from altproj.projector import build
 from altproj.schedule import Schedule, classify, diagnose
 from altproj.subspace import canonicalize
 
-from helpers import random_u0
+from helpers import property_settings, random_u0
 from reference import (diagonal_landweber_reference, reference_build, reference_least_squares,
                        reference_report)
-from rounding import EPS
+from rounding import EPS, gamma
 
 
 def scenario_path(name):
@@ -296,6 +296,68 @@ class TestRunScenario:
         assert abs(summary["residual_at_limit"] - ref_residual) <= tol
         assert abs(summary["residual_at_limit"] - distance) <= tol
 
+    @pytest.mark.parametrize("scale", [1e6, 1e8, 1e10])
+    def test_far_point_of_w_runs(self, tmp_path, capsys, scale):
+        """U = span(Q e1) and W = span(Q e2) through s Q e2 + Q e3 / 2, with Q
+        orthogonal: two lines at right angles, 1/2 apart, whose point on W
+        lies s along W. The offset of W rounds to the scale of that point,
+        and least_squares_set once re-tested it against 1e-10 (1 + ||w||),
+        so the run exited 2 ("w must lie in the codomain ...").
+
+        The bound: from_span forms o = fl(p - b fl(b^T p)) from the point p
+        and its computed basis b, which makes an angle theta with Q e2 of at
+        most gram_bound(d, 1) / 3 = 2 gamma(d + 1) (the perturbation of an
+        SVD factor). So o lies within ||p|| theta + (gamma(d) + gamma(1))
+        ||p|| + u ||o|| of Q e3 / 2, and the residual, the distance from o to
+        the range of the operator, a line within theta of Q e1, is 1-Lipschitz
+        in o and moves by at most theta / 2 with the line. Everything else is
+        rounding of data of norm 1/2. With gamma(d) + gamma(1) <= gamma(d + 1),
+        the sum is at most 4 gamma(d + 1) (||p|| + 1), as ||o|| <= 1.
+        """
+        rot = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        w_point = scale * rot[:, 1] + 0.5 * rot[:, 2]
+        geometry = {"type": "explicit", "u_span": [rot[:, 0].tolist()],
+                    "w_span": [rot[:, 1].tolist()], "w_point": w_point.tolist()}
+        rc, captured, _ = _run_config(tmp_path, capsys, {
+            "version": 1, "geometry": geometry, "schedule": {"kind": "constant", "value": 1.0}})
+        assert rc == 0, captured.err
+        summary = json.loads(captured.out)
+        bound = 4 * gamma(3 + 1) * (np.linalg.norm(w_point) + 1.0)
+        assert abs(summary["residual_at_limit"] - 0.5) <= bound
+
+    @pytest.mark.parametrize("k", [-600, 515, 600])
+    def test_lengths_whose_squares_leave_the_float_range(self, tmp_path, capsys, k):
+        # two_lines_30deg with the offset and u0 scaled by 2^k: the squares
+        # of every length underflow (k = -600), which once "converged" after
+        # 0 steps with residual_at_limit 0, or overflow, which once exited 3.
+        # Scaling by 2^k is exact, so the run must be the unscaled run, and
+        # every length 2^k times its length, bit for bit
+        runs = []
+        for j in (0, k):
+            cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
+            cfg["geometry"]["offset_norm"] = math.ldexp(cfg["geometry"]["offset_norm"], j)
+            cfg["u0"]["value"] = [math.ldexp(x, j) for x in cfg["u0"]["value"]]
+            cfg.update(max_iters=200, conv_tol=0)
+            out = tmp_path / f"out{j}"
+            out.mkdir()
+            cfg_path = out / "scenario.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert cli.main(["run", str(cfg_path), "--out-dir", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            summary = json.loads((out / cfg["outputs"]["summary_json"]).read_text())
+            with open(out / cfg["outputs"]["trace_csv"], newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            runs.append((summary, rows))
+        (plain, plain_rows), (scaled, scaled_rows) = runs
+        assert (scaled["stop_reason"], scaled["iters"]) == (plain["stop_reason"], plain["iters"])
+        assert (plain["stop_reason"], plain["iters"]) == ("max_iters", 200)
+        for key in ("final_error", "residual_at_limit"):
+            assert scaled[key] == math.ldexp(plain[key], k)
+        assert len(scaled_rows) == len(plain_rows) == 200
+        for row, plain_row in zip(scaled_rows, plain_rows):
+            for key in ("error_norm", "residual_dW"):
+                assert float(row[key]) == math.ldexp(float(plain_row[key]), k)
+
 
 class TestOverrelaxation:
     def test_verdicts_flip_at_the_scaled_boundary(self):
@@ -330,7 +392,7 @@ class TestTruncation:
         rows = cli.truncation_study(0.5, 1.0, [5], max_iters=5000)
         assert rows[0]["iterate_norm"] == pytest.approx(rows[0]["limit_norm"], rel=1e-6)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @property_settings(60)
     @given(st.floats(0.1, 3.0), st.floats(-1.0, 2.0), st.integers(1, 2000), st.data())
     def test_closed_form_matches_step_by_step_iteration(self, p, r, d, data):
         # coefficients up to 1.95 against sigma_1^2 = 1 reach alpha sigma^2 > 1,
@@ -906,20 +968,30 @@ class TestMain:
         assert cli.main(["check-schedule", str(sched_file), "--mu", "1.0"]) == 2
         assert capsys.readouterr() == ("", message)
 
-    def test_malformed_tol_env_gives_config_exit(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ALTPROJ_TOL", "not-a-number")
-        assert cli.main(["run", str(scenario_path("two_lines_30deg.json")),
-                         "--out-dir", str(tmp_path)]) == 2
-        for value in ["0", "-1", "inf", "nan"]:  # read, but not a positive finite tolerance
-            capsys.readouterr()
-            monkeypatch.setenv("ALTPROJ_TOL", value)
-            assert cli.main(["run", str(scenario_path("two_lines_30deg.json")),
-                             "--out-dir", str(tmp_path)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == (f"error: ALTPROJ_TOL must be a positive finite number, "
-                                    f"got {value!r}\n")
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("value", ["1e-3", "not-a-number"])
+    def test_run_reads_no_tolerance_variable(self, tmp_path, monkeypatch, capsys, value):
+        # ALTPROJ_TOL once set the rank cutoff, which no scenario records: at
+        # 1e-3 it cut U's span (singular values ~1.4 and ~7e-7) to a line 1/2
+        # from W, and a value that is not a number made every verb exit 2
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "geometry": {"type": "explicit", "u_span": [[1, 0, 0], [1, 1e-6, 0]],
+                         "w_span": [[0, 0, 1]], "w_point": [0, 0.5, 0]},
+            "schedule": {"kind": "constant", "value": 1.0},
+            "outputs": {"trace_csv": "trace.csv", "summary_json": "summary.json"}}))
+        outputs = []
+        for setting in (None, value):
+            if setting is not None:
+                monkeypatch.setenv("ALTPROJ_TOL", setting)
+            out = tmp_path / f"out{len(outputs)}"
+            out.mkdir()
+            rc = cli.main(["run", str(path), "--out-dir", str(out)])
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            outputs.append((rc, capsys.readouterr(), files))
+        assert outputs[0][0] == 0 and len(outputs[0][2]) == 2
+        assert json.loads(outputs[0][1].out)["residual_at_limit"] <= EPS  # U is a plane
+        assert outputs[1] == outputs[0]
 
     def test_scenario_that_is_not_json_gives_config_exit(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -972,18 +1044,24 @@ class TestMain:
         assert "unknown scenario keys: max_iter" in capsys.readouterr().err
 
     def test_overflowing_iterate_gives_numerical_exit(self, tmp_path, capsys):
+        # the first step multiplies the error, 1e10, by 1 - 1e308 / 4; from
+        # u0 = e1 the product is finite, 2.5e307, and the run stops as
+        # "diverged": only its square overflowed, which once exited 3
         cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
         cfg["schedule"] = {"kind": "constant", "value": 1e308}
+        cfg["u0"] = {"type": "explicit", "value": [1e10, 0, 0]}
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
         assert "non-finite error norm or residual at step 1" in capsys.readouterr().err
 
     def test_overflowing_squares_give_only_the_named_failure(self, tmp_path, capsys):
-        # the data are finite but their squared norms overflow; numpy's
-        # overflow warnings stay off stderr, which names the failure alone
-        geometry = {"type": "random", "dim": 4, "dim_u": 2, "dim_w": 2, "seed": 1,
-                    "offset_scale": 1e155}
+        # the data are finite, but the distance between the two parallel
+        # lines, 2.1e308, is not a float; numpy's overflow warnings stay off
+        # stderr, which names the failure alone. Data whose squares overflow
+        # while their lengths do not run (test_lengths_whose_squares_...)
+        geometry = {"type": "explicit", "u_span": [[1, 0, 0]], "w_span": [[1, 0, 0]],
+                    "w_point": [0, 1.5e308, 1.5e308]}
         rc, captured, _ = _run_config(tmp_path, capsys, {
             "version": 1, "geometry": geometry, "schedule": {"kind": "constant", "value": 1.0}})
         assert rc == 3
@@ -1346,11 +1424,17 @@ class TestArgv:
                               for verb, (_, _, _, options) in cli.VERBS.items()}
 
     def test_import_and_call_load_no_argparse(self, tmp_path):
-        # in a fresh interpreter: pytest itself has loaded argparse here
+        # in a fresh interpreter: pytest itself has loaded argparse here.
+        # numpy.random, which only the seeded geometries and u0 read, costs
+        # about 10 ms and 6 MiB to import; a verb that draws nothing must
+        # not load it
+        (tmp_path / "constant.json").write_text(json.dumps({"kind": "constant", "value": 1.0}))
         code = ("import sys, altproj.cli\n"
                 "rc = altproj.cli.main(['truncate', '--p', '1', '--r', '0.6', '--dims', '10',"
                 " '--max-iters', '5'])\n"
-                "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+                "rc += altproj.cli.main(['check-schedule', 'constant.json', '--mu', '1'])\n"
+                "print(rc, sorted({'argparse', 'gettext', 'locale', 'numpy.random'}"
+                " & set(sys.modules)))\n")
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,

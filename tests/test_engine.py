@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from altproj import engine
 from altproj.projector import compute_report
@@ -17,8 +17,8 @@ from altproj.projector import build, distance_to_w, limit_point, nullspace_cutof
 from altproj.schedule import Schedule, filter_pair
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
-from helpers import (canonical_controlled, canonical_random, property_geometries, random_u0,
-                     well_conditioned_problem)
+from helpers import (canonical_controlled, canonical_random, property_geometries,
+                     property_settings, random_u0, well_conditioned_problem)
 from reference import geometric_reference, sym_eig
 
 
@@ -81,6 +81,15 @@ class TestRunAlternating:
                                 np.array([1.0, 2.0, 3.0]), max_iters=5, conv_tol=-1.0)
         assert trace.u0_projected
         assert np.allclose(trace.iterates[0], [1.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
+    def test_far_initial_point_outside_domain_is_flagged(self, scale):
+        # the off-U part of u0 is as far as u0; its squared norm overflows
+        # past 1e154, which once left a u0 of 1e160 unflagged
+        g = one_step_geometry()
+        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
+                                np.array([0.0, 0.0, scale]), max_iters=1)
+        assert trace.u0_projected
 
     def test_iterate_thinning(self, monkeypatch):
         monkeypatch.setattr(engine, "THIN_AFTER", 10)
@@ -200,7 +209,7 @@ class TestRunLandweber:
             assert np.linalg.norm(comp) < 1e-10
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), st.integers(0, 2**31 - 1), st.floats(0.1, 10.0))
 def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
     q = build(g)
@@ -226,7 +235,7 @@ def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
         assert abs(r - distance_to_w(g, u)) <= 1e-13 * max(1.0, np.linalg.norm(u), np.linalg.norm(w))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), st.floats(0.05, 1.0), st.integers(0, 2**31 - 1))
 def test_trajectory_is_filter_polynomial_times_initial_error(g, eps, seed):
     # over the kept sines s_k, the error component along each right singular
@@ -249,7 +258,7 @@ def test_trajectory_is_filter_polynomial_times_initial_error(g, eps, seed):
         assert np.max(np.abs(comps[n] - f * comps[0])) <= 1e-12 * e0
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), st.floats(0.05, 1.0), st.integers(0, 2**31 - 1))
 def test_empirical_rate_within_rate_bound(g, eps, seed):
     # every step scales the error by at most max_i |1 - alpha sigma_i^2| over the
@@ -282,6 +291,14 @@ class TestErrorRecursion:
         e0 = g.u_space.basis[:, 0]
         it, sp = error_recursion_check(q, Schedule.constant(1.0), e0, 0)
         assert np.allclose(it, e0, atol=1e-14) and np.allclose(sp, e0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160])
+    def test_refuses_an_initial_error_along_the_null_space(self, scale):
+        g = canonical_random(2, dim=8, dim_u=4, dim_w=3, shared_dims=1)
+        q = build(g)
+        e0 = scale * q.nullspace_basis[:, 0]
+        with pytest.raises(ValueError, match="null-space component"):
+            error_recursion_check(q, Schedule.constant(1.0), e0, 1)
 
     @pytest.mark.parametrize("n", [1, 5, 20])
     def test_single_angle_closed_form(self, n):

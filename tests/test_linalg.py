@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,13 +30,22 @@ class TestOrthonormalize:
         assert b.shape == (2, 1)
         assert np.allclose(np.abs(b[:, 0]), [1 / np.sqrt(2)] * 2, atol=1e-14)
 
-    def test_rank_cutoff_follows_env_tolerance(self, monkeypatch):
-        # singular values ~1.4 and ~7e-7: kept at the default relative
-        # cutoff 1e-10, dropped at 1e-3
+    def test_rank_cutoff_is_relative(self):
+        # singular values ~1.4 and ~7e-7: kept at the relative cutoff
+        # RANK_TOL = 1e-10, at every scale of the data
+        columns = np.array([[1.0, 1.0], [0.0, 1e-6]])
+        assert linalg.RANK_TOL == 1e-10
+        for j in (-500, 0, 500):
+            assert linalg.orthonormalize(2.0 ** j * columns).shape == (2, 2)
+
+    @pytest.mark.parametrize("value", ["1e-3", "not-a-number"])
+    def test_rank_cutoff_reads_no_environment_variable(self, monkeypatch, value):
+        # ALTPROJ_TOL once set the cutoff: 1e-3 dropped the second column,
+        # and a value that is not a number failed every call
+        monkeypatch.setenv("ALTPROJ_TOL", value)
         columns = np.array([[1.0, 1.0], [0.0, 1e-6]])
         assert linalg.orthonormalize(columns).shape == (2, 2)
-        monkeypatch.setenv("ALTPROJ_TOL", "1e-3")
-        assert linalg.orthonormalize(columns).shape == (2, 1)
+        assert linalg.orthogonal_complement(columns).shape == (2, 0)
 
     def test_zero_columns_give_empty_basis(self):
         assert linalg.orthonormalize(np.zeros((3, 2))).shape == (3, 0)
@@ -179,3 +190,38 @@ class TestOrthogonalComplement:
         assert c.shape == (7, 4)
         assert frob(b.T @ c) < 1e-12
         assert frob(c.T @ c - np.eye(4)) < 1e-12
+
+
+class TestLengths:
+    """:func:`linalg.lengths`, the one measure of length of the engine's error
+    norms, residuals and divergence cap, and of the least-squares residual."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 25])
+    def test_in_range_rows_keep_the_bits_of_the_plain_sum(self, k):
+        rows = np.random.default_rng(k).standard_normal((40, k))
+        assert np.array_equal(linalg.lengths(rows), np.sqrt(np.einsum("ij,ij->i", rows, rows)))
+        for row in rows:
+            assert linalg.lengths(row) == float(np.linalg.norm(row))
+
+    @pytest.mark.parametrize("j", [-1074 + 60, -600, 515, 600, 1023 - 10])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_scaling_by_a_power_of_two_scales_every_length_exactly(self, j, k):
+        # rows of norm about 1 scaled by 2^j: their squares underflow or
+        # overflow, their lengths do not
+        rows = np.random.default_rng(k).uniform(0.5, 1.0, (30, k))
+        scaled = np.ldexp(rows, j)
+        assert np.array_equal(linalg.lengths(scaled), np.ldexp(linalg.lengths(rows), j))
+        for row, row_scaled in zip(rows, scaled):
+            assert linalg.lengths(row_scaled) == math.ldexp(linalg.lengths(row), j)
+
+    def test_edge_rows(self):
+        rows = np.array([[0.0, 0.0], [3e-320, 4e-320], [np.nan, 1.0], [np.inf, 1.0],
+                         [1.5e308, 1.5e308], [-3 * 2.0 ** 600, 4 * 2.0 ** 600]])
+        got = linalg.lengths(rows)
+        assert got[0] == 0.0
+        assert got[1] == np.hypot(3e-320, 4e-320)  # subnormal entries
+        assert np.isnan(got[2])
+        assert got[3] == got[4] == np.inf  # a length past the largest float
+        assert got[5] == 5 * 2.0 ** 600
+        assert linalg.lengths(np.zeros(0)) == 0.0
+        assert linalg.lengths(np.zeros((2, 0))).tolist() == [0.0, 0.0]

@@ -10,19 +10,21 @@ must hold at every scale.
 """
 
 import dataclasses
+import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from altproj import cli
 from altproj.linalg import orthonormalize
 from altproj.problems import geometry_from_config, random_geometry
-from altproj.projector import build, least_squares_set
+from altproj.projector import build, least_squares_set, nullspace_cutoff
 from altproj.subspace import AffineSubspace, ProblemGeometry, canonicalize
 
-from helpers import property_geometries
+from helpers import property_geometries, property_settings
 from reference import normal_equation_residual
-from rounding import canonical_offset_bound, gram_bound, gram_error, normal_equation_bound
+from rounding import (canonical_offset_bound, gram_bound, gram_error,
+                      least_squares_agreement_bounds, normal_equation_bound)
 
 SCALES = st.integers(-60, 60)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -41,7 +43,7 @@ def far_point(rng, a, j):
                        + rng.standard_normal(a.dim_ambient))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), SCALES, SEEDS)
 def test_orthonormalize_gram_error_within_bound(g, j, seed):
     rng = np.random.default_rng(seed)
@@ -52,7 +54,7 @@ def test_orthonormalize_gram_error_within_bound(g, j, seed):
         assert gram_error(basis) <= gram_bound(*basis.shape)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), SCALES, SEEDS)
 def test_from_span_offset_is_canonical_to_the_scale_of_the_point(g, j, seed):
     rng = np.random.default_rng(seed)
@@ -62,7 +64,7 @@ def test_from_span_offset_is_canonical_to_the_scale_of_the_point(g, j, seed):
         assert norm(made.basis.T @ made.offset) <= canonical_offset_bound(made.basis, norm(p))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), SCALES, SEEDS)
 def test_translate_offset_is_canonical_to_the_scale_of_the_shift(g, j, seed):
     rng = np.random.default_rng(seed)
@@ -75,7 +77,7 @@ def test_translate_offset_is_canonical_to_the_scale_of_the_shift(g, j, seed):
             prior + canonical_offset_bound(a.basis, norm(a.offset) + norm(s))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), SCALES, SEEDS)
 def test_canonical_offsets_are_canonical_to_the_scale_of_the_shift(g, j, seed):
     rng = np.random.default_rng(seed)
@@ -89,7 +91,7 @@ def test_canonical_offsets_are_canonical_to_the_scale_of_the_shift(g, j, seed):
         b, norm(w_off) + norm(t))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), SCALES)
 def test_least_squares_solution_meets_normal_equation(g, j):
     w = 2.0 ** j * g.w_offset
@@ -97,6 +99,33 @@ def test_least_squares_solution_meets_normal_equation(g, j):
     residual, x_norm = normal_equation_residual(g, lss, w)
     assert residual <= normal_equation_bound(g.dim_ambient, g.u_space.dim, g.w_space.dim,
                                              x_norm, norm(w))
+
+
+@property_settings(80)
+@given(property_geometries(), SCALES, st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12))
+def test_least_squares_set_matches_lstsq_for_data_with_a_v_component(g, j, v):
+    # w = the offset plus B v: not in V-perp, which the package once refused
+    a, b = g.u_space.basis, g.w_space.basis
+    d, k_u, k_w = g.dim_ambient, a.shape[1], b.shape[1]
+    w = 2.0 ** j * (g.w_offset + b @ np.array(v[:k_w]))
+    q = build(g)
+    lss = least_squares_set(q, w)
+    r = a - b @ (b.T @ a)  # from the bases, not from the package's factors
+    s1 = np.linalg.svd(r, compute_uv=False)[0] if k_u else 0.0
+    cutoff = nullspace_cutoff(q.tol)
+    # lstsq cuts the singular values at or below rcond * s1; LAPACK's solver
+    # skips the cut for one column, so with nothing kept the oracle is 0
+    coef = np.linalg.lstsq(r, w, rcond=cutoff / s1)[0] if s1 > cutoff else np.zeros(k_u)
+    x = a @ coef
+    # the test's norms by math.hypot, whose squares neither overflow nor underflow
+    x_norm, r_norm = math.hypot(*x), math.hypot(*(w - r @ coef))
+    try:
+        bound_x, bound_r = least_squares_agreement_bounds(d, k_u, k_w, q.sines, cutoff,
+                                                          x_norm, r_norm, math.hypot(*w))
+    except ValueError:
+        assume(False)  # a sine at the cutoff, kept by one side and not the other
+    assert math.hypot(*(lss.min_norm_solution - x)) <= bound_x
+    assert abs(lss.residual_norm - r_norm) <= bound_r
 
 
 def test_normal_equation_oracle_fails_a_tampered_projector():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from altproj.projector import compute_report
 from altproj.linalg import orthogonal_complement
 from altproj.projector import build, distance_to_w, least_squares_set, limit_point
 from altproj.subspace import AffineSubspace, ProblemGeometry, canonicalize, project
 
-from helpers import canonical_controlled, canonical_random, property_geometries, random_u0
+from helpers import (canonical_controlled, canonical_random, property_geometries,
+                     property_settings, random_u0)
 from reference import adjoint_apply, apply, reference_report
 
 
@@ -104,11 +105,15 @@ class TestLeastSquares:
         lss = least_squares_set(q, g.w_offset)
         assert lss.residual_norm == pytest.approx(0.0, abs=1e-12)
 
-    def test_rejects_data_outside_codomain(self):
+    def test_data_in_constraint_directions_is_solved_in_least_squares(self):
+        # w = e2 lies in V, orthogonal to the range span(e1) of Q: the
+        # minimum-norm solution is 0 and the residual ||w||; w was once
+        # refused for not lying in V-perp
         g = orthogonal_offset_geometry()
         q = build(g)
-        with pytest.raises(ValueError):
-            least_squares_set(q, np.array([0.0, 1.0, 0.0]))  # lies in V
+        lss = least_squares_set(q, np.array([0.0, 1.0, 0.0]))
+        assert np.array_equal(lss.min_norm_solution, np.zeros(3))
+        assert lss.residual_norm == 1.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_min_norm_orthogonal_to_nullspace(self, seed):
@@ -240,7 +245,7 @@ def rescaled(g, c):
     return canonicalize(ProblemGeometry(scale(g.u_space), scale(g.w_space)))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@property_settings(80)
 @given(property_geometries(), st.floats(1e-6, 1e6))
 def test_rescaling_keeps_angles_and_scales_residual(g, c):
     # rank and intersection decisions are relative, so a rescaled geometry has

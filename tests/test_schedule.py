@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from altproj.engine import rate_bound
 from altproj.schedule import (MU_ULPS, Schedule, _filter_runs, _theorem, classify, diagnose,
                               filter_pair)
 
+from helpers import property_settings
 from reference import product_lemma_check, stepwise_filter_pair
 
 
@@ -330,12 +331,12 @@ class TestClassify:
         assert (diag.verdict, diag.partial_sum, diag.violations) == ("diverges", 1e9, 0)
         assert peak < 2 ** 20
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @property_settings(150)
     @given(st.floats(1.0, 4.0, exclude_min=True), st.integers(0, 50))
     def test_harmonic_first_violation(self, mu, offset):
         self._check_first_violation(Schedule.harmonic_to_2(offset), mu)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @property_settings(150)
     @given(st.floats(1.0, 4.0, exclude_min=True), st.floats(0.0, 2.0, exclude_min=True),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_geometric_first_violation(self, mu, gap, ratio):

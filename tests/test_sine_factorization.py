@@ -4,13 +4,14 @@ factorization must handle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from altproj.projector import compute_report
 from altproj.linalg import orthogonal_complement
 from altproj.projector import build, least_squares_set, limit_point, nullspace_cutoff
 
-from helpers import canonical_controlled, canonical_random, property_geometries
+from helpers import (canonical_controlled, canonical_random, property_geometries,
+                     property_settings)
 from reference import (normal_equation_residual, principal_cosines, reference_build,
                        reference_least_squares, reference_report)
 from rounding import normal_equation_bound
@@ -93,7 +94,7 @@ def test_matches_complement_reference(name):
     assert assert_matches_reference(builder()).intersection_dim == dim_j
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@property_settings(60)
 @given(st.integers(1, 12), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6),
        st.integers(0, 2**31 - 1))
 def test_generated_geometries_match_complement_reference(dim, dim_u, dim_w, shared, seed):
@@ -103,7 +104,7 @@ def test_generated_geometries_match_complement_reference(dim, dim_u, dim_w, shar
     assert_matches_reference(g, seed)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@property_settings(60)
 @given(property_geometries())
 def test_stored_cosines_match_reference_on_property_geometries(g):
     assert_sines_match_reference_cosines(build(g), g)
@@ -129,7 +130,7 @@ def test_build_takes_one_factorization(name):
     assert_build_factorizes_once(CASES[name][0]())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@property_settings(60)
 @given(property_geometries())
 def test_build_takes_one_factorization_on_property_geometries(g):
     assert_build_factorizes_once(g)

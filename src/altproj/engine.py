@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import filter_pair
+from .schedule import box_margin, filter_pair
 from .validation import as_count, as_vector
 from .subspace import project, project_relaxed
 from .linalg import lengths
@@ -34,10 +34,6 @@ STALL_WINDOW = 50
 STALL_RTOL = 1e-15
 # Trailing steps the empirical rate is fitted over.
 RATE_WINDOW = 50
-# A trace stores the iterate of every step up to THIN_AFTER, then of every
-# THIN_STRIDE-th step (and always the last one).
-THIN_AFTER = 1000
-THIN_STRIDE = 100
 # The stop rules in the order they are tested after each step.
 STOP_REASONS = ("nonfinite", "converged", "max_iters", "diverged", "stalled")
 # The loop advances FIRST_BLOCK steps, then blocks twice as long each time,
@@ -51,35 +47,26 @@ BLOCK_ELEMENTS = 2 ** 15
 class IterationTrace:
     """Per-step record of a run.
 
-    ``error_norms``, ``residuals`` have one entry per recorded iterate
-    (n = 0 .. n_final); ``alphas_used`` one entry per step taken. Iterates are
-    stored as rows z of ``coords`` in the orthonormal basis A Y of U, with A
-    the ``basis`` and Y^T the projector's ``right_vectors``, densely for
-    THIN_AFTER steps, then thinned; ``iterate_steps`` gives the step index
-    of each stored iterate. A run that stops as ``nonfinite`` took
-    ``n_steps`` steps, and its last error norm or residual, the first
+    ``error_norms``, ``residuals`` have one entry per step's iterate
+    (n = 0 .. n_steps); ``alphas_used`` one entry per step taken;
+    ``final_iterate`` is the ambient iterate of step ``n_steps``. A run is
+    prefix-exact: a run of n steps ends, bit for bit, in the state that a
+    longer run with the same arguments reaches at step n, and its per-step
+    arrays are the longer run's first entries; so the iterate of any step
+    is the final iterate of a run to it. A run that stops as ``nonfinite``
+    took ``n_steps`` steps, and its last error norm or residual, the first
     non-finite one, belongs to step ``n_steps``.
     """
 
-    coords: np.ndarray
-    basis: np.ndarray
-    right_vectors: np.ndarray
-    iterate_steps: list
     error_norms: np.ndarray
     residuals: np.ndarray
     alphas_used: np.ndarray
     # converged | max_iters | stalled | diverged | nonfinite | schedule_exhausted
     stop_reason: str
     estimated_rate: float | None
+    final_iterate: np.ndarray
     limit: np.ndarray
     u0_projected: bool
-
-    @property
-    def iterates(self):
-        """The stored iterates A Y z as rows of an (n_stored, d) array,
-        formed on each access."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (self.coords @ self.right_vectors) @ self.basis.T
 
     @property
     def n_steps(self):
@@ -126,8 +113,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     1 - alpha_n s^2, so the run advances a block of steps at a time
     (:func:`_block_sizes`) by prefix products over the block, with no Python
     work per step, and tests the stop rules on every step of the block at
-    once. The trace keeps the coordinates; ambient iterates A Y z are formed
-    only when read.
+    once. The trace keeps the ambient iterate A Y z of the last step only.
     """
     max_iters = as_count(max_iters, "max_iters")
     if math.isnan(conv_tol):
@@ -157,7 +143,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     rz = wc - s * z
     d = z - z_lim
     e_cap = divergence_cap * max(lengths(d), 1e-300)
-    errors, residuals, coords, iterate_steps, used = [], [], [], [], []
+    errors, residuals, used = [], [], []
     # the errors of the STALL_WINDOW states before a block, NaN before state 0
     back = np.full(STALL_WINDOW, np.nan)
     # state 0 is tested as a block of one row, reached by no step
@@ -189,9 +175,6 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
             residuals.append(res[:taken])
             used.append(alpha[:taken])
             n = int(steps[taken - 1])
-            keep = (steps[:taken] <= THIN_AFTER) | (steps[:taken] % THIN_STRIDE == 0)
-            coords.append(z_lim + dd[:taken][keep])
-            iterate_steps.extend(steps[:taken][keep].tolist())
             if rows.size:
                 stop = STOP_REASONS[int(np.argmax(hits[:, rows[0]]))]
                 break
@@ -213,21 +196,16 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
                 p_prev = np.vstack([np.ones(s_drift.size), p[:-1, drift]])
                 dd[:, drift] += np.cumsum(alpha[:, None] * (s_drift * p_prev), axis=0) * rz_lim
             n += alpha.size
-    if iterate_steps[-1] != n:  # the last iterate is always stored
-        coords.append(z_lim + dd[taken - 1][None, :])
-        iterate_steps.append(n)
+        final_iterate = ((z_lim + dd[taken - 1]) @ yt) @ a.T
 
     error_norms = np.concatenate(errors)
     trace = IterationTrace(
-        coords=np.concatenate(coords),
-        basis=a,
-        right_vectors=yt,
-        iterate_steps=iterate_steps,
         error_norms=error_norms,
         residuals=np.concatenate(residuals),
         alphas_used=np.concatenate(used),
         stop_reason=stop,
         estimated_rate=None,
+        final_iterate=final_iterate,
         limit=limit,
         u0_projected=projected,
     )
@@ -322,7 +300,6 @@ def rate_bound(nu, gamma, alphas):
     if nu <= 0:
         raise ValueError("nu must be positive")
     alphas = np.asarray(alphas, dtype=float)
-    s = alphas * nu * nu
-    eps = float(max(0.0, min(np.min(s), 2.0 - np.max(s)))) if s.size else 0.0
+    eps = box_margin(alphas * nu * nu)
     bound = 1.0 - eps * (gamma * gamma) / (nu * nu)
     return RateBound(epsilon=eps, nu=float(nu), gamma=float(gamma), bound=float(bound))

@@ -197,4 +197,4 @@ def limit_point(q, w, u0):
 
 def distance_to_w(g, u):
     """Distance from *u* to the constraint set W; :func:`project` checks *u*."""
-    return float(np.linalg.norm(u - project(g.w_space, u)))
+    return linalg.lengths(u - project(g.w_space, u))

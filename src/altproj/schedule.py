@@ -276,6 +276,12 @@ class ScheduleDiagnostics:
     violations: int  # number of terms with s_n > 2 in the horizon
 
 
+def box_margin(s):
+    """The largest eps with every term of the array *s* in [eps, 2 - eps],
+    0 if there is none or *s* is empty."""
+    return float(max(0.0, min(np.min(s), 2.0 - np.max(s)))) if s.size else 0.0
+
+
 def diagnose(schedule, mu, horizon=10_000):
     """classify's verdict, with the first *horizon* terms (all of an
     explicit schedule's, if it has fewer): a constant schedule's one run
@@ -290,7 +296,7 @@ def diagnose(schedule, mu, horizon=10_000):
     else:
         alphas, count = schedule.alphas(n), 1
     s = alphas * mu
-    box_eps = float(max(0.0, min(np.min(s), 2.0 - np.max(s))))
+    box_eps = box_margin(s)
     return ScheduleDiagnostics(
         scaled_by=mu, verdict=verdict, first_violation=first_violation,
         partial_sum=count * float(np.sum(s * (2.0 - s))), in_box=box_eps > 0.0,

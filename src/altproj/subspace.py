@@ -42,7 +42,7 @@ class AffineSubspace:
         k = b.shape[1]  # with k = 0 both norms below are 0
         if np.linalg.norm(b.T @ b - np.eye(k)) > _ORTHO_ATOL * max(1.0, k):
             raise ValueError("basis columns are not orthonormal")
-        if np.linalg.norm(b.T @ off) > _ORTHO_ATOL * (1.0 + np.linalg.norm(off)):
+        if linalg.lengths(b.T @ off) > _ORTHO_ATOL * (1.0 + linalg.lengths(off)):
             raise ValueError("offset is not canonical (not orthogonal to the basis)")
         object.__setattr__(self, "basis", readonly(b))
         object.__setattr__(self, "offset", readonly(off))

@@ -5,7 +5,9 @@ import os
 import numpy as np
 from hypothesis import settings, strategies as st
 
+from altproj.engine import run_alternating
 from altproj.problems import controlled_angle_geometry, random_geometry
+from altproj.schedule import Schedule
 
 
 def rot2(phi):
@@ -41,6 +43,33 @@ def random_u0(g, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     b = g.u_space.basis
     return g.u_space.offset + b @ (rng.standard_normal(b.shape[1]) * scale)
+
+
+def iterates_at(q, w, schedule, u0, steps, **kw):
+    """The iterate after each of *steps* steps, as the rows of an array: the
+    final iterate of a run of that many steps, which ends where a longer run
+    with the same arguments passes that step (the trace is prefix-exact).
+    Each run must take all its steps."""
+    rows = []
+    for n in steps:
+        trace = run_alternating(q, w, schedule, u0, max_iters=n, **kw)
+        assert trace.n_steps == n, (trace.stop_reason, trace.n_steps, n)
+        rows.append(trace.final_iterate)
+    return np.array(rows)
+
+
+def schedule_of(kind, hi, seed, length):
+    """A schedule of each kind, its coefficients up to *hi* where the kind
+    takes a scale; an explicit one has *length* terms."""
+    return {
+        "constant": lambda: Schedule.constant(0.7 * hi),
+        "cyclic": lambda: Schedule.cyclic([0.3 * hi, hi, 0.6 * hi]),
+        "harmonic-to-2": lambda: Schedule.harmonic_to_2(offset=seed % 7),
+        "geometric-to-2": lambda: Schedule.geometric_to_2(gap=1.0, ratio=0.9),
+        "explicit": lambda: Schedule.explicit(
+            np.random.default_rng(seed).uniform(0.0, hi, length)),
+        "random-uniform": lambda: Schedule.random_uniform(0.0, hi, seed=seed),
+    }[kind]()
 
 
 @st.composite

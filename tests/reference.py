@@ -250,9 +250,10 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
                        divergence_cap=1e9):
     """:func:`altproj.engine.run_alternating` one step at a time: each step
     z <- z + alpha s (X^T w - s z) on the coordinates, then the stop rules on
-    the new error, in the engine's order. Reads the engine's stop and
-    thinning constants when called, so a test that patches them patches
-    both. Expects valid arguments."""
+    the new error, in the engine's order. Returns the trace and every
+    iterate A Y z, as the rows of an (n_steps + 1, d) array. Reads the
+    engine's stop constants when called, so a test that patches them
+    patches both. Expects valid arguments."""
     a, yt, s, x = q.domain_basis, q.right_vectors, q.sines, q.codomain_basis
     limit = proj.limit_point(q, w, u0)
     u0 = np.asarray(u0, dtype=float)
@@ -268,7 +269,7 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
     d = z - z_lim
     errors = [math.sqrt(d @ d)]
     residuals = [math.hypot(r_perp, math.sqrt(rz @ rz))]
-    coords, iterate_steps, used = [z], [0], []
+    coords, used = [z], []
     e_ref = max(errors[0], 1e-300)
     n_terms = max_iters if schedule.length is None else min(max_iters, schedule.length)
     alphas = iter(schedule.alphas(n_terms).tolist())
@@ -304,30 +305,23 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
             residuals.append(math.hypot(r_perp, math.sqrt(rz @ rz)))
             used.append(alpha)
             n += 1
-            if n <= engine.THIN_AFTER or n % engine.THIN_STRIDE == 0:
-                coords.append(z)
-                iterate_steps.append(n)
-    if iterate_steps[-1] != n:
-        coords.append(z)
-        iterate_steps.append(n)
+            coords.append(z)
+        iterates = (np.array(coords) @ yt) @ a.T
 
     trace = IterationTrace(
-        coords=np.array(coords),
-        basis=a,
-        right_vectors=yt,
-        iterate_steps=iterate_steps,
         error_norms=np.asarray(errors),
         residuals=np.asarray(residuals),
         alphas_used=np.asarray(used, dtype=float),
         stop_reason=stop,
         estimated_rate=None,
+        final_iterate=iterates[-1],
         limit=limit,
         u0_projected=projected,
     )
     window = min(engine.RATE_WINDOW, len(errors) - 1)
     if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):
         trace.estimated_rate = estimate_rate(trace.error_norms, window)
-    return trace
+    return trace, iterates
 
 
 def normal_equation_residual(g, lss, w, tol=INTERSECTION_TOL):

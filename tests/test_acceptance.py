@@ -23,7 +23,8 @@ from altproj.projector import build, least_squares_set, limit_point
 from altproj.schedule import Schedule
 from altproj.subspace import AffineSubspace, project
 
-from helpers import canonical_controlled, canonical_random, random_u0, well_conditioned_problem
+from helpers import (canonical_controlled, canonical_random, iterates_at, random_u0,
+                     well_conditioned_problem)
 from reference import geometric_reference, reference_report, sym_eig
 
 
@@ -56,7 +57,7 @@ def moderate_rate_runs():
         u0 = random_u0(g, 20_000 + seed)
         trace = run_alternating(q, g.w_offset, Schedule.constant(alpha), u0,
                                 max_iters=10_000, conv_tol=1e-11)
-        runs.append((g, q, alpha, trace))
+        runs.append((g, q, alpha, u0, trace))
     return runs
 
 
@@ -80,7 +81,7 @@ def test_criterion_01_form_equivalence(monkeypatch):
         dev = max(
             float(np.max(np.abs(trace.error_norms - ref_errors))),
             float(np.max(np.abs(trace.residuals - ref_residuals))),
-            float(np.linalg.norm(trace.iterates[-1] - ref_iterates[-1])),
+            float(np.linalg.norm(trace.final_iterate - ref_iterates[-1])),
         )
         assert dev <= 1e-12 * scale
         worst = max(worst, dev / scale)
@@ -93,9 +94,10 @@ def test_criterion_01_form_equivalence(monkeypatch):
 
 def test_criterion_02_limit_correctness(moderate_rate_runs):
     worst = 0.0
-    for g, q, alpha, trace in moderate_rate_runs:
-        oracle = limit_point(q, g.w_offset, trace.iterates[0])
-        gap = float(np.linalg.norm(trace.iterates[-1] - oracle))
+    for g, q, alpha, u0, trace in moderate_rate_runs:
+        start = iterates_at(q, g.w_offset, Schedule.constant(alpha), u0, [0])[0]
+        oracle = limit_point(q, g.w_offset, start)
+        gap = float(np.linalg.norm(trace.final_iterate - oracle))
         assert trace.n_steps <= 10_000
         assert gap <= 1e-8
         worst = max(worst, gap)
@@ -105,7 +107,7 @@ def test_criterion_02_limit_correctness(moderate_rate_runs):
 
 def test_criterion_03_rate_bound(moderate_rate_runs):
     worst_slack = -np.inf
-    for g, q, alpha, trace in moderate_rate_runs:
+    for g, q, alpha, u0, trace in moderate_rate_runs:
         s = alpha * q.norm**2
         eps = min(s, 2.0 - s)
         bound = 1.0 - eps * q.reduced_min_modulus**2 / q.norm**2

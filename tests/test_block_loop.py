@@ -4,8 +4,9 @@
 block sizes from ``engine._block_sizes``, and tests the stop rules on every
 step of a block at once. A run that stops, or a schedule that ends, on either
 side of a block edge must stop where stepping one step at a time stops, with
-the same stop reason, steps, stored iterates and coefficients, and the same
-error norms and residuals up to rounding.
+the same stop reason, steps and coefficients, and the same error norms,
+residuals and final iterate up to rounding. A run is prefix-exact: a run cut
+short ends in the state that a longer one passes through, bit for bit.
 """
 
 from itertools import islice
@@ -22,7 +23,8 @@ from altproj.projector import build, limit_point
 from altproj.schedule import KINDS, Schedule
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
-from helpers import property_geometries, property_settings, random_u0
+from helpers import (iterates_at, property_geometries, property_settings, random_u0,
+                     schedule_of)
 from reference import geometric_reference, stepwise_reference
 
 
@@ -32,34 +34,26 @@ def block_edges(k, n):
 
 
 def assert_same_run(trace, ref, scale=None):
-    """Same stop, steps, stored steps and coefficients; error norms and
-    residuals within 1e-12 of *scale*, by default the largest of 1 and the
-    reference's finite error norms: a run that diverges grows its error, and
-    the rounding with it, far above e_0."""
+    """Same stop, steps and coefficients; error norms, residuals and the
+    final iterate within 1e-12 of *scale*, by default the largest of 1 and
+    the reference's finite error norms: a run that diverges grows its error,
+    and the rounding with it, far above e_0."""
     assert trace.stop_reason == ref.stop_reason
     assert trace.n_steps == ref.n_steps
-    assert trace.iterate_steps == ref.iterate_steps
     assert np.array_equal(trace.alphas_used, ref.alphas_used)
     if scale is None:
         errors = ref.error_norms
         scale = np.max(errors[np.isfinite(errors)], initial=1.0)
-    tol = 1e-12 * scale
-    for got, want in ((trace.error_norms, ref.error_norms), (trace.residuals, ref.residuals)):
-        finite = np.isfinite(want)
-        assert np.array_equal(np.isfinite(got), finite)
-        assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) <= tol
+    for got, want in ((trace.error_norms, ref.error_norms), (trace.residuals, ref.residuals),
+                      (trace.final_iterate, ref.final_iterate)):
+        assert_close(got, want, 1e-12 * scale)
 
 
-def schedule_of(kind, hi, seed, length):
-    return {
-        "constant": lambda: Schedule.constant(0.7 * hi),
-        "cyclic": lambda: Schedule.cyclic([0.3 * hi, hi, 0.6 * hi]),
-        "harmonic-to-2": lambda: Schedule.harmonic_to_2(offset=seed % 7),
-        "geometric-to-2": lambda: Schedule.geometric_to_2(gap=1.0, ratio=0.9),
-        "explicit": lambda: Schedule.explicit(
-            np.random.default_rng(seed).uniform(0.0, hi, length)),
-        "random-uniform": lambda: Schedule.random_uniform(0.0, hi, seed=seed),
-    }[kind]()
+def assert_close(got, want, tol):
+    """Non-finite in the same entries, and within *tol* in the others."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) <= tol
 
 
 @property_settings(150)
@@ -81,7 +75,36 @@ def test_block_loop_matches_stepwise_reference_at_block_edges(g, kind, edge, off
     conv_tol = tol * max(1.0, np.linalg.norm(u0), np.linalg.norm(w))
     kw = dict(max_iters=max_iters, conv_tol=conv_tol, divergence_cap=1e3)
     assert_same_run(run_alternating(q, w, sched, u0, **kw),
-                    stepwise_reference(q, w, sched, u0, **kw))
+                    stepwise_reference(q, w, sched, u0, **kw)[0])
+
+
+@property_settings(150)
+@given(property_geometries(), st.sampled_from(KINDS), st.integers(0, 5), st.integers(-1, 1),
+       st.sampled_from([1.0, 4.0]), st.integers(0, 2 ** 31 - 1))
+def test_run_is_prefix_exact(g, kind, edge, offset, reach, seed):
+    # a run cut at step n, on a block edge or one step to either side, ends
+    # in the state that a run one block longer passes at step n: the same
+    # per-step arrays, bit for bit, and the stepwise reference's iterate
+    q = build(g)
+    edges = block_edges(q.sines.size, edge + 2)
+    n, longer = edges[edge] + offset, edges[edge + 1] + 1
+    hi = reach / max(q.norm, 0.1) ** 2
+    sched = schedule_of(kind, hi, seed, longer)
+    u0, w = random_u0(g, seed), g.w_offset
+    # convergence well above the rounding floor, where the two loops agree
+    kw = dict(conv_tol=1e-9 * max(1.0, np.linalg.norm(u0), np.linalg.norm(w)),
+              divergence_cap=1e3)
+    short = run_alternating(q, w, sched, u0, max_iters=n, **kw)
+    long = run_alternating(q, w, sched, u0, max_iters=longer, **kw)
+    ref, ref_iterates = stepwise_reference(q, w, sched, u0, max_iters=longer, **kw)
+    assert_same_run(long, ref)
+    m = short.n_steps
+    assert m == min(n, long.n_steps)
+    for name, size in (("error_norms", m + 1), ("residuals", m + 1), ("alphas_used", m)):
+        assert getattr(short, name).tobytes() == getattr(long, name)[:size].tobytes()
+    errors = ref.error_norms
+    assert_close(short.final_iterate, ref_iterates[m],
+                 1e-12 * np.max(errors[np.isfinite(errors)], initial=1.0))
 
 
 def line_geometry():
@@ -104,7 +127,7 @@ def run_both(sched, scale=None, **kw):
     g = line_geometry()
     q = build(g)
     trace = run_alternating(q, g.w_offset, sched, U0, **kw)
-    assert_same_run(trace, stepwise_reference(q, g.w_offset, sched, U0, **kw), scale)
+    assert_same_run(trace, stepwise_reference(q, g.w_offset, sched, U0, **kw)[0], scale)
     return trace
 
 
@@ -135,14 +158,13 @@ def test_nonfinite_at_block_position(n):
     sched = Schedule.explicit([2.5] * (n - 1) + [1e308] + [0.5] * 100)
     trace = run_both(sched, scale=2 * 1.5 ** n, divergence_cap=np.inf)
     assert trace.stop_reason == "nonfinite" and trace.n_steps == n
-    assert not np.all(np.isfinite(trace.iterates[-1]))
+    assert not np.all(np.isfinite(trace.final_iterate))
 
 
 @pytest.mark.parametrize("n", STOP_STEPS)
 def test_schedule_exhausted_at_block_position(n):
     trace = run_both(Schedule.explicit([0.5] * n), max_iters=n + 10, conv_tol=-1.0)
     assert trace.stop_reason == "schedule_exhausted" and trace.n_steps == n
-    assert trace.iterate_steps[-1] == n
 
 
 @pytest.mark.parametrize("n", [EDGES[2], EDGES[2] + 1, EDGES[3], EDGES[3] + 1])
@@ -178,7 +200,7 @@ def test_sub_cutoff_drift_matches_stepwise_and_geometric_form():
     kw = dict(max_iters=n, conv_tol=-1.0)
     with mock.patch.object(engine, "STALL_RTOL", 0.0):
         trace = run_alternating(q, g.w_offset, sched, u0, **kw)
-        ref = stepwise_reference(q, g.w_offset, sched, u0, **kw)
+        ref = stepwise_reference(q, g.w_offset, sched, u0, **kw)[0]
     scale = max(1.0, np.linalg.norm(u0), np.linalg.norm(g.w_offset))
     assert trace.n_steps == n
     assert ref.error_norms[-1] > 1e-7 * scale  # the drift is far above rounding
@@ -190,5 +212,8 @@ def test_sub_cutoff_drift_matches_stepwise_and_geometric_form():
     tol = 1e-15 * n * scale
     assert np.max(np.abs(trace.error_norms - np.linalg.norm(ref_iterates - limit, axis=1))) <= tol
     assert np.max(np.abs(trace.residuals - ref_residuals)) <= tol
-    stored = ref_iterates[trace.iterate_steps]
-    assert np.max(np.linalg.norm(trace.iterates - stored, axis=1)) <= tol
+    # every step up to 1000, then every 100th
+    steps = list(range(1001)) + list(range(1100, n + 1, 100))
+    with mock.patch.object(engine, "STALL_RTOL", 0.0):
+        iterates = iterates_at(q, g.w_offset, sched, u0, steps, conv_tol=-1.0)
+    assert np.max(np.linalg.norm(iterates - ref_iterates[steps], axis=1)) <= tol

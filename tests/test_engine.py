@@ -13,12 +13,13 @@ from altproj.engine import (
     rate_bound,
     run_alternating,
 )
-from altproj.projector import build, distance_to_w, limit_point, nullspace_cutoff
-from altproj.schedule import Schedule, filter_pair
+from altproj.projector import (build, distance_to_w, least_squares_set, limit_point,
+                               nullspace_cutoff)
+from altproj.schedule import KINDS, Schedule, filter_pair
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
-from helpers import (canonical_controlled, canonical_random, property_geometries,
-                     property_settings, random_u0, well_conditioned_problem)
+from helpers import (canonical_controlled, canonical_random, iterates_at, property_geometries,
+                     property_settings, random_u0, schedule_of, well_conditioned_problem)
 from reference import geometric_reference, sym_eig
 
 
@@ -38,7 +39,7 @@ class TestRunAlternating:
         assert trace.stop_reason == "converged"
         assert trace.n_steps == 1
         assert np.allclose(trace.limit, 0.0, atol=1e-14)
-        assert np.allclose(trace.iterates[-1], 0.0, atol=1e-14)
+        assert np.allclose(trace.final_iterate, 0.0, atol=1e-14)
 
     def test_half_step_geometric_decay(self, monkeypatch):
         monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
@@ -77,10 +78,11 @@ class TestRunAlternating:
     def test_initial_point_outside_domain_is_projected_and_flagged(self, monkeypatch):
         monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = one_step_geometry()
-        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
-                                np.array([1.0, 2.0, 3.0]), max_iters=5, conv_tol=-1.0)
+        q, sched, u0 = build(g), Schedule.constant(0.5), np.array([1.0, 2.0, 3.0])
+        trace = run_alternating(q, g.w_offset, sched, u0, max_iters=5, conv_tol=-1.0)
         assert trace.u0_projected
-        assert np.allclose(trace.iterates[0], [1.0, 0.0, 0.0], atol=1e-12)
+        start = iterates_at(q, g.w_offset, sched, u0, [0], conv_tol=-1.0)[0]
+        assert np.allclose(start, [1.0, 0.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
     def test_far_initial_point_outside_domain_is_flagged(self, scale):
@@ -91,17 +93,6 @@ class TestRunAlternating:
                                 np.array([0.0, 0.0, scale]), max_iters=1)
         assert trace.u0_projected
 
-    def test_iterate_thinning(self, monkeypatch):
-        monkeypatch.setattr(engine, "THIN_AFTER", 10)
-        monkeypatch.setattr(engine, "THIN_STRIDE", 50)
-        monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
-        g = one_step_geometry()
-        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
-                                np.array([1.0, 0.0, 0.0]), max_iters=250, conv_tol=-1.0)
-        assert trace.iterate_steps[:11] == list(range(11))
-        assert trace.iterate_steps[11:] == [50, 100, 150, 200, 250]
-        assert len(trace.error_norms) == 251  # error norms stay dense
-
     def test_overflow_stops_as_nonfinite(self):
         # the first step overflows the iterate to -inf; the run stops there
         # instead of raising or burning its horizon
@@ -111,7 +102,7 @@ class TestRunAlternating:
         assert trace.stop_reason == "nonfinite"
         assert trace.n_steps == 1
         assert np.isfinite(trace.error_norms[0]) and not np.isfinite(trace.final_error)
-        assert not np.all(np.isfinite(trace.iterates[-1]))
+        assert not np.all(np.isfinite(trace.final_iterate))
         assert trace.estimated_rate is None
 
     def test_short_explicit_schedule_runs_all_terms(self):
@@ -121,7 +112,6 @@ class TestRunAlternating:
         assert trace.stop_reason == "schedule_exhausted"
         assert trace.n_steps == 3
         assert np.allclose(trace.error_norms, 0.5 ** np.arange(4), atol=1e-15)
-        assert trace.iterate_steps == [0, 1, 2, 3]
 
     def test_explicit_schedule_as_long_as_horizon_stops_at_max_iters(self):
         g = one_step_geometry()
@@ -155,7 +145,7 @@ class TestRunAlternating:
         trace = run_alternating(build(g), g.w_offset, Schedule.constant(1.0),
                                 random_u0(g, seed + 1), max_iters=5000, conv_tol=1e-12)
         assert trace.stop_reason == "converged"
-        assert np.linalg.norm(trace.iterates[-1] - trace.limit) < 1e-10
+        assert np.linalg.norm(trace.final_iterate - trace.limit) < 1e-10
 
 
 class TestRunLandweber:
@@ -176,7 +166,7 @@ class TestRunLandweber:
         assert np.allclose(tl.error_norms, np.linalg.norm(ref_iterates - limit, axis=1),
                            atol=1e-11)
         assert np.allclose(tl.residuals, ref_residuals, atol=1e-11)
-        assert np.allclose(tl.iterates[-1], ref_iterates[-1], atol=1e-11)
+        assert np.allclose(tl.final_iterate, ref_iterates[-1], atol=1e-11)
         assert np.allclose(tl.limit, limit, atol=1e-12)
 
     def test_null_component_of_start_survives_in_limit(self):
@@ -202,9 +192,9 @@ class TestRunLandweber:
         monkeypatch.setattr(engine, "STALL_RTOL", 0.0)
         g = canonical_random(seed, dim=8, dim_u=4, dim_w=4, shared_dims=2)
         q = build(g)
-        trace = run_alternating(q, g.w_offset, Schedule.constant(0.8), random_u0(g, seed),
-                                max_iters=40, conv_tol=-1.0)
-        for u, _ in zip(trace.iterates, trace.iterate_steps):
+        sched, u0 = Schedule.constant(0.8), random_u0(g, seed)
+        trace = run_alternating(q, g.w_offset, sched, u0, max_iters=40, conv_tol=-1.0)
+        for u in iterates_at(q, g.w_offset, sched, u0, range(41), conv_tol=-1.0):
             comp = q.nullspace_basis.T @ (u - trace.limit)
             assert np.linalg.norm(comp) < 1e-10
 
@@ -221,18 +211,50 @@ def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
     with mock.patch.object(engine, "STALL_RTOL", 0.0):
         trace = run_alternating(q, w, sched, u0, max_iters=20, conv_tol=-1.0,
                                 divergence_cap=np.inf)
+        iterates = iterates_at(q, w, sched, u0, range(21), conv_tol=-1.0,
+                               divergence_cap=np.inf)
     ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 20)
     limit = limit_point(q, w, u0)
-    assert trace.n_steps == 20 and trace.iterate_steps == list(range(21))
+    assert trace.n_steps == 20
     # rounding of ~20 steps, each of size up to (1 + alpha) times the data
     scale = max(1.0, np.linalg.norm(u0), np.linalg.norm(w))
     tol = 1e-12 * (1.0 + alpha_hi) * scale
     assert np.max(np.abs(trace.error_norms - np.linalg.norm(ref_iterates - limit, axis=1))) <= tol
     assert np.max(np.abs(trace.residuals - ref_residuals)) <= tol
-    assert np.max(np.linalg.norm(np.array(trace.iterates) - ref_iterates, axis=1)) <= tol
+    assert np.max(np.linalg.norm(iterates - ref_iterates, axis=1)) <= tol
     # residual_dW is the distance of the ambient iterate A c to W, exactly
-    for r, u in zip(trace.residuals, trace.iterates):
+    for r, u in zip(trace.residuals, iterates):
         assert abs(r - distance_to_w(g, u)) <= 1e-13 * max(1.0, np.linalg.norm(u), np.linalg.norm(w))
+
+
+@property_settings(150)
+@given(property_geometries(), st.sampled_from(KINDS), st.integers(-1000, 1000),
+       st.sampled_from([1.0, 4.0]), st.integers(0, 2**31 - 1))
+def test_run_scales_by_powers_of_two(g, kind, k, reach, seed):
+    """Scaling u0 and w by 2^k scales every length of the run by 2^k, bit
+    for bit, and keeps its stop reason and step count: a product with 2^k
+    is exact, so are the lengths (linalg.lengths), and the stop rules but
+    conv_tol = 0 compare ratios. That holds while no value leaves the
+    normal floats; the assume keeps every nonzero entry of u0 and w, and
+    every finite nonzero error norm and residual of the unscaled run, times
+    2^k, in [2^53 tiny, max / 2^8]. That also keeps the scaled initial error
+    above divergence_cap's floor of 1e-300."""
+    q = build(g)
+    sched = schedule_of(kind, reach / max(q.norm, 0.1) ** 2, seed, 200)
+    u0, w, c = random_u0(g, seed), g.w_offset, 2.0 ** k
+    kw = dict(max_iters=200, conv_tol=0.0)
+    base = run_alternating(q, w, sched, u0, **kw)
+    values = np.abs(np.concatenate([u0, w, base.error_norms, base.residuals]))
+    values = values[np.isfinite(values) & (values > 0)]
+    with np.errstate(over="ignore"):
+        values = c * values
+    tiny, top = np.finfo(float).tiny, np.finfo(float).max
+    assume(np.all((values >= 2.0 ** 53 * tiny) & (values <= top / 2.0 ** 8)))
+    scaled = run_alternating(q, c * w, sched, c * u0, **kw)
+    assert (scaled.stop_reason, scaled.n_steps) == (base.stop_reason, base.n_steps)
+    for name in ("error_norms", "residuals", "limit", "final_iterate"):
+        assert getattr(scaled, name).tobytes() == (c * getattr(base, name)).tobytes(), name
+    assert least_squares_set(q, c * w).residual_norm == c * least_squares_set(q, w).residual_norm
 
 
 @property_settings(80)
@@ -245,17 +267,18 @@ def test_trajectory_is_filter_polynomial_times_initial_error(g, eps, seed):
     assume(q.norm > nullspace_cutoff(q.tol))  # a zero operator has no kept sines
     nu2 = q.norm ** 2
     sched = Schedule.random_uniform(eps / nu2, (2.0 - eps) / nu2, seed=seed)
+    u0, steps = random_u0(g, seed), (0, 1, 2, 5, 10, 30, 100, 300)
     with mock.patch.object(engine, "STALL_RTOL", 0.0):
-        trace = run_alternating(q, g.w_offset, sched, random_u0(g, seed), max_iters=300,
-                                conv_tol=-1.0)
-    assert trace.n_steps == 300 and trace.iterate_steps == list(range(301))
+        trace = run_alternating(q, g.w_offset, sched, u0, max_iters=300, conv_tol=-1.0)
+        iterates = iterates_at(q, g.w_offset, sched, u0, steps, conv_tol=-1.0)
+    assert trace.n_steps == 300
     _, sv, vt = np.linalg.svd(q.matrix)
     kept = sv > nullspace_cutoff(q.tol)
-    comps = (trace.iterates - trace.limit) @ q.domain_basis @ vt[kept].T
-    e0 = np.linalg.norm(trace.iterates[0] - trace.limit)
-    for n in (0, 1, 2, 5, 10, 30, 100, 300):
+    comps = (iterates - trace.limit) @ q.domain_basis @ vt[kept].T
+    e0 = np.linalg.norm(iterates[0] - trace.limit)
+    for i, n in enumerate(steps):
         f = filter_pair(sched, sv[kept] ** 2, n)[0]
-        assert np.max(np.abs(comps[n] - f * comps[0])) <= 1e-12 * e0
+        assert np.max(np.abs(comps[i] - f * comps[0])) <= 1e-12 * e0
 
 
 @property_settings(80)

@@ -190,6 +190,11 @@ class TestDistance:
         g = orthogonal_offset_geometry()
         assert distance_to_w(g, np.array([t, 0.0, 0.0])) == pytest.approx(np.hypot(t, 1.0), abs=1e-12)
 
+    def test_far_point(self):
+        # the squared distance overflows; the distance 1e160 does not
+        g = orthogonal_offset_geometry()
+        assert distance_to_w(g, np.array([1e160, 0.0, 0.0])) == 1e160
+
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_data_residual_on_domain(self, seed):
         rng = np.random.default_rng(70 + seed)

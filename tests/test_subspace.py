@@ -180,6 +180,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             AffineSubspace(np.array([[1.0], [0.0]]), np.array([1.0, 0.0]))
 
+    # the squared norm of an offset past ~1.3e154 overflows; the constructor
+    # once read inf > inf and accepted these
+    @pytest.mark.parametrize("offset", [[1e155, 0.0], [1e200, 1e200]])
+    def test_far_noncanonical_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="offset is not canonical"):
+            AffineSubspace(np.array([[1.0], [0.0]]), np.array(offset))
+
+    def test_far_canonical_offset_accepted_unchanged(self):
+        a = AffineSubspace(np.array([[1.0], [0.0]]), np.array([0.0, 1e200]))
+        assert a.offset.tolist() == [0.0, 1e200]
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             AffineSubspace.from_span(np.array([[np.nan], [0.0]]))

@@ -249,11 +249,13 @@ def run_scenario(path, out_dir=None):
 
 
 def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
-    """Constant-relaxation sweep on a geometry with operator norm sqrt(nu2).
-
-    Demonstrates convergence for every alpha with alpha*nu2 in (0, 2), even
-    beyond the classical limit of 2, and growth above the boundary. Returns a
-    list of row dicts (alpha, alpha_nu2, verdict, empirical_rate, rho_alpha).
+    """Constant-relaxation sweep on a one-angle geometry whose sine s has
+    s^2 = nu2, each run stopped by the engine's rules. A row is "diverged"
+    when classify reads alpha as outside the class at s^2 (the error then
+    grows by |1 - alpha s^2| > 1 every step), else "converged" when the run
+    stops as converged, else "not-converged" (alpha s^2 = 2 among them); a
+    sine of 0 or a zero horizon gives no "diverged" row. Returns a list of
+    row dicts (alpha, alpha_nu2, verdict, empirical_rate, rho_alpha).
     """
     seed = as_count(seed, "seed")
     if not (0 < nu2 <= 1):
@@ -264,17 +266,13 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
                                                         rotation_seed=seed))
     q = build(g)
     u0 = problems.random_point_in(g.u_space, seed + 1)
-    rows = []
+    s2, rows = q.norm ** 2, []
     for alpha, sched in zip(alphas, schedules):
-        trace = run_alternating(q, g.w_offset, sched, u0,
-                                max_iters=max_iters, conv_tol=1e-9, divergence_cap=1e6)
-        e = trace.error_norms
-        if trace.stop_reason == "converged":
-            verdict = "converged"
-        elif trace.stop_reason == "diverged" or (e[-1] > e[0] and e[-1] >= e[max(0, len(e) - 101)]):
+        trace = run_alternating(q, g.w_offset, sched, u0, max_iters=max_iters)
+        if s2 > 0 and max_iters >= 1 and classify(sched, s2, max_iters)[0] == "outside-class":
             verdict = "diverged"
         else:
-            verdict = "not-converged"
+            verdict = "converged" if trace.stop_reason == "converged" else "not-converged"
         rows.append({
             "alpha": float(alpha),
             "alpha_nu2": float(alpha) * nu2,

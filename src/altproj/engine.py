@@ -29,9 +29,11 @@ from .linalg import lengths
 from . import projector as proj
 
 # A run whose error changes by less than STALL_RTOL relative over
-# STALL_WINDOW steps counts as stalled.
+# STALL_WINDOW steps counts as stalled, and one whose error passes
+# DIVERGENCE_CAP times a nonzero initial error as diverged.
 STALL_WINDOW = 50
 STALL_RTOL = 1e-15
+DIVERGENCE_CAP = 1e9
 # Trailing steps the empirical rate is fitted over.
 RATE_WINDOW = 50
 # The stop rules in the order they are tested after each step.
@@ -84,7 +86,7 @@ def geometric_step(g, u, alpha):
     return project(g.u_space, project_relaxed(g.w_space, u, alpha))
 
 
-def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, divergence_cap=1e9):
+def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     """Run the iteration u <- u + alpha_n Q*(w - Qu) from the restricted
     projector *q* (:func:`altproj.projector.build`) and data *w*. With *w*
     the offset of W of a canonicalized geometry this is the alternating
@@ -93,14 +95,14 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
     An initial iterate outside U is silently projected and flagged on the
     trace. The run stops when the error reaches *conv_tol* ("converged"),
     after *max_iters* steps ("max_iters"), when the error grows past
-    *divergence_cap* times its initial value ("diverged"), when it changes by
-    less than STALL_RTOL relative over STALL_WINDOW steps ("stalled"), when
-    an error norm or residual is not finite ("nonfinite"), or when a finite
-    schedule runs out of terms ("schedule_exhausted"). After each step the
-    rules are tested in that order, nonfinite first, and the first step at
-    which one holds ends the run. *max_iters* must be a nonnegative integer
-    (a float with an integral value is accepted) and *conv_tol* not NaN; a
-    negative *conv_tol* runs the whole horizon.
+    DIVERGENCE_CAP times a nonzero initial error ("diverged"), when it
+    changes by less than STALL_RTOL relative over STALL_WINDOW steps
+    ("stalled"), when an error norm or residual is not finite ("nonfinite"),
+    or when a finite schedule runs out of terms ("schedule_exhausted").
+    After each step the rules are tested in that order, nonfinite first, and
+    the first step at which one holds ends the run. *max_iters* must be a
+    nonnegative integer (a float with an integral value is accepted) and
+    *conv_tol* not NaN; a negative *conv_tol* disables only "converged".
 
     The run works in the coordinates z = Y^T A^T u, on the error d = z - z_lim
     and the residual vector rz = X^T w - s z, whose norm with
@@ -142,7 +144,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
 
     rz = wc - s * z
     d = z - z_lim
-    e_cap = divergence_cap * max(lengths(d), 1e-300)
+    e_cap = DIVERGENCE_CAP * lengths(d) or math.inf  # an initial error of 0 sets no cap
     errors, residuals, used = [], [], []
     # the errors of the STALL_WINDOW states before a block, NaN before state 0
     back = np.full(STALL_WINDOW, np.nan)
@@ -199,20 +201,18 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10, diverg
         final_iterate = ((z_lim + dd[taken - 1]) @ yt) @ a.T
 
     error_norms = np.concatenate(errors)
-    trace = IterationTrace(
+    window = min(RATE_WINDOW, error_norms.size - 1)
+    fitted = window >= 1 and np.all(np.isfinite(error_norms[-(window + 1):]))
+    return IterationTrace(
         error_norms=error_norms,
         residuals=np.concatenate(residuals),
         alphas_used=np.concatenate(used),
         stop_reason=stop,
-        estimated_rate=None,
+        estimated_rate=estimate_rate(error_norms, window) if fitted else None,
         final_iterate=final_iterate,
         limit=limit,
         u0_projected=projected,
     )
-    window = min(RATE_WINDOW, error_norms.size - 1)
-    if window >= 1 and np.all(np.isfinite(error_norms[-(window + 1):])):
-        trace.estimated_rate = estimate_rate(error_norms, window)
-    return trace
 
 
 def _block_sizes(k, max_iters):

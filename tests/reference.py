@@ -246,8 +246,7 @@ def diagonal_landweber_reference(p, r, d, schedule, max_iters):
     return u
 
 
-def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
-                       divergence_cap=1e9):
+def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     """:func:`altproj.engine.run_alternating` one step at a time: each step
     z <- z + alpha s (X^T w - s z) on the coordinates, then the stop rules on
     the new error, in the engine's order. Returns the trace and every
@@ -270,7 +269,7 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
     errors = [math.sqrt(d @ d)]
     residuals = [math.hypot(r_perp, math.sqrt(rz @ rz))]
     coords, used = [z], []
-    e_ref = max(errors[0], 1e-300)
+    e_cap = engine.DIVERGENCE_CAP * errors[0] if errors[0] > 0 else math.inf
     n_terms = max_iters if schedule.length is None else min(max_iters, schedule.length)
     alphas = iter(schedule.alphas(n_terms).tolist())
     n = 0
@@ -286,7 +285,7 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10,
             if n == max_iters:
                 stop = "max_iters"
                 break
-            if e > divergence_cap * e_ref:
+            if e > e_cap:
                 stop = "diverged"
                 break
             if n >= engine.STALL_WINDOW:

@@ -73,9 +73,10 @@ def test_block_loop_matches_stepwise_reference_at_block_edges(g, kind, edge, off
     w = g.w_offset
     # convergence well above the rounding floor, where the two loops agree
     conv_tol = tol * max(1.0, np.linalg.norm(u0), np.linalg.norm(w))
-    kw = dict(max_iters=max_iters, conv_tol=conv_tol, divergence_cap=1e3)
-    assert_same_run(run_alternating(q, w, sched, u0, **kw),
-                    stepwise_reference(q, w, sched, u0, **kw)[0])
+    kw = dict(max_iters=max_iters, conv_tol=conv_tol)
+    with mock.patch.object(engine, "DIVERGENCE_CAP", 1e3):
+        assert_same_run(run_alternating(q, w, sched, u0, **kw),
+                        stepwise_reference(q, w, sched, u0, **kw)[0])
 
 
 @property_settings(150)
@@ -92,11 +93,11 @@ def test_run_is_prefix_exact(g, kind, edge, offset, reach, seed):
     sched = schedule_of(kind, hi, seed, longer)
     u0, w = random_u0(g, seed), g.w_offset
     # convergence well above the rounding floor, where the two loops agree
-    kw = dict(conv_tol=1e-9 * max(1.0, np.linalg.norm(u0), np.linalg.norm(w)),
-              divergence_cap=1e3)
-    short = run_alternating(q, w, sched, u0, max_iters=n, **kw)
-    long = run_alternating(q, w, sched, u0, max_iters=longer, **kw)
-    ref, ref_iterates = stepwise_reference(q, w, sched, u0, max_iters=longer, **kw)
+    kw = dict(conv_tol=1e-9 * max(1.0, np.linalg.norm(u0), np.linalg.norm(w)))
+    with mock.patch.object(engine, "DIVERGENCE_CAP", 1e3):
+        short = run_alternating(q, w, sched, u0, max_iters=n, **kw)
+        long = run_alternating(q, w, sched, u0, max_iters=longer, **kw)
+        ref, ref_iterates = stepwise_reference(q, w, sched, u0, max_iters=longer, **kw)
     assert_same_run(long, ref)
     m = short.n_steps
     assert m == min(n, long.n_steps)
@@ -145,18 +146,20 @@ def test_max_iters_at_block_position(n):
 
 
 @pytest.mark.parametrize("n", STOP_STEPS)
-def test_diverges_at_block_position(n):
+def test_diverges_at_block_position(n, monkeypatch):
     # e_n = 2 * 1.5^n first exceeds the cap times e_0 = 2 at step n; the
     # rounding grows with the error
-    trace = run_both(Schedule.constant(2.5), scale=2 * 1.5 ** n, divergence_cap=1.5 ** n / 1.2)
+    monkeypatch.setattr(engine, "DIVERGENCE_CAP", 1.5 ** n / 1.2)
+    trace = run_both(Schedule.constant(2.5), scale=2 * 1.5 ** n)
     assert trace.stop_reason == "diverged" and trace.n_steps == n
 
 
 @pytest.mark.parametrize("n", STOP_STEPS)
-def test_nonfinite_at_block_position(n):
+def test_nonfinite_at_block_position(n, monkeypatch):
     # the error grows to 2 * 1.5^(n-1) >= 2, then a step of 1e308 overflows it
+    monkeypatch.setattr(engine, "DIVERGENCE_CAP", np.inf)
     sched = Schedule.explicit([2.5] * (n - 1) + [1e308] + [0.5] * 100)
-    trace = run_both(sched, scale=2 * 1.5 ** n, divergence_cap=np.inf)
+    trace = run_both(sched, scale=2 * 1.5 ** n)
     assert trace.stop_reason == "nonfinite" and trace.n_steps == n
     assert not np.all(np.isfinite(trace.final_iterate))
 
@@ -217,3 +220,24 @@ def test_sub_cutoff_drift_matches_stepwise_and_geometric_form():
     with mock.patch.object(engine, "STALL_RTOL", 0.0):
         iterates = iterates_at(q, g.w_offset, sched, u0, steps, conv_tol=-1.0)
     assert np.max(np.linalg.norm(iterates - ref_iterates[steps], axis=1)) <= tol
+
+
+def test_zero_initial_error_sets_no_divergence_cap():
+    # U and W are parallel lines, yet rounding leaves their sine just above
+    # 0 and below the null-space cutoff: the limit keeps u0's component, so
+    # the initial error is 0, while each step still drifts that component by
+    # alpha s rz_lim. A zero initial error sets no divergence cap, so both
+    # loops take the whole horizon instead of stopping as diverged at step 1
+    direction = [[0.1888], [-0.1984], [0.9618]]
+    g = ProblemGeometry(AffineSubspace.from_span(direction),
+                        AffineSubspace.from_span(direction, point=[0.1757, 0.1583, -0.0018]))
+    g = g.canonical()
+    q = build(g)
+    assert q.sines[0] > 0 and not q.kept[0]
+    args = (q, g.w_offset, Schedule.constant(0.7), np.zeros(3))
+    kw = dict(max_iters=300, conv_tol=-1.0)
+    trace = run_alternating(*args, **kw)
+    ref = stepwise_reference(*args, **kw)[0]
+    assert trace.error_norms[0] == 0.0 < trace.error_norms[1]
+    assert (trace.stop_reason, trace.n_steps) == ("max_iters", 300)
+    assert_same_run(trace, ref)

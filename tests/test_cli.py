@@ -25,7 +25,7 @@ from altproj.subspace import canonicalize
 from helpers import property_settings, random_u0
 from reference import (diagonal_landweber_reference, reference_build, reference_least_squares,
                        reference_report)
-from rounding import EPS, gamma
+from rounding import EPS, gamma, underflow_bound
 
 
 def scenario_path(name):
@@ -378,6 +378,39 @@ class TestOverrelaxation:
         with pytest.raises(cli.ConfigError):
             cli.overrelaxation_study(1.5, [1.0], seed=0)
 
+    @pytest.mark.parametrize("nu2, alpha", [(0.5, 4.0), (1.0, 2.0)])
+    def test_boundary_is_not_converged(self, nu2, alpha):
+        # alpha nu2 = 2: classify reads "ambiguous" (with nu2 = 0.5 the
+        # computed s^2 is a few ulp above 0.5, so the error grows by
+        # 1 + 2e-15 a step, which is rounding), and the run does not converge
+        row, = cli.overrelaxation_study(nu2, [alpha], seed=1)
+        assert row["verdict"] == "not-converged"
+
+    def test_diverged_is_decided_before_the_cap(self):
+        # the error grows by 1.00005 a step, 1.005-fold in 100 steps, far
+        # below the divergence cap, yet the class decides the verdict
+        row, = cli.overrelaxation_study(0.5, [4.0001], seed=1, max_iters=100)
+        assert row["verdict"] == "diverged"
+        assert (row["trace"].stop_reason, row["trace"].n_steps) == ("max_iters", 100)
+
+    @property_settings(60)
+    @given(st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2 ** 31 - 1),
+           st.integers(1, 20), st.one_of(st.floats(0.0, 10.0),
+                                         st.integers(-256, 256).map(lambda k: 2 * (1 + k * EPS))))
+    def test_diverged_exactly_outside_the_class(self, nu2, seed, horizon, target):
+        # s^2 is the squared sine of the study's geometry, built here again;
+        # alpha s^2 is drawn near the boundary 2 or anywhere in [0, 10]; a
+        # tiny nu2 can leave a sine that rounds to 0, in the class for any alpha
+        phi = math.asin(math.sqrt(nu2))
+        s2 = build(canonicalize(problems.controlled_angle_geometry(
+            [phi], offset_norm=0.5, rotation_seed=seed))).norm ** 2
+        alpha = target / s2 if s2 else target
+        row, = cli.overrelaxation_study(nu2, [alpha], seed, max_iters=horizon)
+        if alpha * s2 >= 2 * (1 + 64 * EPS):
+            assert row["verdict"] == "diverged"
+        if alpha * s2 <= 2 * (1 - 64 * EPS):
+            assert row["verdict"] != "diverged"
+
 
 class TestTruncation:
     def test_norm_growth_matches_closed_form(self):
@@ -416,8 +449,9 @@ class TestTruncation:
         assert u.shape == (d,)
         # componentwise, so components the iteration has barely reached
         # (u_i ~ n alpha sigma_i w_i, far below w_i / sigma_i) count as much
-        # as the ones it has
-        np.testing.assert_allclose(u, ref, rtol=1e-12, atol=0)
+        # as the ones it has, and no closer than gradual underflow allows
+        scale = np.arange(1.0, d + 1) ** (p - r)  # w_i / sigma_i
+        assert np.all(np.abs(u - ref) <= 1e-12 * np.abs(ref) + underflow_bound(n, scale))
 
     @pytest.mark.parametrize("kind", ["constant", "cyclic", "explicit", "random-uniform"])
     def test_one_pass_matches_per_dimension_runs(self, monkeypatch, kind):

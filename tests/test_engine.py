@@ -62,10 +62,11 @@ class TestRunAlternating:
         assert trace.stop_reason == "stalled"
         assert trace.final_error == pytest.approx(1.0)
 
-    def test_inadmissible_step_diverges(self):
+    def test_inadmissible_step_diverges(self, monkeypatch):
+        monkeypatch.setattr(engine, "DIVERGENCE_CAP", 1e3)
         g = canonical_controlled([np.pi / 2])  # norm 1, so alpha > 2 grows
         trace = run_alternating(build(g), g.w_offset, Schedule.constant(2.5), random_u0(g, 0),
-                                max_iters=1000, divergence_cap=1e3)
+                                max_iters=1000)
         assert trace.stop_reason == "diverged"
         assert np.all(np.diff(trace.error_norms) >= 0)
 
@@ -208,11 +209,10 @@ def test_coordinate_loop_matches_geometric_form(g, seed, u0_scale):
     u0 = random_u0(g, seed, scale=u0_scale)
     w = g.w_offset
     # a function-scoped monkeypatch would fail Hypothesis's health check
-    with mock.patch.object(engine, "STALL_RTOL", 0.0):
-        trace = run_alternating(q, w, sched, u0, max_iters=20, conv_tol=-1.0,
-                                divergence_cap=np.inf)
-        iterates = iterates_at(q, w, sched, u0, range(21), conv_tol=-1.0,
-                               divergence_cap=np.inf)
+    with mock.patch.object(engine, "STALL_RTOL", 0.0), \
+            mock.patch.object(engine, "DIVERGENCE_CAP", np.inf):
+        trace = run_alternating(q, w, sched, u0, max_iters=20, conv_tol=-1.0)
+        iterates = iterates_at(q, w, sched, u0, range(21), conv_tol=-1.0)
     ref_iterates, ref_residuals = geometric_reference(g, sched, u0, 20)
     limit = limit_point(q, w, u0)
     assert trace.n_steps == 20
@@ -237,8 +237,9 @@ def test_run_scales_by_powers_of_two(g, kind, k, reach, seed):
     conv_tol = 0 compare ratios. That holds while no value leaves the
     normal floats; the assume keeps every nonzero entry of u0 and w, and
     every finite nonzero error norm and residual of the unscaled run, times
-    2^k, in [2^53 tiny, max / 2^8]. That also keeps the scaled initial error
-    above divergence_cap's floor of 1e-300."""
+    2^k, in [2^53 tiny, max / 2^8]. The divergence cap, DIVERGENCE_CAP times
+    the initial error, scales with it too, and an initial error of 0 sets
+    no cap in either run."""
     q = build(g)
     sched = schedule_of(kind, reach / max(q.norm, 0.1) ** 2, seed, 200)
     u0, w, c = random_u0(g, seed), g.w_offset, 2.0 ** k

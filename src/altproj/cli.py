@@ -254,8 +254,9 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
     when classify reads alpha as outside the class at s^2 (the error then
     grows by |1 - alpha s^2| > 1 every step), else "converged" when the run
     stops as converged, else "not-converged" (alpha s^2 = 2 among them); a
-    sine of 0 or a zero horizon gives no "diverged" row. Returns a list of
-    row dicts (alpha, alpha_nu2, verdict, empirical_rate, rho_alpha).
+    sine at or below the null-space cutoff, or a zero horizon, gives no
+    "diverged" row. Returns a list of row dicts (alpha, alpha_nu2, verdict,
+    empirical_rate, rho_alpha).
     """
     seed = as_count(seed, "seed")
     if not (0 < nu2 <= 1):
@@ -266,7 +267,7 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
                                                         rotation_seed=seed))
     q = build(g)
     u0 = problems.random_point_in(g.u_space, seed + 1)
-    s2, rows = q.norm ** 2, []
+    s2, rows = q.reduced_min_modulus ** 2, []  # 0 for a sine the engine treats as zero
     for alpha, sched in zip(alphas, schedules):
         trace = run_alternating(q, g.w_offset, sched, u0, max_iters=max_iters)
         if s2 > 0 and max_iters >= 1 and classify(sched, s2, max_iters)[0] == "outside-class":

@@ -144,7 +144,8 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
 
     rz = wc - s * z
     d = z - z_lim
-    e_cap = DIVERGENCE_CAP * lengths(d) or math.inf  # an initial error of 0 sets no cap
+    e0 = lengths(d)
+    e_cap = DIVERGENCE_CAP * e0 if e0 > 0 else math.inf
     errors, residuals, used = [], [], []
     # the errors of the STALL_WINDOW states before a block, NaN before state 0
     back = np.full(STALL_WINDOW, np.nan)
@@ -201,18 +202,20 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
         final_iterate = ((z_lim + dd[taken - 1]) @ yt) @ a.T
 
     error_norms = np.concatenate(errors)
-    window = min(RATE_WINDOW, error_norms.size - 1)
-    fitted = window >= 1 and np.all(np.isfinite(error_norms[-(window + 1):]))
-    return IterationTrace(
+    trace = IterationTrace(
         error_norms=error_norms,
         residuals=np.concatenate(residuals),
         alphas_used=np.concatenate(used),
         stop_reason=stop,
-        estimated_rate=estimate_rate(error_norms, window) if fitted else None,
+        estimated_rate=None,
         final_iterate=final_iterate,
         limit=limit,
         u0_projected=projected,
     )
+    window = min(RATE_WINDOW, error_norms.size - 1)
+    if window >= 1 and np.all(np.isfinite(error_norms[-(window + 1):])):
+        trace.estimated_rate = estimate_rate(error_norms, window)
+    return trace
 
 
 def _block_sizes(k, max_iters):

@@ -119,6 +119,7 @@ def diagonal_truncation_norms(p, r, dims):
 # Indices per block of the diagonal model's pass: its three arrays and the
 # filter kernel's four of this length take 448 KiB, inside a core's L2.
 LANDWEBER_BLOCK = 2 ** 13
+_TINY = np.finfo(float).tiny
 
 
 def _diagonal_gate(p, r, dims, max_iters):
@@ -144,16 +145,25 @@ def _diagonal_blocks(p, r, d, schedule, max_iters):
     start + len(t), where t_i = i^(2(p-r)) = (w_i / sigma_i)^2 and
     u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate after *max_iters*
     steps of *schedule*, split into runs once. t is scratch, overwritten by
-    the next block; u is the filter kernel's fresh array for each block."""
+    the next block; u is the filter kernel's fresh array for each block.
+    Where A sigma_i^2 is subnormal, A the sum of the coefficients, 1 - F_n
+    is A sigma_i^2 to a relative A sigma_i^2, and u_i is formed as
+    A sigma_i w_i: a subnormal 1 - F_n has lost bits that the product by
+    sqrt(t_i) would carry into u_i."""
     runs = schedule.runs(max_iters)
+    total = math.fsum(alpha * m for alpha, m in runs)
     i = np.arange(1.0, min(d, LANDWEBER_BLOCK) + 1)
     t, lam = np.empty((2, i.size))
     for start in range(0, d, LANDWEBER_BLOCK):
         k = min(d - start, LANDWEBER_BLOCK)
         np.power(i[:k], 2.0 * (p - r), out=t[:k])
-        np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2
+        np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2, falling along the block
         u = _filter_runs(runs, lam[:k], keep_f=False)[1]
-        yield start, t[:k], np.multiply(u, np.sqrt(t[:k], out=lam[:k]), out=u)
+        low = total * lam[:k] < _TINY if total * lam[k - 1] < _TINY else None
+        np.multiply(u, np.sqrt(t[:k], out=lam[:k]), out=u)
+        if low is not None:
+            u[low] = total * np.power(i[:k][low], -(p + r))  # A sigma_i w_i
+        yield start, t[:k], u
         i += LANDWEBER_BLOCK
 
 

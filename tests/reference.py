@@ -236,14 +236,21 @@ def stepwise_filter_pair(schedule, lam, n):
 
 def diagonal_landweber_reference(p, r, d, schedule, max_iters):
     """*max_iters* steps of the gradient iteration on the diagonal model with
-    singular values i^-p and data i^-r, from u = 0, one step at a time."""
+    singular values i^-p and data i^-r, from u = 0, one step at a time.
+
+    The steps run on the data scaled by the power of two c that puts the
+    largest w_i / sigma_i near 2^1000, and multiply by alpha last, so that
+    neither a subnormal alpha sigma_i nor a subnormal iterate loses bits:
+    the only rounding below the normal range is the one of u / c."""
     i = np.arange(1, int(d) + 1, dtype=float)
     sigma = i ** (-float(p))
     w = i ** (-float(r))
+    c = 2.0 ** (1000 - math.frexp(float(np.max(w / sigma)))[1])
+    w = c * w
     u = np.zeros(int(d))
     for alpha in schedule.alphas(int(max_iters)):
-        u = u + alpha * sigma * (w - sigma * u)
-    return u
+        u = u + alpha * (sigma * (w - sigma * u))
+    return u / c
 
 
 def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):

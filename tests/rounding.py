@@ -27,35 +27,6 @@ def gamma(n):
     return n * EPS
 
 
-def underflow_bound(n, scale):
-    """A bound on the absolute error that gradual underflow adds to the
-    diagonal model's iterate after n steps, in a component whose closed-form
-    factor w_i / sigma_i is *scale*, on the step-by-step reference and on
-    the closed form together, for coefficients with alpha sigma_i^2 in
-    [0, 2] and sigma_i <= 1.
-
-    With gradual underflow, fl(x op y) = (x op y)(1 + delta) + eta, where
-    |eta| <= 2^-1075 for a product, and eta = 0 for a sum or a difference
-    (Higham, 2nd ed., section 2.1); a libm function (log1p, expm1, exp,
-    pow) errs by at most 2^-1074, the smallest positive float, where its
-    result is subnormal. The deltas are the tests' relative tolerance; this
-    bound covers the etas, which dominate where alpha or alpha sigma_i^2 is
-    subnormal, so that no relative tolerance can hold.
-    - The reference steps u <- u + (alpha sigma)(w - sigma u). The products
-      alpha sigma, sigma u and the last one add at most (2 + |w - sigma u|)
-      eta, and |w - sigma u| <= 3 w / sigma, since |u| <= 2 w / sigma and
-      w <= w / sigma. Each step's error is carried by the factor
-      1 - alpha sigma^2, of modulus at most 1: n (2 + 3 scale) eta in all.
-    - The closed form takes 1 - F_n from at most n runs of equal
-      coefficients, each in at most ten operations that add at most 2^-1074
-      each, carried by F, of modulus at most 1; the product by *scale* then
-      multiplies them by it and adds one eta: (10 n scale + 1) 2^-1074.
-    The sum is at most 12 (n + 1) (1 + scale) 2^-1074; the factor 16 spares
-    a third of it. *scale* may be an array, one factor per component.
-    """
-    return 16.0 * (n + 1) * (1.0 + np.asarray(scale)) * 2.0 ** -1074
-
-
 def gram_error(basis):
     """||B^T B - I||_F, computed from the basis alone."""
     k = basis.shape[1]

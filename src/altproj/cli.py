@@ -41,7 +41,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .validation import INTERSECTION_TOL, as_count, as_real, as_vector, check_keys
+from .validation import as_count, as_real, as_vector, check_keys
 from .subspace import canonicalize
 from .projector import build, compute_report, least_squares_set
 from .schedule import Schedule, classify, diagnose
@@ -50,7 +50,7 @@ from . import problems
 
 SCENARIO_VERSION = 1
 SCENARIO_KEYS = frozenset({"version", "comment", "geometry", "schedule", "u0", "max_iters",
-                           "conv_tol", "intersection_tol", "outputs"})
+                           "conv_tol", "outputs"})
 # The keys each u0 type reads, besides "type".
 U0_KEYS = {"zero": (), "explicit": ("value",), "random": ("seed", "scale")}
 OUTPUT_KEYS = ("trace_csv", "summary_json")
@@ -172,6 +172,14 @@ def _json_text(record):
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
+def _class_verdict(q, sched, horizon):
+    """classify's verdict on *sched* at nu^2 = ||Q||^2 over *horizon* steps;
+    None with no sine above the null-space cutoff (nu is then rounding noise
+    of a zero operator: U's directions lie in V), or no term to classify."""
+    if q.kept.any() and horizon >= 1 and sched.length != 0:
+        return classify(sched, q.norm ** 2, horizon)[0]
+
+
 def run_scenario(path, out_dir=None):
     """Execute a scenario file end to end; returns the summary record dict and
     writes the configured output files."""
@@ -204,13 +212,12 @@ def run_scenario(path, out_dir=None):
         conv_tol = as_real(cfg.get("conv_tol", 1e-10), "conv_tol")
         if not (math.isfinite(conv_tol) and conv_tol >= 0.0):  # also rejects NaN
             raise ValueError(f"conv_tol must be finite and nonnegative, got {conv_tol!r}")
-        itol = as_real(cfg.get("intersection_tol", INTERSECTION_TOL), "intersection_tol")
     except np.linalg.LinAlgError:
         raise  # a numerical failure, although LinAlgError is a ValueError
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    q = build(g, tol=itol)
+    q = build(g)
     report = compute_report(q)
     trace = run_alternating(q, g.w_offset, sched, u0, max_iters=max_iters, conv_tol=conv_tol)
     lss = least_squares_set(q, g.w_offset)
@@ -218,13 +225,9 @@ def run_scenario(path, out_dir=None):
     if trace.stop_reason == "nonfinite":
         raise FloatingPointError(f"non-finite error norm or residual at step {trace.n_steps}")
 
-    # with no sine above the null-space cutoff, nu is rounding noise of a
-    # zero operator (U's directions lie in V), for which neither applies
-    operator_nonzero = q.kept.any()
     alphas = trace.alphas_used if trace.n_steps else next(sched.stream([1]), [])
-    bound = rate_bound(report.nu, report.gamma, alphas).bound if operator_nonzero else None
-    verdict = classify(sched, report.nu ** 2, max_iters)[0] \
-        if operator_nonzero and max_iters >= 1 and sched.length != 0 else "indeterminate"
+    bound = rate_bound(report.nu, report.gamma, alphas).bound if q.kept.any() else None
+    verdict = _class_verdict(q, sched, max_iters) or "indeterminate"
 
     summary = {
         "nu": report.nu,
@@ -251,12 +254,12 @@ def run_scenario(path, out_dir=None):
 def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
     """Constant-relaxation sweep on a one-angle geometry whose sine s has
     s^2 = nu2, each run stopped by the engine's rules. A row is "diverged"
-    when classify reads alpha as outside the class at s^2 (the error then
-    grows by |1 - alpha s^2| > 1 every step), else "converged" when the run
-    stops as converged, else "not-converged" (alpha s^2 = 2 among them); a
-    sine at or below the null-space cutoff, or a zero horizon, gives no
-    "diverged" row. Returns a list of row dicts (alpha, alpha_nu2, verdict,
-    empirical_rate, rho_alpha).
+    when run's verdict reads alpha as outside the class at the computed s^2
+    (the error then grows by |1 - alpha s^2| > 1 every step), else
+    "converged" when the run stops as converged, else "not-converged"
+    (alpha s^2 = 2 among them); a sine at or below the null-space cutoff,
+    or a zero horizon, gives no "diverged" row. Returns a list of row dicts
+    (alpha, alpha_nu2, verdict, empirical_rate, rho_alpha).
     """
     seed = as_count(seed, "seed")
     if not (0 < nu2 <= 1):
@@ -267,10 +270,10 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
                                                         rotation_seed=seed))
     q = build(g)
     u0 = problems.random_point_in(g.u_space, seed + 1)
-    s2, rows = q.reduced_min_modulus ** 2, []  # 0 for a sine the engine treats as zero
+    rows = []
     for alpha, sched in zip(alphas, schedules):
         trace = run_alternating(q, g.w_offset, sched, u0, max_iters=max_iters)
-        if s2 > 0 and max_iters >= 1 and classify(sched, s2, max_iters)[0] == "outside-class":
+        if _class_verdict(q, sched, max_iters) == "outside-class":
             verdict = "diverged"
         else:
             verdict = "converged" if trace.stop_reason == "converged" else "not-converged"

@@ -25,6 +25,7 @@ the alternating-projection iteration.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +34,12 @@ from .subspace import project
 from . import linalg
 
 
-def nullspace_cutoff(tol):
-    """Singular-value cutoff matching an intersection-cosine threshold of
-    1 - tol: a principal cosine c >= 1 - tol corresponds to a singular value
-    sqrt(1 - c^2) <= sqrt(tol * (2 - tol)). Keeping the two thresholds coupled
-    is what makes the angle identities hold on near-degenerate inputs."""
-    return math.sqrt(tol * (2.0 - tol))
+# The sines at or below NULLSPACE_CUTOFF count as zero, as read through
+# RestrictedProjector.kept: a principal cosine c >= 1 - tol, tol =
+# INTERSECTION_TOL, is a sine sqrt(1 - c^2) <= sqrt(tol (2 - tol)). Keeping
+# the two thresholds coupled is what makes the angle identities hold on
+# near-degenerate inputs.
+NULLSPACE_CUTOFF = math.sqrt(INTERSECTION_TOL * (2.0 - INTERSECTION_TOL))
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,7 @@ class RestrictedProjector:
         Orthonormal basis B of the constraint direction space V.
     sines : (k_u,) ndarray
         The singular values S, nonincreasing: the principal sines between
-        U and V. Those at or below ``nullspace_cutoff(tol)`` count as zero.
-    nullspace_basis : (d, k_n) ndarray
-        Orthonormal basis of the null space, in ambient coordinates.
+        U and V. Those at or below NULLSPACE_CUTOFF count as zero.
     """
 
     right_vectors: np.ndarray
@@ -74,8 +73,6 @@ class RestrictedProjector:
     codomain_basis: np.ndarray
     constraint_basis: np.ndarray
     sines: np.ndarray
-    nullspace_basis: np.ndarray
-    tol: float
 
     @property
     def matrix(self):
@@ -87,7 +84,13 @@ class RestrictedProjector:
     @property
     def kept(self):
         """Mask of the sines above the null-space cutoff."""
-        return self.sines > nullspace_cutoff(self.tol)
+        return self.sines > NULLSPACE_CUTOFF
+
+    @cached_property
+    def nullspace_basis(self):
+        """(d, k_n) orthonormal basis of the null space, in ambient
+        coordinates: A Y over the sines that ``kept`` drops, frozen."""
+        return frozen(self.domain_basis @ self.right_vectors[~self.kept].T)
 
     @property
     def norm(self):
@@ -110,14 +113,11 @@ class LeastSquaresSet:
     residual_norm: float
 
 
-def build(g, tol=INTERSECTION_TOL):
+def build(g):
     """Analyze a canonicalized geometry: the restricted projector from one
-    thin factorization (:func:`altproj.linalg.sine_svd`). *tol* is the
-    intersection tolerance, in (0, 1); sines at or below
-    ``nullspace_cutoff(tol)`` span the null space. Nothing is copied: the
+    thin factorization (:func:`altproj.linalg.sine_svd`), whose sines at or
+    below NULLSPACE_CUTOFF span the null space. Nothing is copied: the
     arrays it makes are frozen in place, and *g*'s bases stored as they are."""
-    if not 0.0 < tol < 1.0:  # also rejects NaN
-        raise ValueError(f"intersection tolerance must lie in (0, 1), got {tol!r}")
     if not g.is_canonical:
         raise ValueError("geometry must be canonicalized first (call .canonical())")
     a = g.u_space.basis
@@ -129,8 +129,6 @@ def build(g, tol=INTERSECTION_TOL):
         codomain_basis=x,
         constraint_basis=b,
         sines=sigma,
-        nullspace_basis=frozen(a @ yt[sigma <= nullspace_cutoff(tol)].T),
-        tol=tol,
     )
 
 
@@ -139,13 +137,12 @@ class AngleReport:
     """Principal-angle summary of a canonicalized geometry: ``nu``, the
     minimum-angle cosine against the complement of the constraint
     directions; ``gamma``, the Friedrichs-angle sine between the direction
-    spaces; and the dimension of their intersection, decided at the
-    intersection tolerance ``tol``."""
+    spaces; and the dimension of their intersection, the number of sines
+    at or below NULLSPACE_CUTOFF."""
 
     nu: float
     gamma: float
     intersection_dim: int
-    tol: float
 
 
 def compute_report(q):
@@ -153,12 +150,8 @@ def compute_report(q):
     its sines: ``nu`` is the operator norm, the sines at or below the
     null-space cutoff span the intersection, and ``gamma`` is the reduced
     minimum modulus, or 1 if no sine lies above the cutoff."""
-    return AngleReport(
-        nu=q.norm,
-        gamma=q.reduced_min_modulus or 1.0,
-        intersection_dim=q.nullspace_basis.shape[1],
-        tol=q.tol,
-    )
+    return AngleReport(nu=q.norm, gamma=q.reduced_min_modulus or 1.0,
+                       intersection_dim=q.nullspace_basis.shape[1])
 
 
 def least_squares_set(q, w):

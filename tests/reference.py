@@ -46,7 +46,7 @@ from altproj import engine
 from altproj import projector as proj
 from altproj.engine import IterationTrace, estimate_rate, geometric_step
 from altproj.linalg import orthogonal_complement
-from altproj.projector import distance_to_w, nullspace_cutoff
+from altproj.projector import NULLSPACE_CUTOFF, distance_to_w
 from altproj.subspace import project
 from altproj.validation import INTERSECTION_TOL, as_matrix, as_vector
 
@@ -156,7 +156,7 @@ def product_lemma_check(s_values, horizon=None):
     return partial_sum, abs_product
 
 
-def reference_build(g, tol=INTERSECTION_TOL):
+def reference_build(g):
     """Operator norm, reduced minimum modulus and null space from the
     (d - k_w) x k_u matrix C^T A."""
     a = g.u_space.basis
@@ -172,7 +172,7 @@ def reference_build(g, tol=INTERSECTION_TOL):
     else:
         right = np.eye(k_u)
 
-    nonzero = sigma > nullspace_cutoff(tol)
+    nonzero = sigma > NULLSPACE_CUTOFF
     return SimpleNamespace(
         matrix=m,
         domain_basis=a,
@@ -180,7 +180,6 @@ def reference_build(g, tol=INTERSECTION_TOL):
         norm=float(sigma[0]) if k_u > 0 else 0.0,
         reduced_min_modulus=float(sigma[nonzero].min()) if np.any(nonzero) else 0.0,
         nullspace_basis=a @ right[:, ~nonzero],
-        tol=tol,
     )
 
 
@@ -190,18 +189,18 @@ def reference_least_squares(ref, w):
     m = ref.matrix
     wc = ref.codomain_basis.T @ w
     if min(m.shape) > 0 and ref.norm > 0.0:
-        sol_c = np.linalg.pinv(m, rcond=nullspace_cutoff(ref.tol) / ref.norm) @ wc
+        sol_c = np.linalg.pinv(m, rcond=NULLSPACE_CUTOFF / ref.norm) @ wc
     else:
         sol_c = np.zeros(m.shape[1])
     return ref.domain_basis @ sol_c, float(np.linalg.norm(wc - m @ sol_c))
 
 
-def reference_report(g, tol=INTERSECTION_TOL):
+def reference_report(g):
     """nu as the largest cosine between U and the explicit V-perp; gamma as
     sqrt(1 - fc^2) from the Friedrichs cosine of the reduced pair."""
     u0 = g.u_space.basis
     nu_cos = principal_cosines(u0, orthogonal_complement(g.w_space.basis))
-    fc, dim_j = friedrichs_cos(g.u_space, g.w_space, tol=tol)
+    fc, dim_j = friedrichs_cos(g.u_space, g.w_space)
     return SimpleNamespace(
         nu=float(nu_cos[0]) if nu_cos.size else 0.0,
         gamma=float(np.sqrt(max(0.0, 1.0 - fc * fc))),
@@ -330,14 +329,14 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     return trace, iterates
 
 
-def normal_equation_residual(g, lss, w, tol=INTERSECTION_TOL):
+def normal_equation_residual(g, lss, w):
     """The normal-equation residual M^T (M x - C^T w) of the least-squares set
     *lss* of the canonical geometry *g* and data *w*, with its part along the
     reference null space projected out, and ||x||: x is the minimum-norm
     solution in coordinates of U's basis A, and M = C^T A the operator formed
     by :func:`reference_build` from the bases, so no factor of the package's
     projector is read."""
-    ref = reference_build(g, tol)
+    ref = reference_build(g)
     a = g.u_space.basis
     x = a.T @ lss.min_norm_solution
     m = ref.matrix

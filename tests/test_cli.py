@@ -673,7 +673,7 @@ GEOMETRY_FIELDS = {
                          "rotation_seed": 2},
 }
 U0_FIELDS = {"zero": {}, "explicit": {"value": [1, 0, 0]}, "random": {"seed": 1, "scale": 2}}
-TOP_FIELDS = {"max_iters": 100, "conv_tol": 1e-10, "intersection_tol": 1e-8}
+TOP_FIELDS = {"max_iters": 100, "conv_tol": 1e-10}
 # (section, fields): every type of each section with all its fields set,
 # and the top-level fields, whose section is None
 FULL_SECTIONS = [
@@ -787,7 +787,7 @@ class TestScenarioSections:
         assert message in captured.err
 
     @pytest.mark.parametrize("key, value", [
-        ("conv_tol", "1e-3"), ("conv_tol", True), ("intersection_tol", "1e-6"),
+        ("conv_tol", "1e-3"), ("conv_tol", True),
     ])
     def test_number_field(self, tmp_path, capsys, key, value):
         # float() reads a string or a boolean, so each used to run
@@ -1193,16 +1193,17 @@ class TestMain:
         assert captured.err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec "
                                        "can't decode byte 0xb0")
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "1.5", "-1e-8"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "1.5", "-1e-8", "1e-8"])
     def test_bad_intersection_tol_gives_config_exit(self, tmp_path, capsys, value):
-        # a tolerance outside (0, 1) would set the null-space cutoff to NaN,
-        # to 0 or above real sines, or fail in sqrt
+        # the null-space cutoff is the constant projector.NULLSPACE_CUTOFF, so
+        # a scenario's intersection_tol, even at the old default 1e-8, is an
+        # unknown key rather than a value to range-check
         cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
         cfg["intersection_tol"] = float(value)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
-        assert "intersection tolerance must lie in (0, 1)" in capsys.readouterr().err
+        assert "error: unknown scenario keys: intersection_tol\n" == capsys.readouterr().err
         assert not (tmp_path / "two_lines_30deg_summary.json").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -13,8 +13,8 @@ from altproj.engine import (
     rate_bound,
     run_alternating,
 )
-from altproj.projector import (build, distance_to_w, least_squares_set, limit_point,
-                               nullspace_cutoff)
+from altproj.projector import (NULLSPACE_CUTOFF, build, distance_to_w, least_squares_set,
+                               limit_point)
 from altproj.schedule import KINDS, Schedule, filter_pair
 from altproj.subspace import AffineSubspace, ProblemGeometry
 
@@ -265,7 +265,7 @@ def test_trajectory_is_filter_polynomial_times_initial_error(g, eps, seed):
     # vector Y_k is scaled by exactly F_n(s_k^2) after n steps; Y_k comes
     # from an SVD of the operator taken here, not from the projector's own
     q = build(g)
-    assume(q.norm > nullspace_cutoff(q.tol))  # a zero operator has no kept sines
+    assume(q.norm > NULLSPACE_CUTOFF)  # a zero operator has no kept sines
     nu2 = q.norm ** 2
     sched = Schedule.random_uniform(eps / nu2, (2.0 - eps) / nu2, seed=seed)
     u0, steps = random_u0(g, seed), (0, 1, 2, 5, 10, 30, 100, 300)
@@ -274,7 +274,7 @@ def test_trajectory_is_filter_polynomial_times_initial_error(g, eps, seed):
         iterates = iterates_at(q, g.w_offset, sched, u0, steps, conv_tol=-1.0)
     assert trace.n_steps == 300
     _, sv, vt = np.linalg.svd(q.matrix)
-    kept = sv > nullspace_cutoff(q.tol)
+    kept = sv > NULLSPACE_CUTOFF
     comps = (iterates - trace.limit) @ q.domain_basis @ vt[kept].T
     e0 = np.linalg.norm(iterates[0] - trace.limit)
     for i, n in enumerate(steps):
@@ -291,7 +291,7 @@ def test_empirical_rate_within_rate_bound(g, eps, seed):
     # of the per-step log ratios, so it obeys the same bound
     q = build(g)
     report = compute_report(q)
-    assume(report.nu > nullspace_cutoff(q.tol))  # a zero operator has no bound
+    assume(report.nu > NULLSPACE_CUTOFF)  # a zero operator has no bound
     nu2 = report.nu ** 2
     sched = Schedule.random_uniform(eps / nu2, (2.0 - eps) / nu2, seed=seed)
     u0 = random_u0(g, seed)

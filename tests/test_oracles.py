@@ -18,7 +18,7 @@ from hypothesis import assume, given, strategies as st
 from altproj import cli
 from altproj.linalg import orthonormalize
 from altproj.problems import geometry_from_config, random_geometry
-from altproj.projector import build, least_squares_set, nullspace_cutoff
+from altproj.projector import NULLSPACE_CUTOFF, build, least_squares_set
 from altproj.subspace import AffineSubspace, ProblemGeometry, canonicalize
 
 from helpers import property_geometries, property_settings
@@ -112,7 +112,7 @@ def test_least_squares_set_matches_lstsq_for_data_with_a_v_component(g, j, v):
     lss = least_squares_set(q, w)
     r = a - b @ (b.T @ a)  # from the bases, not from the package's factors
     s1 = np.linalg.svd(r, compute_uv=False)[0] if k_u else 0.0
-    cutoff = nullspace_cutoff(q.tol)
+    cutoff = NULLSPACE_CUTOFF
     # lstsq cuts the singular values at or below rcond * s1; LAPACK's solver
     # skips the cut for one column, so with nothing kept the oracle is 0
     coef = np.linalg.lstsq(r, w, rcond=cutoff / s1)[0] if s1 > cutoff else np.zeros(k_u)

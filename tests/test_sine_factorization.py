@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from altproj.projector import compute_report
 from altproj.linalg import orthogonal_complement
-from altproj.projector import build, least_squares_set, limit_point, nullspace_cutoff
+from altproj.projector import NULLSPACE_CUTOFF, build, least_squares_set, limit_point
 
 from helpers import (canonical_controlled, canonical_random, property_geometries,
                      property_settings)
@@ -147,8 +147,7 @@ def test_report_factorizes_nothing(name, monkeypatch):
     for routine in ("svd", "eigh", "eig", "qr", "pinv", "lstsq"):
         monkeypatch.setattr(np.linalg, routine, refuse)
     rep = compute_report(q)
-    assert (rep.nu, rep.gamma, rep.intersection_dim, rep.tol) == (
-        expected.nu, expected.gamma, expected.intersection_dim, expected.tol)
+    assert rep == expected
 
 
 @pytest.mark.parametrize("rotation_seed", [None, 1])
@@ -183,7 +182,7 @@ def test_sine_below_cutoff_is_dropped_from_solve_and_check():
     # and rejected the problem
     g = canonical_random(1160396831, dim=10, dim_u=4, dim_w=8, shared_dims=2)
     q, ref = build(g), reference_build(g)
-    assert 1e-8 < q.sines[1] <= nullspace_cutoff(q.tol) < q.sines[0]
+    assert 1e-8 < q.sines[1] <= NULLSPACE_CUTOFF < q.sines[0]
     assert q.nullspace_basis.shape[1] == 3
     sol_ref, residual_ref = reference_least_squares(ref, g.w_offset)
     lss = least_squares_set(q, g.w_offset)

@@ -302,12 +302,12 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     first such dimension.
     """
     sched = Schedule.constant(alpha)
-    with np.errstate(all="ignore"):  # a non-finite sum is reported below, by its dimension
-        limit_sums, iterate_sums = problems.truncation_sums(p, r, dims, sched, max_iters)
+    with np.errstate(all="ignore"):  # a non-finite norm is reported below, by its dimension
+        limit_norms, iterate_norms = problems.truncation_norms(p, r, dims, sched, max_iters)
     rows = []
-    for d, limit_sum, iterate_sum in zip(dims, limit_sums.tolist(), iterate_sums.tolist()):
-        row = {"d": int(d), "limit_norm": math.sqrt(limit_sum),
-               "iterate_norm": math.sqrt(iterate_sum), "iters": max_iters}
+    for d, limit_norm, iterate_norm in zip(dims, limit_norms.tolist(), iterate_norms.tolist()):
+        row = {"d": int(d), "limit_norm": limit_norm, "iterate_norm": iterate_norm,
+               "iters": max_iters}
         for key in ("limit_norm", "iterate_norm"):
             if not math.isfinite(row[key]):
                 raise FloatingPointError(f"non-finite {key} at d={row['d']}")

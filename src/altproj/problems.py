@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .linalg import lengths
 from .schedule import Schedule, _filter_runs
 from .subspace import AffineSubspace, ProblemGeometry
 from .validation import as_count, as_matrix, as_real, as_vector, check_keys
@@ -41,9 +42,11 @@ def controlled_angle_geometry(angles, offset_norm=0.0, extra_dims=0, rotation_se
         any angle.
     """
     offset_norm = as_real(offset_norm, "offset_norm")
+    if not math.isfinite(offset_norm):
+        raise ValueError(f"offset_norm must be finite, got {offset_norm!r}")
     extra_dims = as_count(extra_dims, "extra_dims")
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if np.any((angles < 0) | (angles > np.pi / 2 + 1e-12)):
+    if not np.all((angles >= 0) & (angles <= np.pi / 2 + 1e-12)):  # also rejects NaN
         raise ValueError("angles must lie in [0, pi/2]")
     k = angles.size
     d = 2 * k + 1 + extra_dims
@@ -111,9 +114,9 @@ def random_point_in(space, seed, scale=1.0):
 def diagonal_truncation_norms(p, r, dims):
     """Closed-form minimum-norm-solution norms for the diagonal family with
     singular values i^-p and data coefficients i^-r, truncated to each
-    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r))), from the limit sums
-    of a zero-step truncation_sums."""
-    return np.sqrt(truncation_sums(p, r, dims, Schedule.constant(1.0), 0)[0])
+    dimension in *dims*: sqrt(sum_{i<=d} i^(2(p-r))), the limit norms of a
+    zero-step truncation_norms."""
+    return truncation_norms(p, r, dims, Schedule.constant(1.0), 0)[0]
 
 
 # Indices per block of the diagonal model's pass: its three arrays and the
@@ -141,63 +144,63 @@ def _diagonal_gate(p, r, dims, max_iters):
 
 def _diagonal_blocks(p, r, d, schedule, max_iters):
     """The diagonal model over indices 1 .. d, one block of LANDWEBER_BLOCK
-    indices at a time: (start, t, u) for the indices start + 1 ..
-    start + len(t), where t_i = i^(2(p-r)) = (w_i / sigma_i)^2 and
-    u_i = (1 - F_n(sigma_i^2)) sqrt(t_i) is the iterate after *max_iters*
-    steps of *schedule*, split into runs once. t is scratch, overwritten by
-    the next block; u is the filter kernel's fresh array for each block.
+    indices at a time: (start, x, u) for the indices start + 1 ..
+    start + len(x), where x_i = i^(p-r) = w_i / sigma_i and
+    u_i = (1 - F_n(sigma_i^2)) x_i is the iterate after *max_iters* steps
+    of *schedule*, split into runs once. x is scratch, overwritten by the
+    next block; u is the filter kernel's fresh array for each block.
     Where A sigma_i^2 is subnormal, A the sum of the coefficients, 1 - F_n
     is A sigma_i^2 to a relative A sigma_i^2, and u_i is formed as
     A sigma_i w_i: a subnormal 1 - F_n has lost bits that the product by
-    sqrt(t_i) would carry into u_i."""
+    x_i would carry into u_i."""
     runs = schedule.runs(max_iters)
     total = math.fsum(alpha * m for alpha, m in runs)
     i = np.arange(1.0, min(d, LANDWEBER_BLOCK) + 1)
-    t, lam = np.empty((2, i.size))
+    x, lam = np.empty((2, i.size))
     for start in range(0, d, LANDWEBER_BLOCK):
         k = min(d - start, LANDWEBER_BLOCK)
-        np.power(i[:k], 2.0 * (p - r), out=t[:k])
+        np.power(i[:k], p - r, out=x[:k])
         np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2, falling along the block
         u = _filter_runs(runs, lam[:k], keep_f=False)[1]
         low = total * lam[:k] < _TINY if total * lam[k - 1] < _TINY else None
-        np.multiply(u, np.sqrt(t[:k], out=lam[:k]), out=u)
+        np.multiply(u, x[:k], out=u)
         if low is not None:
             u[low] = total * np.power(i[:k][low], -(p + r))  # A sigma_i w_i
-        yield start, t[:k], u
+        yield start, x[:k], u
         i += LANDWEBER_BLOCK
 
 
-def truncation_sums(p, r, dims, schedule, max_iters):
+def truncation_norms(p, r, dims, schedule, max_iters):
     """For the diagonal family with singular values i^-p and data i^-r,
-    truncated to each dimension d of *dims* (in the order given): the sums
-    over i <= d of t_i = i^(2(p-r)), the squared norm of the minimum-norm
-    solution, and of u_i^2, the squared norm of the iterate after
-    *max_iters* steps of *schedule* from zero, for input that
+    truncated to each dimension d of *dims* (in the order given): the norms
+    over i <= d of x_i = i^(p-r), the minimum-norm solution, and of u_i, the
+    iterate after *max_iters* steps of *schedule* from zero, for input that
     _diagonal_gate accepts. The schedule's coefficients are split into runs
     once (Schedule.runs), so a constant schedule costs O(1) memory in
     *max_iters*.
 
     One pass over the largest dimension, in blocks of LANDWEBER_BLOCK
-    indices, with no array of its length: each block adds its share of
-    each segment between the sorted dimensions, summed pairwise, to
-    that segment's running sum, and the segment sums are added in order.
-    The rounding grows with the number of blocks and of dimensions, where
-    a running sum's grows with d."""
+    indices, with no array of its length. The length of each block's share
+    of each segment between the sorted dimensions is the root of its sum of
+    squares, summed pairwise, or, where that sum leaves the normal range,
+    linalg.lengths, which rescales the share; the norm up to each dimension
+    is math.hypot of the shares' lengths before it. So a norm is right
+    wherever it is a finite float."""
     p, r, dims, max_iters = _diagonal_gate(p, r, dims, max_iters)
     ends = sorted(set(dims))
-    parts = np.zeros((len(ends), 2))  # each segment's sums of t and of u^2
+    shares, totals = ([], []), {}  # the lengths of each share of x and of u
     j = 0  # the segment that holds index lo + 1
-    for start, t, u in _diagonal_blocks(p, r, ends[-1], schedule, max_iters):
-        np.square(u, out=u)
-        lo, stop = start, start + t.size
+    for start, x, u in _diagonal_blocks(p, r, ends[-1], schedule, max_iters):
+        lo, stop = start, start + x.size
         while lo < stop:
             hi = min(ends[j], stop)
-            parts[j, 0] += t[lo - start:hi - start].sum()
-            parts[j, 1] += u[lo - start:hi - start].sum()
+            for col, part in zip(shares, (x[lo - start:hi - start], u[lo - start:hi - start])):
+                sq = np.square(part).sum()
+                col.append(math.sqrt(sq) if _TINY <= sq < math.inf else lengths(part))
             if hi == ends[j]:
+                totals[hi] = [math.hypot(*col) for col in shares]
                 j += 1
             lo = hi
-    totals = dict(zip(ends, np.cumsum(parts, axis=0)))
     return tuple(np.array([totals[d][col] for d in dims]) for col in (0, 1))
 
 
@@ -205,7 +208,7 @@ def run_diagonal_landweber(p, r, d, schedule, max_iters):
     """The iterate after *max_iters* steps of u <- u + alpha sigma (w - sigma u)
     from u = 0 on the diagonal model, in closed form through the filter
     polynomial: u_i = (1 - F_n(sigma_i^2)) w_i / sigma_i, filled in from the
-    blocks of truncation_sums' pass, for input that _diagonal_gate accepts."""
+    blocks of truncation_norms' pass, for input that _diagonal_gate accepts."""
     p, r, (d,), max_iters = _diagonal_gate(p, r, [d], max_iters)
     u = np.empty(d)
     for start, _, block in _diagonal_blocks(p, r, d, schedule, max_iters):

@@ -24,6 +24,13 @@ _ORTHO_ATOL = 1e-12
 class AffineSubspace:
     """Affine subspace given by an orthonormal direction basis and a canonical offset.
 
+    The public constructor is for canonical input: it refuses a basis that
+    is not orthonormal, or an offset not orthogonal to it, to within
+    _ORTHO_ATOL (times 1 + ||offset|| for the offset). A far subspace that
+    the package built (from_span, translate, canonical) carries rounding in
+    its offset that follows the point, and may fail that test: rebuild it
+    with ``from_span(basis, point=offset)``.
+
     Attributes
     ----------
     basis : (d, k) ndarray

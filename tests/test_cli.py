@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 from altproj import cli, linalg, problems
 from altproj.engine import contraction_factor, run_alternating
 from altproj.problems import (LANDWEBER_BLOCK, diagonal_truncation_norms, geometry_from_config,
-                              random_geometry, run_diagonal_landweber, truncation_sums)
+                              random_geometry, run_diagonal_landweber, truncation_norms)
 from altproj.projector import build
 from altproj.schedule import Schedule, classify, diagnose
 from altproj.subspace import canonicalize
@@ -485,9 +485,9 @@ class TestTruncation:
 
         def counted(*args):
             calls.append(max(args[2]))
-            return truncation_sums(*args)
+            return truncation_norms(*args)
 
-        monkeypatch.setattr(cli.problems, "truncation_sums", counted)
+        monkeypatch.setattr(cli.problems, "truncation_norms", counted)
         rows = cli.truncation_study(p, r, dims, max_iters=n)
         assert calls == [1000]
         assert [row["d"] for row in rows] == dims
@@ -529,12 +529,14 @@ class TestTruncation:
         p, r, n, b = 1.0, 0.6, 60, LANDWEBER_BLOCK
         dims = [2 * b + 1, b, b - 1, b + 1, b, 2 * b + 1, b - 1]
         sched = _sweep_schedule(kind, n)
-        limit_sums, iterate_sums = truncation_sums(p, r, dims, sched, n)
+        limit_norms, iterate_norms = truncation_norms(p, r, dims, sched, n)
         terms = np.arange(1, 2 * b + 2, dtype=float) ** (2.0 * (p - r))
-        for d, limit_sum, iterate_sum in zip(dims, limit_sums, iterate_sums):
+        for d, limit_norm, iterate_norm in zip(dims, limit_norms, iterate_norms):
             expected = np.linalg.norm(run_diagonal_landweber(p, r, d, sched, n))
-            assert math.sqrt(iterate_sum) == pytest.approx(expected, rel=1e-12, abs=0), d
-            assert limit_sum == pytest.approx(math.fsum(terms[:d].tolist()), rel=1e-15), d
+            assert iterate_norm == pytest.approx(expected, rel=1e-12, abs=0), d
+            # the norm within 5e-16 relative is its square within 1e-15
+            assert limit_norm == pytest.approx(math.sqrt(math.fsum(terms[:d].tolist())),
+                                               rel=5e-16), d
 
     def test_study_holds_no_array_of_the_dimension(self):
         # 10**6 float64 values take 7.6 MiB; the pass keeps a few blocks
@@ -576,6 +578,34 @@ class TestTruncation:
         assert err == ""
         assert rows[0]["iterate_norm"] == pytest.approx(rows[0]["limit_norm"], rel=1e-15)
 
+    def test_iterate_norm_whose_squares_underflow(self):
+        # components from 1.25e-306 to 5e-300, whose squares are all below
+        # the smallest normal float: the norm once read 0
+        sched = Schedule.constant(1e-300)
+        u = run_diagonal_landweber(3.0, -1.0, 2000, sched, 5)
+        (row,) = cli.truncation_study(3.0, -1.0, [2000], alpha=1e-300, max_iters=5)
+        assert row["iterate_norm"] == pytest.approx(math.hypot(*u.tolist()), rel=1e-12, abs=0)
+        assert row["iterate_norm"] == pytest.approx(5.2017382519440e-300, rel=1e-12)
+
+    def test_limit_norm_whose_squares_overflow(self, capsys):
+        # w_i / sigma_i = i^100 up to 1e200: a representable norm, whose
+        # squares overflow; the verb once exited 3 with a non-finite limit_norm
+        assert cli.main(["truncate", "--p", "1", "--r", "-99", "--dims", "100",
+                         "--max-iters", "5"]) == 0
+        (row,) = cli.truncation_study(1.0, -99.0, [100], max_iters=5)
+        exact = float(math.isqrt(sum(i ** 200 for i in range(1, 101))))  # integers
+        assert row["limit_norm"] == pytest.approx(exact, rel=1e-12)
+        assert capsys.readouterr().out.startswith("d=100 limit_norm=1.07432e+200 ")
+
+    def test_iterate_whose_ratios_square_beyond_the_float_range(self):
+        # w_i / sigma_i = i^100 is a float, its square from i = 35 on is not:
+        # formed as the root of that square, 66 components were inf
+        sched = Schedule.constant(1.0)
+        u = run_diagonal_landweber(1.0, -99.0, 100, sched, 5)
+        assert np.all(np.isfinite(u))
+        np.testing.assert_allclose(u, diagonal_landweber_reference(1.0, -99.0, 100, sched, 5),
+                                   rtol=1e-12, atol=0)
+
     def test_coefficients_are_drawn_once(self, monkeypatch):
         # once per study, not once per block of the iterate
         calls = []
@@ -592,9 +622,10 @@ class TestTruncation:
 
 
 # The diagonal family's three entry points, on (p, r, d, max_iters);
-# diagonal_truncation_norms takes no horizon.
+# diagonal_truncation_norms takes no horizon. The pass is keyed by its
+# earlier name, truncation_sums, which the test ids keep.
 DIAGONAL_ENTRY_POINTS = {
-    "truncation_sums": lambda p, r, d, n: truncation_sums(p, r, [d], Schedule.constant(1.0), n),
+    "truncation_sums": lambda p, r, d, n: truncation_norms(p, r, [d], Schedule.constant(1.0), n),
     "run_diagonal_landweber":
         lambda p, r, d, n: run_diagonal_landweber(p, r, d, Schedule.constant(1.0), n),
     "diagonal_truncation_norms": lambda p, r, d, n: diagonal_truncation_norms(p, r, [d]),
@@ -629,6 +660,20 @@ def test_diagonal_family_refuses_bad_input(entry, p, r, d, n, message):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20, f"peak {peak} B"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"angles": [math.nan]}, "angles must lie in [0, pi/2]"),
+    ({"angles": [0.5, math.nan]}, "angles must lie in [0, pi/2]"),
+    ({"angles": [0.5], "offset_norm": math.nan}, "offset_norm must be finite, got nan"),
+    ({"angles": [0.5], "offset_norm": math.inf}, "offset_norm must be finite, got inf"),
+    ({"angles": [0.5], "offset_norm": -math.inf}, "offset_norm must be finite, got -inf"),
+], ids=["nan-angle", "nan-second-angle", "nan-offset", "inf-offset", "minus-inf-offset"])
+def test_controlled_angle_geometry_names_a_bad_angle_or_offset(kwargs, message):
+    # NaN compares false, so a NaN angle passed the range check; it, and a
+    # non-finite offset, were refused later as non-finite matrix or point entries
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        problems.controlled_angle_geometry(**kwargs)
 
 
 @pytest.mark.parametrize("entry", list(DIAGONAL_ENTRY_POINTS))
@@ -890,7 +935,7 @@ def refuse_work(monkeypatch):
     for holder, attr in [(cli, "canonicalize"), (cli, "build"),
                          (problems, "run_diagonal_landweber"),
                          (problems, "diagonal_truncation_norms"),
-                         (problems, "truncation_sums")]:
+                         (problems, "truncation_norms")]:
         monkeypatch.setattr(holder, attr, refuse)
 
 

@@ -150,8 +150,11 @@ def compute_report(q):
     its sines: ``nu`` is the operator norm, the sines at or below the
     null-space cutoff span the intersection, and ``gamma`` is the reduced
     minimum modulus, or 1 if no sine lies above the cutoff."""
-    return AngleReport(nu=q.norm, gamma=q.reduced_min_modulus or 1.0,
-                       intersection_dim=q.nullspace_basis.shape[1])
+    return AngleReport(
+        nu=q.norm,
+        gamma=q.reduced_min_modulus or 1.0,
+        intersection_dim=q.nullspace_basis.shape[1],
+    )
 
 
 def least_squares_set(q, w):

@@ -12,7 +12,8 @@ import numbers
 import numpy as np
 
 # Threshold on principal cosines used to detect subspace intersections
-# (cosine >= 1 - INTERSECTION_TOL counts as an intersection direction).
+# (cosine >= 1 - INTERSECTION_TOL counts as an intersection direction);
+# projector.NULLSPACE_CUTOFF is the matching cutoff on the sines.
 INTERSECTION_TOL = 1e-8
 
 

@@ -579,8 +579,8 @@ class TestTruncation:
         assert rows[0]["iterate_norm"] == pytest.approx(rows[0]["limit_norm"], rel=1e-15)
 
     def test_iterate_norm_whose_squares_underflow(self):
-        # components from 1.25e-306 to 5e-300, whose squares are all below
-        # the smallest normal float: the norm once read 0
+        # components from 1.25e-306 to 5e-300, whose squares all fall below
+        # the smallest normal float
         sched = Schedule.constant(1e-300)
         u = run_diagonal_landweber(3.0, -1.0, 2000, sched, 5)
         (row,) = cli.truncation_study(3.0, -1.0, [2000], alpha=1e-300, max_iters=5)
@@ -588,8 +588,8 @@ class TestTruncation:
         assert row["iterate_norm"] == pytest.approx(5.2017382519440e-300, rel=1e-12)
 
     def test_limit_norm_whose_squares_overflow(self, capsys):
-        # w_i / sigma_i = i^100 up to 1e200: a representable norm, whose
-        # squares overflow; the verb once exited 3 with a non-finite limit_norm
+        # w_i / sigma_i = i^100 up to 1e200: a representable norm whose
+        # squares overflow
         assert cli.main(["truncate", "--p", "1", "--r", "-99", "--dims", "100",
                          "--max-iters", "5"]) == 0
         (row,) = cli.truncation_study(1.0, -99.0, [100], max_iters=5)
@@ -598,8 +598,8 @@ class TestTruncation:
         assert capsys.readouterr().out.startswith("d=100 limit_norm=1.07432e+200 ")
 
     def test_iterate_whose_ratios_square_beyond_the_float_range(self):
-        # w_i / sigma_i = i^100 is a float, its square from i = 35 on is not:
-        # formed as the root of that square, 66 components were inf
+        # w_i / sigma_i = i^100 is a float, but from i = 35 on its square is
+        # not, so the closed form must not pass through the square
         sched = Schedule.constant(1.0)
         u = run_diagonal_landweber(1.0, -99.0, 100, sched, 5)
         assert np.all(np.isfinite(u))
@@ -670,8 +670,8 @@ def test_diagonal_family_refuses_bad_input(entry, p, r, d, n, message):
     ({"angles": [0.5], "offset_norm": -math.inf}, "offset_norm must be finite, got -inf"),
 ], ids=["nan-angle", "nan-second-angle", "nan-offset", "inf-offset", "minus-inf-offset"])
 def test_controlled_angle_geometry_names_a_bad_angle_or_offset(kwargs, message):
-    # NaN compares false, so a NaN angle passed the range check; it, and a
-    # non-finite offset, were refused later as non-finite matrix or point entries
+    # NaN compares false, so the range check must fail on it; both are named,
+    # not refused later as non-finite entries of a matrix or a point
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         problems.controlled_angle_geometry(**kwargs)
 
@@ -1241,14 +1241,13 @@ class TestMain:
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "1.5", "-1e-8", "1e-8"])
     def test_bad_intersection_tol_gives_config_exit(self, tmp_path, capsys, value):
         # the null-space cutoff is the constant projector.NULLSPACE_CUTOFF, so
-        # a scenario's intersection_tol, even at the old default 1e-8, is an
-        # unknown key rather than a value to range-check
+        # intersection_tol is an unknown scenario key, whatever its value
         cfg = json.loads(scenario_path("two_lines_30deg.json").read_text())
         cfg["intersection_tol"] = float(value)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
-        assert "error: unknown scenario keys: intersection_tol\n" == capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown scenario keys: intersection_tol\n"
         assert not (tmp_path / "two_lines_30deg_summary.json").exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -291,8 +291,6 @@ class RateBound:
     schedule confined to [eps, 2 - eps]."""
 
     epsilon: float
-    nu: float
-    gamma: float
     bound: float
 
 
@@ -305,4 +303,4 @@ def rate_bound(nu, gamma, alphas):
     alphas = np.asarray(alphas, dtype=float)
     eps = box_margin(alphas * nu * nu)
     bound = 1.0 - eps * (gamma * gamma) / (nu * nu)
-    return RateBound(epsilon=eps, nu=float(nu), gamma=float(gamma), bound=float(bound))
+    return RateBound(epsilon=eps, bound=float(bound))

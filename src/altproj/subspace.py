@@ -10,7 +10,7 @@ The constructor checks its caller's input; the subspaces that the package
 builds (from_span, translate, canonical) are not checked again, but tested.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,21 +108,16 @@ def project_relaxed(a, u, alpha):
 class ProblemGeometry:
     """A pair of affine subspaces: the iterate space U and the constraint set W.
 
-    ``shift`` records the translation applied by canonicalization so limits
-    can be mapped back to the original frame (original = canonical + shift).
+    The iteration and every output (nu, gamma, residuals, error norms) are
+    unchanged when both are translated, so nothing records a translation.
     """
 
     u_space: AffineSubspace
     w_space: AffineSubspace
-    shift: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.u_space.dim_ambient != self.w_space.dim_ambient:
             raise ValueError("both subspaces must share the ambient dimension")
-        s = self.shift
-        if s is None:
-            s = np.zeros(self.u_space.dim_ambient)
-        object.__setattr__(self, "shift", readonly(as_vector(s, dim=self.u_space.dim_ambient, name="shift")))
 
     @property
     def dim_ambient(self):
@@ -142,13 +137,13 @@ class ProblemGeometry:
         return self.w_space.offset
 
     def canonical(self):
-        """Equivalent geometry with U through the origin; the translation is
-        accumulated in ``shift``."""
+        """Equivalent geometry with U through the origin: both subspaces
+        translated by minus the offset of U."""
         if self.is_canonical:
             return self
         t = self.u_space.offset
         u_lin = AffineSubspace._made(self.u_space.basis, np.zeros(self.dim_ambient))
-        return ProblemGeometry(u_lin, self.w_space.translate(-t), self.shift + t)
+        return ProblemGeometry(u_lin, self.w_space.translate(-t))
 
 
 def canonicalize(g):

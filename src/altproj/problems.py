@@ -152,7 +152,8 @@ def _diagonal_blocks(p, r, d, schedule, max_iters):
     Where A sigma_i^2 is subnormal, A the sum of the coefficients, 1 - F_n
     is A sigma_i^2 to a relative A sigma_i^2, and u_i is formed as
     A sigma_i w_i: a subnormal 1 - F_n has lost bits that the product by
-    x_i would carry into u_i."""
+    x_i would carry into u_i. Where x_i overflows, u_i is formed as
+    (1 - F_n) h_i h_i with h_i = i^((p-r)/2), finite wherever u_i is."""
     runs = schedule.runs(max_iters)
     total = math.fsum(alpha * m for alpha, m in runs)
     i = np.arange(1.0, min(d, LANDWEBER_BLOCK) + 1)
@@ -163,7 +164,13 @@ def _diagonal_blocks(p, r, d, schedule, max_iters):
         np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2, falling along the block
         u = _filter_runs(runs, lam[:k], keep_f=False)[1]
         low = total * lam[:k] < _TINY if total * lam[k - 1] < _TINY else None
+        big = np.isinf(x[:k]) if math.isinf(max(x[0], x[k - 1])) else None  # x is monotone
+        if big is not None:
+            h = np.power(i[:k][big], (p - r) / 2)
+            u_big = u[big] * h * h
         np.multiply(u, x[:k], out=u)
+        if big is not None:
+            u[big] = u_big
         if low is not None:
             u[low] = total * np.power(i[:k][low], -(p + r))  # A sigma_i w_i
         yield start, x[:k], u

@@ -606,6 +606,21 @@ class TestTruncation:
         np.testing.assert_allclose(u, diagonal_landweber_reference(1.0, -99.0, 100, sched, 5),
                                    rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("p, r, d, alpha, n", [(100, -110, 30, 1.0, 5),
+                                                   (1, -200, 40, 1.6e-12, 1)])
+    def test_iterate_whose_ratios_overflow(self, p, r, d, alpha, n):
+        # w_i / sigma_i = i^(p-r) is not a float for the last entries (the
+        # last one, i = 30, in the first case; i = 35 .. 40 in the second),
+        # but u_i = (1 - F_n) i^(p-r), up to 5 * 30^10 and 1.0329e307, is;
+        # each u_i is within 2 ulp of the exact value, as the entries whose
+        # ratio is a float are
+        with np.errstate(over="ignore"):  # the ratios themselves overflow
+            u = run_diagonal_landweber(p, r, d, Schedule.constant(alpha), n)
+        for i, got in enumerate(u.tolist(), start=1):
+            exact = (1 - (1 - Fraction(alpha) / i ** (2 * p)) ** n) * i ** (p - r)
+            assert math.isfinite(got) and \
+                abs(Fraction(got) - exact) <= 2 * Fraction(np.spacing(float(exact))), i
+
     def test_coefficients_are_drawn_once(self, monkeypatch):
         # once per study, not once per block of the iterate
         calls = []

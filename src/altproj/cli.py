@@ -262,7 +262,8 @@ def overrelaxation_study(nu2, alphas, seed, max_iters=10_000):
     (alpha, alpha_nu2, verdict, empirical_rate, rho_alpha).
     """
     seed = as_count(seed, "seed")
-    if not (0 < nu2 <= 1):
+    nu2 = as_real(nu2, "nu2")
+    if not (0 < nu2 <= 1):  # also rejects NaN
         raise ConfigError("nu2 must be in (0, 1]")
     schedules = [Schedule.constant(alpha) for alpha in alphas]  # rejects a bad alpha up front
     phi = math.asin(math.sqrt(nu2))

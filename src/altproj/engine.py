@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import box_margin, filter_pair
-from .validation import as_count, as_vector
+from .validation import as_count, as_real, as_vector
 from .subspace import project, project_relaxed
 from .linalg import lengths
 from . import projector as proj
@@ -102,7 +102,8 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     After each step the rules are tested in that order, nonfinite first, and
     the first step at which one holds ends the run. *max_iters* must be a
     nonnegative integer (a float with an integral value is accepted) and
-    *conv_tol* not NaN; a negative *conv_tol* disables only "converged".
+    *conv_tol* a number (an int or a float, as validation.as_real reads
+    one), not NaN; a negative *conv_tol* disables only "converged".
 
     The run works in the coordinates z = Y^T A^T u, on the error d = z - z_lim
     and the residual vector rz = X^T w - s z, whose norm with
@@ -118,6 +119,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     once. The trace keeps the ambient iterate A Y z of the last step only.
     """
     max_iters = as_count(max_iters, "max_iters")
+    conv_tol = as_real(conv_tol, "conv_tol")
     if math.isnan(conv_tol):
         raise ValueError("conv_tol must not be NaN")
     a, yt, s, x = q.domain_basis, q.right_vectors, q.sines, q.codomain_basis

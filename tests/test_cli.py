@@ -379,6 +379,11 @@ class TestOverrelaxation:
         with pytest.raises(cli.ConfigError):
             cli.overrelaxation_study(1.5, [1.0], seed=0)
 
+    def test_nu2_must_be_a_number(self):
+        # True used to run as nu2 = 1
+        with pytest.raises(ValueError, match="nu2 must be a number"):
+            cli.overrelaxation_study(True, [1.0], seed=0)
+
     @pytest.mark.parametrize("nu2, alpha", [(0.5, 4.0), (1.0, 2.0)])
     def test_boundary_is_not_converged(self, nu2, alpha):
         # alpha nu2 = 2: classify reads "ambiguous" (with nu2 = 0.5 the

@@ -131,6 +131,14 @@ class TestRunAlternating:
             run_alternating(build(g), g.w_offset, Schedule.constant(1.0),
                             np.array([1.0, 0.0, 0.0]), **kw)
 
+    # True ran as a tolerance of 1, and a string or None raised TypeError
+    @pytest.mark.parametrize("conv_tol", [True, "1e-3", None])
+    def test_rejects_a_tolerance_that_is_not_a_number(self, conv_tol):
+        g = one_step_geometry()
+        with pytest.raises(ValueError, match="conv_tol must be a number"):
+            run_alternating(build(g), g.w_offset, Schedule.constant(1.0),
+                            np.array([1.0, 0.0, 0.0]), conv_tol=conv_tol)
+
     def test_integral_float_horizon_runs_that_many_steps(self):
         # as a scenario's "max_iters": 10.0 does; it used to be refused
         g = one_step_geometry()

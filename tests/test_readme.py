@@ -1,6 +1,7 @@
 """What README states about the code, checked against the code: the scenario
 keys, the scenario example, the constants of the Configuration table, and
-that the package reads no environment variable."""
+that the package reads no environment variable; and that each module of the
+package reads every name it imports."""
 
 import ast
 import importlib
@@ -82,3 +83,26 @@ def test_scan_finds_each_way_to_read_the_environment():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_reads_no_environment_variable(path):
     assert _environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def _unused_imports(source):
+    """The names that an import statement of *source* binds and no name in
+    *source* reads (``import a.b`` binds ``a``)."""
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_scan_finds_each_dead_import():
+    source = ("import os\nimport math as m\nimport x.y\nfrom a.b import c, d\n"
+              "from . import e\nprint(c, x.y, e.f)\n")
+    assert _unused_imports(source) == ["os", "m", "d"]
+
+
+# __init__.py imports names to re-export them, which __all__ names as strings
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_package_reads_each_name_it_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []

@@ -142,6 +142,13 @@ def _diagonal_gate(p, r, dims, max_iters):
     return p, r, [int(d) for d in dims], as_count(max_iters, "max_iters")
 
 
+def _by_halves(c, i, e):
+    """c i^e as (c i^(e/2)) i^(e/2), for indices *i* whose power i^e
+    overflows: finite wherever the product is a float."""
+    h = np.power(i, e / 2)
+    return c * h * h
+
+
 def _diagonal_blocks(p, r, d, schedule, max_iters):
     """The diagonal model over indices 1 .. d, one block of LANDWEBER_BLOCK
     indices at a time: (start, x, u) for the indices start + 1 ..
@@ -152,8 +159,9 @@ def _diagonal_blocks(p, r, d, schedule, max_iters):
     Where A sigma_i^2 is subnormal, A the sum of the coefficients, 1 - F_n
     is A sigma_i^2 to a relative A sigma_i^2, and u_i is formed as
     A sigma_i w_i: a subnormal 1 - F_n has lost bits that the product by
-    x_i would carry into u_i. Where x_i overflows, u_i is formed as
-    (1 - F_n) h_i h_i with h_i = i^((p-r)/2), finite wherever u_i is."""
+    x_i would carry into u_i. Where the power in either form overflows,
+    u_i takes it as two half powers (_by_halves), so u_i is finite wherever
+    it is a float."""
     runs = schedule.runs(max_iters)
     total = math.fsum(alpha * m for alpha, m in runs)
     i = np.arange(1.0, min(d, LANDWEBER_BLOCK) + 1)
@@ -166,13 +174,16 @@ def _diagonal_blocks(p, r, d, schedule, max_iters):
         low = total * lam[:k] < _TINY if total * lam[k - 1] < _TINY else None
         big = np.isinf(x[:k]) if math.isinf(max(x[0], x[k - 1])) else None  # x is monotone
         if big is not None:
-            h = np.power(i[:k][big], (p - r) / 2)
-            u_big = u[big] * h * h
+            u_big = _by_halves(u[big], i[:k][big], p - r)
         np.multiply(u, x[:k], out=u)
         if big is not None:
             u[big] = u_big
         if low is not None:
-            u[low] = total * np.power(i[:k][low], -(p + r))  # A sigma_i w_i
+            il = i[:k][low]
+            v = total * np.power(il, -(p + r))  # A sigma_i w_i
+            over = np.isinf(v)
+            v[over] = _by_halves(total, il[over], -(p + r))
+            u[low] = v
         yield start, x[:k], u
         i += LANDWEBER_BLOCK
 

@@ -172,16 +172,17 @@ def _diagonal_blocks(p, r, d, schedule, max_iters):
         np.power(i[:k], 2.0 * -p, out=lam[:k])  # sigma^2, falling along the block
         u = _filter_runs(runs, lam[:k], keep_f=False)[1]
         low = total * lam[:k] < _TINY if total * lam[k - 1] < _TINY else None
-        big = np.isinf(x[:k]) if math.isinf(max(x[0], x[k - 1])) else None  # x is monotone
-        if big is not None:
-            u_big = _by_halves(u[big], i[:k][big], p - r)
-        np.multiply(u, x[:k], out=u)
-        if big is not None:
-            u[big] = u_big
+        if not math.isinf(max(x[0], x[k - 1])):  # x is monotone
+            np.multiply(u, x[:k], out=u)
+        else:
+            big = np.isinf(x[:k])
+            np.multiply(u, x[:k], out=u, where=~big)
+            u[big] = _by_halves(u[big], i[:k][big], p - r)
         if low is not None:
             il = i[:k][low]
-            v = total * np.power(il, -(p + r))  # A sigma_i w_i
+            v = np.power(il, -(p + r))
             over = np.isinf(v)
+            np.multiply(v, total, out=v, where=~over)  # A sigma_i w_i
             v[over] = _by_halves(total, il[over], -(p + r))
             u[low] = v
         yield start, x[:k], u

@@ -613,15 +613,16 @@ class TestTruncation:
 
     @pytest.mark.parametrize("p, r, d, alpha, n", [(100, -110, 30, 1.0, 5),
                                                    (1, -200, 40, 1.6e-12, 1),
-                                                   (1, -200, 40, 1e-310, 1)])
+                                                   (1, -200, 40, 1e-310, 1),
+                                                   (1, -400, 10, 1.0, 0)])
     def test_iterate_whose_ratios_overflow(self, p, r, d, alpha, n):
         # w_i / sigma_i = i^(p-r) is not a float for the last entries (the
-        # last one, i = 30, in the first case; i = 35 .. 40 in the others),
-        # but u_i = (1 - F_n) i^(p-r), up to 5 * 30^10, 1.0329e307 and
-        # 6.4556e8, is; in the third case alpha sigma_i^2 is subnormal, and
-        # A sigma_i w_i = alpha i^199 passes through the overflowing i^199.
-        # Each u_i is within 2 ulp of the exact value, as the entries whose
-        # ratio is a float are
+        # last one, i = 30, in the first case; i = 35 .. 40 in the second
+        # and third; i = 6 .. 10 in the fourth), but u_i = (1 - F_n) i^(p-r),
+        # up to 5 * 30^10, 1.0329e307, 6.4556e8 and 0, is. In the last two
+        # A sigma^2 is subnormal or 0, and A sigma_i w_i = A i^(-(p+r))
+        # passes through a power that overflows. Each u_i is within 2 ulp of
+        # the exact value, as the entries whose ratio is a float are
         with np.errstate(over="ignore"):  # the ratios themselves overflow
             u = run_diagonal_landweber(p, r, d, Schedule.constant(alpha), n)
         for i, got in enumerate(u.tolist(), start=1):

@@ -29,7 +29,6 @@ from .engine import (
     IterationTrace,
     RateBound,
     contraction_factor,
-    error_recursion_check,
     estimate_rate,
     geometric_step,
     rate_bound,
@@ -57,7 +56,6 @@ __all__ = [
     "IterationTrace",
     "RateBound",
     "contraction_factor",
-    "error_recursion_check",
     "estimate_rate",
     "geometric_step",
     "rate_bound",

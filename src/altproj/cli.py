@@ -303,8 +303,7 @@ def truncation_study(p, r, dims, alpha=1.0, max_iters=2000):
     first such dimension.
     """
     sched = Schedule.constant(alpha)
-    with np.errstate(all="ignore"):  # a non-finite norm is reported below, by its dimension
-        limit_norms, iterate_norms = problems.truncation_norms(p, r, dims, sched, max_iters)
+    limit_norms, iterate_norms = problems.truncation_norms(p, r, dims, sched, max_iters)
     rows = []
     for d, limit_norm, iterate_norm in zip(dims, limit_norms.tolist(), iterate_norms.tolist()):
         row = {"d": int(d), "limit_norm": limit_norm, "iterate_norm": iterate_norm,

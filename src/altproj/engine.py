@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import box_margin, filter_pair
+from .schedule import box_margin
 from .validation import as_count, as_real, as_vector
 from .subspace import project, project_relaxed
 from .linalg import lengths
@@ -231,35 +231,6 @@ def _block_sizes(k, max_iters):
         size = min(2 * size, cap)
 
 
-def error_recursion_check(q, schedule, e0, n):
-    """Propagate an initial error n steps by the direct recursion with the
-    dense k_u x k_u matrix R^T R, and by the spectral expansion, which
-    multiplies each component in the stored right singular basis by its
-    filter polynomial F_n(s_i^2); returns the pair (iterated, spectral) for
-    comparison. Neither side factorizes anything.
-
-    The initial error must be orthogonal to the null space (a component above
-    tolerance is rejected: the recursion keeps errors in that complement).
-    """
-    e0 = as_vector(e0, dim=q.domain_basis.shape[0], name="e0")
-    nb = q.nullspace_basis
-    if nb.shape[1] > 0:
-        if lengths(nb.T @ e0) > 1e-10 * (1.0 + lengths(e0)):
-            raise ValueError("e0 has a null-space component above tolerance")
-    a, yt = q.domain_basis, q.right_vectors
-    m = q.matrix
-    t = m.T @ m
-
-    c = a.T @ e0
-    for alpha in schedule.alphas(n):
-        c = c - alpha * (t @ c)
-    iterated = a @ c
-
-    factors = filter_pair(schedule, q.sines ** 2, n)[0]
-    spectral = a @ (yt.T @ (factors * (yt @ (a.T @ e0))))
-    return iterated, spectral
-
-
 def contraction_factor(q, alpha):
     """Worst-case per-step error factor on the complement of the null space:
     max(1 - alpha * gamma^2, alpha * norm^2 - 1). A scalar *alpha* gives a
@@ -302,7 +273,7 @@ def rate_bound(nu, gamma, alphas):
     the largest one the coefficients satisfy; an empty margin gives bound 1."""
     if nu <= 0:
         raise ValueError("nu must be positive")
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = as_vector(alphas, name="alphas")
     eps = box_margin(alphas * nu * nu)
     bound = 1.0 - eps * (gamma * gamma) / (nu * nu)
     return RateBound(epsilon=eps, bound=float(bound))

@@ -1,7 +1,7 @@
 """Dense real linear-algebra substrate: orthonormalization, the thin
 factorization behind the principal sines (the one factorization a problem's
-analysis takes: the angle report, least squares, the limit, the loop and the
-spectral check all read its singular values and vectors), and orthogonal
+analysis takes: the angle report, least squares, the limit and the loop all
+read its singular values and vectors), and orthogonal
 complements (for the tests' reference only).
 
 Everything is backed by LAPACK via numpy.linalg. This module also holds the

@@ -144,8 +144,9 @@ def _diagonal_gate(p, r, dims, max_iters):
 
 def _by_halves(c, i, e):
     """c i^e as (c i^(e/2)) i^(e/2), for indices *i* whose power i^e
-    overflows: finite wherever the product is a float."""
-    h = np.power(i, e / 2)
+    overflows: finite wherever the product is a float, and 0 where c is 0,
+    whatever the power."""
+    h = np.power(i, e / 2, out=np.zeros(i.shape), where=np.not_equal(c, 0.0))
     return c * h * h
 
 
@@ -209,17 +210,22 @@ def truncation_norms(p, r, dims, schedule, max_iters):
     ends = sorted(set(dims))
     shares, totals = ([], []), {}  # the lengths of each share of x and of u
     j = 0  # the segment that holds index lo + 1
-    for start, x, u in _diagonal_blocks(p, r, ends[-1], schedule, max_iters):
-        lo, stop = start, start + x.size
-        while lo < stop:
-            hi = min(ends[j], stop)
-            for col, part in zip(shares, (x[lo - start:hi - start], u[lo - start:hi - start])):
-                sq = np.square(part).sum()
-                col.append(math.sqrt(sq) if _TINY <= sq < math.inf else lengths(part))
-            if hi == ends[j]:
-                totals[hi] = [math.hypot(*col) for col in shares]
-                j += 1
-            lo = hi
+    # a power or a square that overflows is mended in the pass (_by_halves,
+    # lengths); the context is entered here, never inside the generator,
+    # where it would span a yield
+    with np.errstate(over="ignore"):
+        for start, x, u in _diagonal_blocks(p, r, ends[-1], schedule, max_iters):
+            lo, stop = start, start + x.size
+            while lo < stop:
+                hi = min(ends[j], stop)
+                for col, part in zip(shares, (x[lo - start:hi - start],
+                                              u[lo - start:hi - start])):
+                    sq = np.square(part).sum()
+                    col.append(math.sqrt(sq) if _TINY <= sq < math.inf else lengths(part))
+                if hi == ends[j]:
+                    totals[hi] = [math.hypot(*col) for col in shares]
+                    j += 1
+                lo = hi
     return tuple(np.array([totals[d][col] for d in dims]) for col in (0, 1))
 
 
@@ -230,8 +236,9 @@ def run_diagonal_landweber(p, r, d, schedule, max_iters):
     blocks of truncation_norms' pass, for input that _diagonal_gate accepts."""
     p, r, (d,), max_iters = _diagonal_gate(p, r, [d], max_iters)
     u = np.empty(d)
-    for start, _, block in _diagonal_blocks(p, r, d, schedule, max_iters):
-        u[start:start + block.size] = block
+    with np.errstate(over="ignore"):  # as in truncation_norms
+        for start, _, block in _diagonal_blocks(p, r, d, schedule, max_iters):
+            u[start:start + block.size] = block
     return u
 
 

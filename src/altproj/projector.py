@@ -6,10 +6,10 @@ projects back onto U. With A an orthonormal basis of U and B one of V, its
 ambient form is the d x k_u matrix R = A - B (B^T A), and the thin SVD
 R = X S Y^T gives everything else: the singular values S are the principal
 sines between U and V, X spans the range of Q and Y gives the null space.
-In the basis A Y of U the operator is diagonal, so the iteration and the
-spectral check step elementwise on the sines; no second factorization (of
-R^T R or of B^T A, say) is taken. Nothing of size d x d is formed, so memory
-is O(d k).
+In the basis A Y of U the operator is diagonal, so the iteration steps
+elementwise on the sines; no second factorization (of R^T R or of B^T A,
+say) is taken, and B is read by the factorization only, not stored.
+Nothing of size d x d is formed, so memory is O(d k).
 
 The angle report reads the two scalars that govern the convergence theory
 off the sines: ``nu`` = ||Q|| and ``gamma``, the sine of the Friedrichs angle
@@ -47,8 +47,7 @@ class RestrictedProjector:
     """Projection of the iterate space into the complement of the constraint
     directions, as the thin factorization R = X S Y^T of its ambient form
     R = A - B (B^T A). It is the one analysis of a problem: the angle
-    report, the least-squares set, the limit, the iteration and the spectral
-    check all read it.
+    report, the least-squares set, the limit and the iteration all read it.
 
     Attributes
     ----------
@@ -61,8 +60,6 @@ class RestrictedProjector:
     codomain_basis : (d, k_u) ndarray
         The left singular vectors X of R: orthonormal columns whose span
         contains the range of the operator (a subspace of V-perp).
-    constraint_basis : (d, k_w) ndarray
-        Orthonormal basis B of the constraint direction space V.
     sines : (k_u,) ndarray
         The singular values S, nonincreasing: the principal sines between
         U and V. Those at or below NULLSPACE_CUTOFF count as zero.
@@ -71,7 +68,6 @@ class RestrictedProjector:
     right_vectors: np.ndarray
     domain_basis: np.ndarray
     codomain_basis: np.ndarray
-    constraint_basis: np.ndarray
     sines: np.ndarray
 
     @property
@@ -121,13 +117,11 @@ def build(g):
     if not g.is_canonical:
         raise ValueError("geometry must be canonicalized first (call .canonical())")
     a = g.u_space.basis
-    b = g.w_space.basis
-    x, sigma, yt = map(frozen, linalg.sine_svd(a, b))
+    x, sigma, yt = map(frozen, linalg.sine_svd(a, g.w_space.basis))
     return RestrictedProjector(
         right_vectors=yt,
         domain_basis=a,
         codomain_basis=x,
-        constraint_basis=b,
         sines=sigma,
     )
 

@@ -36,10 +36,10 @@ MU_ULPS = 32
 
 
 def _coefficients(values, name):
-    """*values* as floats, each a finite and nonnegative number (a string or
-    a boolean, NaN and the infinities, which a JSON scenario can carry, are
-    rejected); *name* is the parameter that holds them."""
-    vals = [as_real(v, name) for v in values]
+    """*values* as a tuple of floats, each a finite and nonnegative number (a
+    string or a boolean, NaN and the infinities, which a JSON scenario can
+    carry, are rejected); *name* is the parameter that holds them."""
+    vals = tuple(as_real(v, name) for v in values)
     if not all(math.isfinite(v) and v >= 0 for v in vals):
         raise ValueError("coefficients must be finite and nonnegative")
     return vals
@@ -48,33 +48,43 @@ def _coefficients(values, name):
 @dataclass(frozen=True)
 class Schedule:
     """Immutable description of a relaxation sequence; generation is pure
-    given (kind, params, index)."""
+    given (kind, params, index). The dataclass constructor checks *params*
+    as from_dict does, and keeps the checked copy."""
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        checked = type(self).from_dict({**self.params, "kind": self.kind})
+        object.__setattr__(self, "params", checked.params)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, kind, params):
+        """The schedule of *params* that a named constructor has checked,
+        built without a second check."""
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "kind", kind)
+        object.__setattr__(schedule, "params", params)
+        return schedule
+
+    @classmethod
     def constant(cls, value):
-        return cls("constant", {"value": _coefficients([value], "value")[0]})
+        return cls._of("constant", {"value": _coefficients([value], "value")[0]})
 
     @classmethod
     def cyclic(cls, values):
         vals = _coefficients(values, "values")
         if not vals:
             raise ValueError("cyclic schedule needs a nonempty list of values")
-        return cls("cyclic", {"values": vals})
+        return cls._of("cyclic", {"values": vals})
 
     @classmethod
     def harmonic_to_2(cls, offset=0):
         """alpha_n = 2 - 1/(n + 1 + offset): approaches 2 slowly enough that
         the divergent-series condition still holds."""
-        return cls("harmonic-to-2", {"offset": as_count(offset, "offset")})
+        return cls._of("harmonic-to-2", {"offset": as_count(offset, "offset")})
 
     @classmethod
     def geometric_to_2(cls, gap=1.0, ratio=0.5):
@@ -85,18 +95,18 @@ class Schedule:
             raise ValueError("gap must be in (0, 2]")
         if not (0 < ratio < 1):
             raise ValueError("ratio must be in (0, 1)")
-        return cls("geometric-to-2", {"gap": gap, "ratio": ratio})
+        return cls._of("geometric-to-2", {"gap": gap, "ratio": ratio})
 
     @classmethod
     def explicit(cls, values):
-        return cls("explicit", {"values": _coefficients(values, "values")})
+        return cls._of("explicit", {"values": _coefficients(values, "values")})
 
     @classmethod
     def random_uniform(cls, lo, hi, seed):
         (lo,), (hi,) = _coefficients([lo], "lo"), _coefficients([hi], "hi")
         if hi < lo:
             raise ValueError("need 0 <= lo <= hi")
-        return cls("random-uniform", {"lo": lo, "hi": hi, "seed": as_count(seed, "seed")})
+        return cls._of("random-uniform", {"lo": lo, "hi": hi, "seed": as_count(seed, "seed")})
 
     # -- generation --------------------------------------------------------
 

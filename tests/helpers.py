@@ -10,10 +10,6 @@ from altproj.problems import controlled_angle_geometry, random_geometry
 from altproj.schedule import Schedule
 
 
-def rot2(phi):
-    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-
-
 def canonical_random(seed, dim=8, dim_u=3, dim_w=3, offset_scale=1.0, shared_dims=0):
     g = random_geometry(dim, dim_u, dim_w, seed, offset_scale=offset_scale,
                         shared_dims=shared_dims)

@@ -19,6 +19,11 @@ before it squared runs of equal coefficients: one update per step. Where no
 two consecutive coefficients are equal the package takes exactly these
 updates, so the two agree bit for bit.
 
+The error recursion check propagates an initial error by the direct
+recursion with the dense k_u x k_u matrix R^T R, one step at a time, beside
+the spectral expansion that multiplies each component by its filter
+polynomial F_n(s^2): the expansion that the engine's block loop evaluates.
+
 The diagonal Landweber reference iterates u <- u + alpha sigma (w - sigma u)
 step by step, which shares no step with the closed form through the filter
 polynomial that :func:`altproj.problems.run_diagonal_landweber` evaluates.
@@ -45,8 +50,9 @@ import numpy as np
 from altproj import engine
 from altproj import projector as proj
 from altproj.engine import IterationTrace, estimate_rate, geometric_step
-from altproj.linalg import orthogonal_complement
+from altproj.linalg import lengths, orthogonal_complement
 from altproj.projector import NULLSPACE_CUTOFF, distance_to_w
+from altproj.schedule import filter_pair
 from altproj.subspace import project
 from altproj.validation import INTERSECTION_TOL, as_matrix, as_vector
 
@@ -231,6 +237,35 @@ def stepwise_filter_pair(schedule, lam, n):
         g += np.multiply(buf, f, out=buf)
         f *= np.subtract(1.0, np.multiply(lam, alpha, out=buf), out=buf)
     return f, g
+
+
+def error_recursion_check(q, schedule, e0, n):
+    """Propagate an initial error n steps by the direct recursion with the
+    dense k_u x k_u matrix R^T R, and by the spectral expansion, which
+    multiplies each component in the stored right singular basis by its
+    filter polynomial F_n(s_i^2); returns the pair (iterated, spectral) for
+    comparison. Neither side factorizes anything.
+
+    The initial error must be orthogonal to the null space (a component above
+    tolerance is rejected: the recursion keeps errors in that complement).
+    """
+    e0 = as_vector(e0, dim=q.domain_basis.shape[0], name="e0")
+    nb = q.nullspace_basis
+    if nb.shape[1] > 0:
+        if lengths(nb.T @ e0) > 1e-10 * (1.0 + lengths(e0)):
+            raise ValueError("e0 has a null-space component above tolerance")
+    a, yt = q.domain_basis, q.right_vectors
+    m = q.matrix
+    t = m.T @ m
+
+    c = a.T @ e0
+    for alpha in schedule.alphas(n):
+        c = c - alpha * (t @ c)
+    iterated = a @ c
+
+    factors = filter_pair(schedule, q.sines ** 2, n)[0]
+    spectral = a @ (yt.T @ (factors * (yt @ (a.T @ e0))))
+    return iterated, spectral
 
 
 def diagonal_landweber_reference(p, r, d, schedule, max_iters):

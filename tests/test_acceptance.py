@@ -15,7 +15,6 @@ from altproj import engine
 from altproj.cli import overrelaxation_study, truncation_study
 from altproj.engine import (
     contraction_factor,
-    error_recursion_check,
     run_alternating,
 )
 from altproj.problems import diagonal_truncation_norms, random_geometry
@@ -25,7 +24,7 @@ from altproj.subspace import AffineSubspace, project
 
 from helpers import (canonical_controlled, canonical_random, iterates_at, random_u0,
                      well_conditioned_problem)
-from reference import geometric_reference, reference_report, sym_eig
+from reference import error_recursion_check, geometric_reference, reference_report, sym_eig
 
 
 def _report(name, detail):

@@ -623,12 +623,32 @@ class TestTruncation:
         # A sigma^2 is subnormal or 0, and A sigma_i w_i = A i^(-(p+r))
         # passes through a power that overflows. Each u_i is within 2 ulp of
         # the exact value, as the entries whose ratio is a float are
-        with np.errstate(over="ignore"):  # the ratios themselves overflow
-            u = run_diagonal_landweber(p, r, d, Schedule.constant(alpha), n)
+        u = run_diagonal_landweber(p, r, d, Schedule.constant(alpha), n)
         for i, got in enumerate(u.tolist(), start=1):
             exact = (1 - (1 - Fraction(alpha) / i ** (2 * p)) ** n) * i ** (p - r)
             assert math.isfinite(got) and \
                 abs(Fraction(got) - exact) <= 2 * Fraction(np.spacing(float(exact))), i
+
+    # The three tests below rely on pyproject.toml's filter, which makes any
+    # warning an error: an overflow that the pass mends must not warn.
+    def test_mended_power_gives_no_warning(self):
+        # w_i / sigma_i = i^201 overflows from i = 35 on, so u_i, the step
+        # factor A / i^2 times it, is formed by two half powers there;
+        # u_40 = 1.6e-12 * 40^199 is a float
+        u = run_diagonal_landweber(1, -200, 40, Schedule.constant(1.6e-12), 1)
+        assert u[-1] == pytest.approx(1.6e-12 * 40.0 ** 99 * 40.0 ** 100, rel=1e-13)
+
+    def test_limit_norm_whose_squares_overflow_gives_no_warning(self):
+        # the squares of i^100 overflow from i = 35 on; their norm does not
+        (norm,) = diagonal_truncation_norms(1, -99, [100])
+        exact = float(math.isqrt(sum(i ** 200 for i in range(1, 101))))
+        assert norm == pytest.approx(exact, rel=1e-12)
+
+    def test_zero_step_iterate_whose_powers_overflow_is_zero(self):
+        # no step: A = 0, and A i^1999 is 0 although i^1999 overflows from
+        # i = 3 on; it once came out as 0 * inf * inf, NaN
+        u = run_diagonal_landweber(1, -2000, 3, Schedule.constant(1.0), 0)
+        assert u.tolist() == [0.0, 0.0, 0.0]
 
     def test_coefficients_are_drawn_once(self, monkeypatch):
         # once per study, not once per block of the iterate

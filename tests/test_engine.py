@@ -8,7 +8,6 @@ from altproj import engine
 from altproj.projector import compute_report
 from altproj.engine import (
     contraction_factor,
-    error_recursion_check,
     estimate_rate,
     rate_bound,
     run_alternating,
@@ -20,7 +19,7 @@ from altproj.subspace import AffineSubspace, ProblemGeometry
 
 from helpers import (canonical_controlled, canonical_random, iterates_at, property_geometries,
                      property_settings, random_u0, schedule_of, well_conditioned_problem)
-from reference import geometric_reference, sym_eig
+from reference import error_recursion_check, geometric_reference, sym_eig
 
 
 def one_step_geometry():
@@ -468,6 +467,14 @@ class TestRateBound:
     def test_boundary_schedule_gives_trivial_bound(self):
         rb = rate_bound(1.0, 1.0, [2.0])
         assert rb.epsilon == 0.0 and rb.bound == 1.0
+
+    @pytest.mark.parametrize("alphas", [["1.5"], [True], [np.nan], [[0.5, 1.5]]],
+                             ids=["string", "boolean", "nan", "matrix"])
+    def test_rejects_bad_coefficients(self, alphas):
+        # these once gave bounds: 0.5 from the string, 0 (exact convergence)
+        # from the boolean, 1 from NaN, and one from the 2-D input
+        with pytest.raises(ValueError, match="alphas"):
+            rate_bound(1.0, 1.0, alphas)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_empirical_rate_within_bound(self, seed, monkeypatch):

@@ -109,42 +109,46 @@ class TestPinv:
     solution."""
 
     @staticmethod
-    def pseudo_inverse(q):
+    def pseudo_inverse(q, b):
         # data: the V-perp part of each codomain column (the column of a
-        # zero sine need not lie in V-perp); its coordinates are e_j on the
-        # columns of the sines above the cutoff
-        x, a, b = q.codomain_basis, q.domain_basis, q.constraint_basis
+        # zero sine need not lie in V-perp), for B the basis *b* of V; its
+        # coordinates are e_j on the columns of the sines above the cutoff
+        x, a = q.codomain_basis, q.domain_basis
         data = x - b @ (b.T @ x)
         return np.column_stack([a.T @ least_squares_set(q, data[:, j]).min_norm_solution
                                 for j in range(x.shape[1])])
 
     def test_identity(self):
         # U orthogonal to V: the operator is the identity on U
-        q = build(canonical_controlled([np.pi / 2, np.pi / 2]))
+        g = canonical_controlled([np.pi / 2, np.pi / 2])
+        q = build(g)
         assert np.allclose(q.matrix.T @ q.matrix, np.eye(2), atol=1e-14)
-        p = self.pseudo_inverse(q)
+        p = self.pseudo_inverse(q, g.w_space.basis)
         assert np.allclose(p @ q.matrix, np.eye(2), atol=1e-14)
 
     def test_zero(self):
         # U inside V: the operator and its pseudo-inverse are zero
-        q = build(canonical_random(6, dim=9, dim_u=2, dim_w=4, shared_dims=2))
-        p = self.pseudo_inverse(q)
+        g = canonical_random(6, dim=9, dim_u=2, dim_w=4, shared_dims=2)
+        q = build(g)
+        p = self.pseudo_inverse(q, g.w_space.basis)
         assert p.shape == (2, 2) and np.allclose(p, 0.0)
 
     def test_diagonal_reciprocal(self):
         # sines 0.5 and 1e-6 (below the cutoff 1.4e-4): the coordinates of
         # the solution are 1 / 0.5 and 0
-        q = build(canonical_controlled([np.arcsin(0.5), np.arcsin(1e-6)]))
-        p = self.pseudo_inverse(q)
+        g = canonical_controlled([np.arcsin(0.5), np.arcsin(1e-6)])
+        q = build(g)
+        p = self.pseudo_inverse(q, g.w_space.basis)
         y = q.matrix[0] / q.sines[0]  # the right singular vector of sine 0.5
         assert np.allclose(p, np.outer(y, [2.0, 0.0]), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_penrose_identities(self, seed):
         # seed 0 shares a direction: a zero sine, a rank-deficient operator
-        q = build(canonical_random(seed, dim=7, dim_u=3, dim_w=3, shared_dims=int(seed == 0)))
+        g = canonical_random(seed, dim=7, dim_u=3, dim_w=3, shared_dims=int(seed == 0))
+        q = build(g)
         m = q.matrix
-        p = self.pseudo_inverse(q)
+        p = self.pseudo_inverse(q, g.w_space.basis)
         scale = max(frob(m), 1.0)
         assert frob(m @ p @ m - m) < 1e-10 * scale
         assert frob(p @ m @ p - p) < 1e-10 * scale

@@ -1,7 +1,8 @@
 """What README states about the code, checked against the code: the scenario
 keys, the scenario example, the constants of the Configuration table, and
-that the package reads no environment variable; and that each module of the
-package reads every name it imports."""
+that the package reads no environment variable; that each module of the
+package reads every name it imports; and that each helper of the tests is
+read."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from altproj import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 PACKAGE = Path(altproj.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _section(heading):
@@ -106,3 +108,39 @@ def test_scan_finds_each_dead_import():
                          ids=lambda p: p.name)
 def test_package_reads_each_name_it_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _names_read(tree):
+    """The names that *tree* reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def _unread_definitions(source, readers):
+    """The top-level functions and classes of *source* that neither a source
+    of *readers* nor another top-level statement of *source* reads."""
+    tree = ast.parse(source)
+    read = set().union(*(_names_read(ast.parse(text)) for text in readers))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in read.union(*(_names_read(other) for other in tree.body
+                                               if other is not node))]
+
+
+def test_scan_finds_each_unread_helper():
+    source = ("def a():\n    pass\ndef b():\n    return a()\n"
+              "def c():\n    return c()\nclass D:\n    pass\ndef e():\n    pass\n")
+    readers = ["from helpers import b, e\nb()\n", "import helpers\nhelpers.e\n"]
+    assert _unread_definitions(source, readers) == ["c", "D"]
+
+
+HELPERS = ("helpers.py", "reference.py", "rounding.py")
+
+
+# a helper is read by a test module or by another helper
+@pytest.mark.parametrize("name", HELPERS)
+def test_each_test_helper_is_read(name):
+    readers = [path.read_text(encoding="utf-8") for path in sorted(TESTS.glob("*.py"))
+               if path.name.startswith("test_") or path.name in HELPERS and path.name != name]
+    assert _unread_definitions((TESTS / name).read_text(encoding="utf-8"), readers) == []

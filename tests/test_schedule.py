@@ -73,6 +73,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Schedule.from_dict({"kind": "mystery"})
 
+    def test_serialized_form_does_not_change_the_schedule(self):
+        s = Schedule.cyclic([0.5, 1.0])
+        try:
+            s.to_dict()["values"].append(-7.0)
+        except AttributeError:  # the values need not be a list
+            pass
+        assert s.alphas(3).tolist() == [0.5, 1.0, 0.5]
+
+    @pytest.mark.parametrize("kind, params", [
+        ("constant", {"value": float("nan")}),
+        ("constant", {"value": -1.0}),
+        ("cyclic", {"values": []}),
+        ("constant", {}),
+    ], ids=["nan", "negative", "empty-cycle", "no-value"])
+    def test_direct_construction_is_checked_as_from_dict(self, kind, params):
+        with pytest.raises(ValueError) as loaded:
+            Schedule.from_dict({"kind": kind, **params})
+        with pytest.raises(ValueError) as direct:
+            Schedule(kind, params)
+        assert str(direct.value) == str(loaded.value)
+
 
 ALL_KINDS = [
     Schedule.constant(1.2),

@@ -249,6 +249,7 @@ def estimate_rate(errors, window=RATE_WINDOW):
     exponentiated least-squares slope of log error over the trailing *window*
     steps. Exact zeros in the window mean exact convergence and give rate 0."""
     errors = np.asarray(errors, dtype=float)
+    window = as_count(window, "window")
     if window < 1 or len(errors) < window + 1:
         raise ValueError(f"need at least window+1 = {window + 1} recorded error norms")
     tail = errors[-(window + 1):]
@@ -271,8 +272,9 @@ def rate_bound(nu, gamma, alphas):
     """Rate bound for the given coefficients on a problem with the given
     norm (*nu*) and reduced minimum modulus (*gamma*). The box margin eps is
     the largest one the coefficients satisfy; an empty margin gives bound 1."""
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    nu, gamma = as_real(nu, "nu"), as_real(gamma, "gamma")
+    if not (math.isfinite(nu) and nu > 0 and math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"need a finite nu > 0 and gamma >= 0, got nu={nu!r}, gamma={gamma!r}")
     alphas = as_vector(alphas, name="alphas")
     eps = box_margin(alphas * nu * nu)
     bound = 1.0 - eps * (gamma * gamma) / (nu * nu)

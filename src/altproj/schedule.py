@@ -12,6 +12,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,16 +48,22 @@ def _coefficients(values, name):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Immutable description of a relaxation sequence; generation is pure
-    given (kind, params, index). The dataclass constructor checks *params*
-    as from_dict does, and keeps the checked copy."""
+    """Immutable, hashable description of a relaxation sequence; generation
+    is pure given (kind, params, index). The dataclass constructor checks
+    *params* as from_dict does, and keeps the checked copy, read-only."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
         checked = type(self).from_dict({**self.params, "kind": self.kind})
         object.__setattr__(self, "params", checked.params)
+
+    def __hash__(self):
+        return hash((self.kind, tuple(sorted(self.params.items()))))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild through the constructor
+        return type(self), (self.kind, dict(self.params))
 
     # -- constructors ------------------------------------------------------
 
@@ -66,7 +73,7 @@ class Schedule:
         built without a second check."""
         schedule = object.__new__(cls)
         object.__setattr__(schedule, "kind", kind)
-        object.__setattr__(schedule, "params", params)
+        object.__setattr__(schedule, "params", MappingProxyType(params))
         return schedule
 
     @classmethod
@@ -109,6 +116,14 @@ class Schedule:
         return cls._of("random-uniform", {"lo": lo, "hi": hi, "seed": as_count(seed, "seed")})
 
     # -- generation --------------------------------------------------------
+
+    @property
+    def period(self):
+        """One period of the coefficients: (value,) for a constant schedule,
+        the values of a cyclic one; None for any other kind."""
+        if self.kind == "constant":
+            return (self.params["value"],)
+        return self.params["values"] if self.kind == "cyclic" else None
 
     @property
     def length(self):
@@ -162,10 +177,8 @@ class Schedule:
         schedule); a random schedule draws them from *rng*, which must have
         produced exactly the first *start* terms."""
         p = self.params
-        if self.kind == "constant":
-            return np.full(n, p["value"])
-        if self.kind == "cyclic":
-            vals = np.asarray(p["values"])
+        if vals := self.period:
+            vals = np.asarray(vals)
             return vals[np.arange(start, start + n) % vals.size]
         if self.kind == "harmonic-to-2":
             idx = np.arange(start, start + n, dtype=float)
@@ -240,7 +253,7 @@ def _theorem(schedule, mu):
         # terms of positive mean are added without end, almost surely
         positive = p["lo"] < p["hi"] or _inside([p["lo"]], mu)
         return ("diverges-almost-surely" if positive else "converges"), None
-    values = p["values"] if "values" in p else [p["value"]]  # a cyclic one's period
+    values = schedule.period or p["values"]  # an explicit one's terms
     over = np.flatnonzero(np.asarray(values) >= top)
     if over.size:
         return "outside-class", int(over[0])
@@ -255,11 +268,11 @@ def classify(schedule, mu, horizon=10_000):
     so the class is also decided at mu (1 -+ MU_ULPS eps): where a verdict
     there differs, the verdict is "ambiguous", unless the first violation
     on either side lies at or past *horizon*, which a run of *horizon* steps
-    never reaches."""
+    never reaches. *horizon* must be an integer of at least 1."""
     mu = as_real(mu, "mu")
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be finite and positive, got {mu!r}")
-    if horizon < 1:
+    if as_count(horizon, "horizon") < 1:
         raise ValueError("horizon must be at least 1")
     if schedule.length == 0:
         raise ValueError("an empty explicit schedule has no terms to diagnose")
@@ -294,23 +307,22 @@ def box_margin(s):
 
 def diagnose(schedule, mu, horizon=10_000):
     """classify's verdict, with the first *horizon* terms (all of an
-    explicit schedule's, if it has fewer): a constant schedule's one run
-    (Schedule.runs), in O(1) whatever the horizon, and any other kind's
-    terms as an array, where a list of runs would hold objects per term."""
+    explicit schedule's, if it has fewer) as q copies of a cycle and its
+    first r terms: a periodic schedule's one period (Schedule.period), in
+    O(P) memory at any horizon, or any other kind's terms (q = 1, r = 0)."""
     verdict, first_violation = classify(schedule, mu, horizon)
-    mu, top = float(mu), _threshold(float(mu))
+    mu, top, horizon = float(mu), _threshold(float(mu)), int(horizon)
     n = min(horizon, schedule.length or horizon)
-    if schedule.kind == "constant":
-        (alpha, count), = schedule.runs(n)
-        alphas = np.array([alpha])
-    else:
-        alphas, count = schedule.alphas(n), 1
-    s = alphas * mu
+    cycle = np.asarray(schedule.period[:n]) if schedule.period else schedule.alphas(n)
+    q, r = divmod(n, cycle.size)
+    s = cycle * mu
+    terms, over = s * (2.0 - s), cycle >= top
     box_eps = box_margin(s)
     return ScheduleDiagnostics(
         scaled_by=mu, verdict=verdict, first_violation=first_violation,
-        partial_sum=count * float(np.sum(s * (2.0 - s))), in_box=box_eps > 0.0,
-        box_eps=box_eps, violations=count * int(np.count_nonzero(alphas >= top)))
+        partial_sum=q * float(np.sum(terms)) + float(np.sum(terms[:r])),
+        in_box=box_eps > 0.0, box_eps=box_eps,
+        violations=q * int(np.count_nonzero(over)) + int(np.count_nonzero(over[:r])))
 
 
 def filter_pair(schedule, lam, n):

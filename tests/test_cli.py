@@ -1172,6 +1172,28 @@ class TestMain:
             "verdict": "diverges", "first_violation": None, "partial_sum": 1e9,
             "in_box": True, "box_eps": 1.0, "violations": 0, "scaled_by": 1.0}
 
+    def test_check_schedule_cyclic_billion_step_horizon(self, tmp_path, monkeypatch, capsys):
+        # a cyclic schedule is diagnosed over one period: no term is drawn,
+        # and the memory does not grow with the horizon (229 MiB at 10^7
+        # when every term was)
+        def refuse(self, n):
+            raise AssertionError(f"drew {n} terms")
+
+        monkeypatch.setattr(Schedule, "alphas", refuse)
+        sched_file = tmp_path / "sched.json"
+        sched_file.write_text(json.dumps({"kind": "cyclic", "values": [0.5, 1.5]}))
+        argv = ["check-schedule", str(sched_file), "--mu", "1", "--horizon", "1000000001"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "diverges", "first_violation": None, "partial_sum": 750000000.75,
+            "in_box": True, "box_eps": 0.5, "violations": 0, "scaled_by": 1.0}
+
     def test_check_schedule_horizon_below_one_gives_config_exit(self, tmp_path, capsys):
         sched_file = tmp_path / "sched.json"
         sched_file.write_text(json.dumps({"kind": "constant", "value": 1.0}))

@@ -451,6 +451,12 @@ class TestEstimateRate:
         with pytest.raises(ValueError):
             estimate_rate([1.0, 0.5], window=5)
 
+    @pytest.mark.parametrize("window", [1.5, True, "3", float("nan")])
+    def test_window_must_be_a_count(self, window):
+        # 1.5 and NaN once raised TypeError from the slice, and True was read as 1
+        with pytest.raises(ValueError, match="window"):
+            estimate_rate([1.0, 0.5, 0.25, 0.125], window=window)
+
 
 class TestRateBound:
     def test_box_schedule_bound(self):
@@ -475,6 +481,16 @@ class TestRateBound:
         # from the boolean, 1 from NaN, and one from the 2-D input
         with pytest.raises(ValueError, match="alphas"):
             rate_bound(1.0, 1.0, alphas)
+
+    @pytest.mark.parametrize("nu, gamma", [
+        (float("nan"), 0.5), (float("inf"), 0.5), (True, 0.5), ("1", 0.5),
+        (1.0, float("nan")), (1.0, float("inf")), (1.0, -0.5), (1.0, True), (1.0, "x"),
+    ])
+    def test_rejects_bad_nu_or_gamma(self, nu, gamma):
+        # these once gave bounds (NaN from a NaN, 0.75 from nu = True, 1 from
+        # an infinite nu) or raised TypeError from a string
+        with pytest.raises(ValueError, match="nu|gamma"):
+            rate_bound(nu, gamma, [1.0])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_empirical_rate_within_bound(self, seed, monkeypatch):

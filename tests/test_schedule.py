@@ -1,4 +1,7 @@
+import copy
 import itertools
+import math
+import pickle
 import re
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -103,6 +106,51 @@ ALL_KINDS = [
     Schedule.explicit(np.linspace(0.1, 1.9, 10_000)),
     Schedule.random_uniform(0.0, 2.0, seed=3),
 ]
+
+
+class TestValue:
+    """A schedule is a value: read-only params, a hash that agrees with
+    equality, and copies that keep both."""
+
+    @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
+    def test_params_are_read_only(self, s):
+        # a dict here once let s.params["value"] = -1.0 pass every check
+        with pytest.raises(TypeError):
+            s.params["value"] = -1.0
+        with pytest.raises(TypeError):
+            del s.params[next(iter(s.params))]
+
+    @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
+    def test_equal_schedules_hash_equal(self, s):
+        for twin in (Schedule.from_dict(s.to_dict()), Schedule(s.kind, dict(s.params))):
+            assert twin == s and hash(twin) == hash(s)
+            assert len({s, twin}) == 1
+
+    @pytest.mark.parametrize("s", ALL_KINDS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy,
+                                       copy.copy], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_equal_read_only_values(self, s, clone):
+        back = clone(s)
+        assert back == s and hash(back) == hash(s)
+        assert np.array_equal(back.alphas(5), s.alphas(5))
+        with pytest.raises(TypeError):
+            back.params["value"] = -1.0
+
+    def test_different_schedules_are_unequal(self):
+        assert len({*ALL_KINDS, Schedule.constant(1.3), Schedule.cyclic([1.0, 0.5, 1.5])}) == 8
+
+    @pytest.mark.parametrize("s, period", [
+        (Schedule.constant(1.2), (1.2,)),
+        (Schedule.cyclic([0.5, 1, 1.5]), (0.5, 1.0, 1.5)),
+        (Schedule.harmonic_to_2(offset=1), None),
+        (Schedule.geometric_to_2(gap=0.5, ratio=0.999), None),
+        (Schedule.explicit([0.5, 0.5]), None),
+        (Schedule.random_uniform(1.0, 1.0, seed=3), None),
+    ], ids=lambda v: v.kind if isinstance(v, Schedule) else None)
+    def test_period(self, s, period):
+        assert s.period == period
+        if period is not None:  # the terms repeat it
+            assert s.alphas(3 * len(period) + 1).tolist() == [*period * 3, period[0]]
 
 
 class TestStream:
@@ -224,6 +272,46 @@ class TestDiagnose:
         diag = diagnose(sched, mu=1.0, horizon=500)
         expected = product_lemma_check(sched.alphas(500), horizon=500)[0]
         assert diag.partial_sum == pytest.approx(expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("values", [
+        [0.5, 1.5],
+        [0.1, 0.7, 1.9],
+        np.random.default_rng(11).uniform(0.0, 2.0, 7).tolist(),
+    ], ids=lambda v: f"P={len(v)}")
+    @pytest.mark.parametrize("extra", [0, 1], ids=["multiple", "remainder"])
+    def test_periodic_partial_sum_rounding(self, values, extra):
+        # q copies of one period's sum and the sum of its first r terms:
+        # summing P nonnegative terms errs by at most (P - 1) u relative, and
+        # the product by q and the final addition by u each, so the result is
+        # within (P + 1) u |x| < (P + 1) ulp of the exact sum of the rounded
+        # terms s (2 - s)
+        sched, mu = Schedule.cyclic(values), 0.9
+        n = 3000 * len(values) + extra * (len(values) - 1)
+        s = sched.alphas(n) * mu
+        exact = math.fsum((s * (2.0 - s)).tolist())
+        partial_sum = diagnose(sched, mu, horizon=n).partial_sum
+        assert abs(partial_sum - exact) <= (len(values) + 1) * math.ulp(exact)
+
+    def test_periodic_counts_are_taken_over_one_period(self):
+        # at mu = 1, 2.5 lies outside the class: 3 of each period of 4, and
+        # 2 of the first 3 terms of the next period
+        diag = diagnose(Schedule.cyclic([2.5, 0.5, 2.5, 3.0]), 1.0, horizon=4 * 25 + 3)
+        assert (diag.violations, diag.box_eps) == (3 * 25 + 2, 0.0)
+        short = diagnose(Schedule.cyclic([1.0, 0.5, 2.5]), 1.0, horizon=2)
+        assert (short.violations, short.box_eps, short.partial_sum) == (0, 0.5, 1.0 + 0.75)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 2.5, True, "5"])
+    def test_horizon_must_be_a_count(self, horizon):
+        # a NaN horizon once turned off the ambiguity test: constant 2.0 at
+        # mu = 1 "converges", which the default horizon calls ambiguous
+        for decide in (classify, diagnose):
+            with pytest.raises(ValueError, match="horizon"):
+                decide(Schedule.constant(2.0), 1.0, horizon=horizon)
+
+    def test_integral_float_horizon_is_read_as_its_int(self):
+        sched = Schedule.cyclic([0.5, 1.5])
+        assert diagnose(sched, 1.0, horizon=5.0) == diagnose(sched, 1.0, horizon=5)
 
 
 ABOVE_ONE = float(np.nextafter(1.0, 2.0))

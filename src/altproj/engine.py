@@ -68,7 +68,6 @@ class IterationTrace:
     estimated_rate: float | None
     final_iterate: np.ndarray
     limit: np.ndarray
-    u0_projected: bool
 
     @property
     def n_steps(self):
@@ -92,9 +91,9 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     the offset of W of a canonicalized geometry this is the alternating
     iteration u <- P_U(u + alpha_n (P_W u - u)).
 
-    An initial iterate outside U is silently projected and flagged on the
-    trace. The run stops when the error reaches *conv_tol* ("converged"),
-    after *max_iters* steps ("max_iters"), when the error grows past
+    An initial iterate outside U is projected onto U, at any distance. The
+    run stops when the error reaches *conv_tol* ("converged"), after
+    *max_iters* steps ("max_iters"), when the error grows past
     DIVERGENCE_CAP times a nonzero initial error ("diverged"), when it
     changes by less than STALL_RTOL relative over STALL_WINDOW steps
     ("stalled"), when an error norm or residual is not finite ("nonfinite"),
@@ -128,9 +127,7 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     limit = proj.limit_point(q, w, u0)
     u0 = np.asarray(u0, dtype=float)
     w = np.asarray(w, dtype=float)
-    c = a.T @ u0
-    projected = bool(lengths(u0 - a @ c) > 1e-10 * (1.0 + lengths(u0)))
-    z = yt @ c
+    z = yt @ (a.T @ u0)
     z_lim = yt @ (a.T @ limit)
     wc = x.T @ w
     r_perp = lengths(w - x @ wc)
@@ -212,7 +209,6 @@ def run_alternating(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
         estimated_rate=None,
         final_iterate=final_iterate,
         limit=limit,
-        u0_projected=projected,
     )
     window = min(RATE_WINDOW, error_norms.size - 1)
     if window >= 1 and np.all(np.isfinite(error_norms[-(window + 1):])):
@@ -273,8 +269,8 @@ def rate_bound(nu, gamma, alphas):
     norm (*nu*) and reduced minimum modulus (*gamma*). The box margin eps is
     the largest one the coefficients satisfy; an empty margin gives bound 1."""
     nu, gamma = as_real(nu, "nu"), as_real(gamma, "gamma")
-    if not (math.isfinite(nu) and nu > 0 and math.isfinite(gamma) and gamma >= 0):
-        raise ValueError(f"need a finite nu > 0 and gamma >= 0, got nu={nu!r}, gamma={gamma!r}")
+    if not (math.isfinite(nu) and nu > 0 and 0 <= gamma <= nu):
+        raise ValueError(f"need a finite nu > 0 and 0 <= gamma <= nu, got nu={nu!r}, gamma={gamma!r}")
     alphas = as_vector(alphas, name="alphas")
     eps = box_margin(alphas * nu * nu)
     bound = 1.0 - eps * (gamma * gamma) / (nu * nu)

@@ -34,7 +34,7 @@ def orthonormalize(columns):
     if a.shape[1] == 0:
         return a.copy()
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, :_rank(s)]
+    return np.ascontiguousarray(u[:, :_rank(s)])
 
 
 def sine_svd(a, b):

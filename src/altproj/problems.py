@@ -50,7 +50,7 @@ def controlled_angle_geometry(angles, offset_norm=0.0, extra_dims=0, rotation_se
         raise ValueError("angles must lie in [0, pi/2]")
     k = angles.size
     d = 2 * k + 1 + extra_dims
-    u_span = np.eye(d)[:, :k]
+    u_span = np.eye(d, k)
     w_span = np.zeros((d, k))
     for i, phi in enumerate(angles):
         w_span[i, i] = np.cos(phi)

@@ -73,7 +73,7 @@ class AffineSubspace:
         b = linalg.orthonormalize(span)
         d = b.shape[0]
         p = np.zeros(d) if point is None else as_vector(point, dim=d, name="point")
-        return cls._made(readonly(b), p - b @ (b.T @ p))
+        return cls._made(frozen(b), p - b @ (b.T @ p))
 
     @property
     def dim_ambient(self):

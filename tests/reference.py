@@ -299,7 +299,6 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
     u0 = np.asarray(u0, dtype=float)
     w = np.asarray(w, dtype=float)
     c = a.T @ u0
-    projected = bool(np.linalg.norm(u0 - a @ c) > 1e-10 * (1.0 + np.linalg.norm(u0)))
     z = yt @ c
     z_lim = yt @ (a.T @ limit)
     wc = x.T @ w
@@ -356,7 +355,6 @@ def stepwise_reference(q, w, schedule, u0, max_iters=10_000, conv_tol=1e-10):
         estimated_rate=None,
         final_iterate=iterates[-1],
         limit=limit,
-        u0_projected=projected,
     )
     window = min(engine.RATE_WINDOW, len(errors) - 1)
     if window >= 1 and np.all(np.isfinite(trace.error_norms[-(window + 1):])):

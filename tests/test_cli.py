@@ -19,7 +19,7 @@ from altproj import cli, linalg, problems
 from altproj.engine import contraction_factor, run_alternating
 from altproj.problems import (LANDWEBER_BLOCK, diagonal_truncation_norms, geometry_from_config,
                               random_geometry, run_diagonal_landweber, truncation_norms)
-from altproj.projector import build
+from altproj.projector import build, least_squares_set
 from altproj.schedule import Schedule, classify, diagnose
 from altproj.subspace import canonicalize
 
@@ -718,6 +718,35 @@ def test_controlled_angle_geometry_names_a_bad_angle_or_offset(kwargs, message):
     # not refused later as non-finite entries of a matrix or a point
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         problems.controlled_angle_geometry(**kwargs)
+
+
+def test_unrotated_controlled_angles_hold_no_d_by_d_array():
+    # d = 5005: a d x d identity alone takes 191 MiB, the two spans 160 KiB
+    tracemalloc.start()
+    try:
+        g = problems.controlled_angle_geometry([0.3, 0.5], extra_dims=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.dim_ambient == 5005 and g.u_space.dim == g.w_space.dim == 2
+    assert peak < 2 ** 20, f"peak {peak} B"
+
+
+def test_analysis_of_a_random_geometry_holds_five_arrays_of_d_by_k():
+    # at the peak: U's span, W's fresh columns and stacked span, U's basis
+    # and the factor of W's SVD; a copy of a basis would make six
+    d, k = 4000, 100
+    random_geometry(3, 1, 1, seed=0)  # numpy.random is imported outside the trace
+    tracemalloc.start()
+    try:
+        g = canonicalize(random_geometry(d, k, k, seed=1))
+        q = build(g)
+        run_alternating(q, g.w_offset, Schedule.constant(1.0), np.zeros(d))
+        least_squares_set(q, g.w_offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.1 * 8 * d * k, f"peak {peak / (8 * d * k):.3f} arrays of d x k"
 
 
 @pytest.mark.parametrize("entry", list(DIAGONAL_ENTRY_POINTS))
@@ -1593,13 +1622,16 @@ class TestArgv:
         # in a fresh interpreter: pytest itself has loaded argparse here.
         # numpy.random, which only the seeded geometries and u0 read, costs
         # about 10 ms and 6 MiB to import; a verb that draws nothing must
-        # not load it
+        # not load it. numpy.ma, which np.unique without a return_* flag
+        # imports on its first call, costs 9-15 ms; no verb may load it
         (tmp_path / "constant.json").write_text(json.dumps({"kind": "constant", "value": 1.0}))
         code = ("import sys, altproj.cli\n"
                 "rc = altproj.cli.main(['truncate', '--p', '1', '--r', '0.6', '--dims', '10',"
                 " '--max-iters', '5'])\n"
                 "rc += altproj.cli.main(['check-schedule', 'constant.json', '--mu', '1'])\n"
-                "print(rc, sorted({'argparse', 'gettext', 'locale', 'numpy.random'}"
+                f"rc += altproj.cli.main(['run', {str(scenario_path('two_lines_30deg.json'))!r},"
+                " '--out-dir', '.'])\n"
+                "print(rc, sorted({'argparse', 'gettext', 'locale', 'numpy.ma', 'numpy.random'}"
                 " & set(sys.modules)))\n")
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -80,18 +80,20 @@ class TestRunAlternating:
         g = one_step_geometry()
         q, sched, u0 = build(g), Schedule.constant(0.5), np.array([1.0, 2.0, 3.0])
         trace = run_alternating(q, g.w_offset, sched, u0, max_iters=5, conv_tol=-1.0)
-        assert trace.u0_projected
+        # the first error is that of P_U u0 from the limit, the origin, not sqrt(14)
+        assert trace.error_norms[0] == pytest.approx(1.0, rel=1e-15)
         start = iterates_at(q, g.w_offset, sched, u0, [0], conv_tol=-1.0)[0]
         assert np.allclose(start, [1.0, 0.0, 0.0], atol=1e-12)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e160, 1e300])
     def test_far_initial_point_outside_domain_is_flagged(self, scale):
-        # the off-U part of u0 is as far as u0; its squared norm overflows
-        # past 1e154, which once left a u0 of 1e160 unflagged
+        # the start is P_U u0 at every scale, however small or far the off-U
+        # part of u0, whose squared norm overflows past 1e154
         g = one_step_geometry()
-        trace = run_alternating(build(g), g.w_offset, Schedule.constant(0.5),
-                                np.array([0.0, 0.0, scale]), max_iters=1)
-        assert trace.u0_projected
+        q, sched, u0 = build(g), Schedule.constant(0.5), np.array([scale, 0.0, scale])
+        trace = run_alternating(q, g.w_offset, sched, u0, max_iters=0, conv_tol=-1.0)
+        assert np.allclose(trace.final_iterate, [scale, 0.0, 0.0], rtol=1e-15, atol=0.0)
+        assert trace.error_norms[0] == pytest.approx(scale, rel=1e-15)
 
     def test_overflow_stops_as_nonfinite(self):
         # the first step overflows the iterate to -inf; the run stops there
@@ -485,10 +487,11 @@ class TestRateBound:
     @pytest.mark.parametrize("nu, gamma", [
         (float("nan"), 0.5), (float("inf"), 0.5), (True, 0.5), ("1", 0.5),
         (1.0, float("nan")), (1.0, float("inf")), (1.0, -0.5), (1.0, True), (1.0, "x"),
+        (1.0, 2.0),
     ])
     def test_rejects_bad_nu_or_gamma(self, nu, gamma):
         # these once gave bounds (NaN from a NaN, 0.75 from nu = True, 1 from
-        # an infinite nu) or raised TypeError from a string
+        # an infinite nu, -3 from gamma > nu) or raised TypeError from a string
         with pytest.raises(ValueError, match="nu|gamma"):
             rate_bound(nu, gamma, [1.0])
 

@@ -30,6 +30,11 @@ class TestOrthonormalize:
         assert b.shape == (2, 1)
         assert np.allclose(np.abs(b[:, 0]), [1 / np.sqrt(2)] * 2, atol=1e-14)
 
+    def test_rank_deficient_basis_is_contiguous(self):
+        # the kept columns of the SVD's factor, sliced, would be strided
+        b = linalg.orthonormalize(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert b.shape == (3, 2) and b.flags.c_contiguous
+
     def test_rank_cutoff_is_relative(self):
         # singular values ~1.4 and ~7e-7: kept at the relative cutoff
         # RANK_TOL = 1e-10, at every scale of the data

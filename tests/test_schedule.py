@@ -696,7 +696,7 @@ class TestMaxAdmissibleConstant:
         nu = np.sqrt(0.5)
         alpha = (2.0 - 0.5) / nu**2
         assert alpha == pytest.approx(3.0)
-        assert rate_bound(nu, 1.0, [alpha]).epsilon == pytest.approx(0.5)
+        assert rate_bound(nu, nu, [alpha]).epsilon == pytest.approx(0.5)
 
     def test_direct_formula(self):
         alpha = (2.0 - 0.5) / 1.0**2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from altproj import linalg
 from altproj.subspace import (
     AffineSubspace,
     ProblemGeometry,
@@ -202,6 +203,14 @@ class TestValidation:
         a = AffineSubspace.from_span(np.array([[1.0, 2.0], [1.0, 2.0]]), point=[0.0, 2.0])
         assert a.dim == 1
         assert np.allclose(a.offset, [-1.0, 1.0])  # canonical: closest point to 0
+
+    def test_from_span_keeps_the_basis_it_factorized(self, monkeypatch):
+        made = []
+        orthonormalize = linalg.orthonormalize
+        monkeypatch.setattr(linalg, "orthonormalize",
+                            lambda span: made.append(orthonormalize(span)) or made[-1])
+        a = AffineSubspace.from_span(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+        assert a.basis is made[0] and not a.basis.flags.writeable
 
 
 class TestFarPoints:

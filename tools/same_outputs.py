@@ -41,6 +41,25 @@ SCHEDULES = {  # one of each kind
     "explicit": {"values": [0.5, 1.0, 1.5, 2.5]},
     "random-uniform": {"lo": 0.1, "hi": 1.9, "seed": 3},
 }
+# run jobs on the subspace paths that the scenarios and workloads miss: a
+# rank-deficient span, an unrotated controlled angle in a large ambient
+# space, and a random geometry with shared directions
+GEOMETRIES = {
+    "explicit-repeated-column": (
+        {"type": "explicit",
+         "u_span": [[1, 2, 0.5, -1, 0], [2, 4, 1, -2, 0], [0, 1, 3, 1, 0.25]],
+         "w_span": [[1, -1, 2, 0.5, 0], [0.3, 1, -1, 2, 0], [0.3, 1, -1, 2, 0]],
+         "u_point": [1, 0, 0, 1, 0], "w_point": [0.5, -1, 2, 3, 1.5]},
+        {"type": "explicit", "value": [1, 2, 3, 4, 5]}),
+    "controlled-angle-extra2000": (
+        {"type": "controlled_angle", "angles_deg": [20, 45], "offset_norm": 0.5,
+         "extra_dims": 2000},
+        {"type": "random", "seed": 3}),
+    "random-shared": (
+        {"type": "random", "dim": 30, "dim_u": 5, "dim_w": 6, "seed": 5, "shared_dims": 2,
+         "offset_scale": 2},
+        {"type": "random", "seed": 4}),
+}
 TRUNCATE = (
     ["--p", "1", "--r", "0.6", "--dims", "10,100,1000"],
     ["--p", "2", "--r", "0.9", "--dims", "50,500", "--alpha", "1.5", "--max-iters", "300"],
@@ -58,6 +77,12 @@ def job_list():
         text = (ROOT / "src" / "altproj" / "scenarios" / f"{name}.json").read_text(encoding="utf-8")
         jobs.append((f"run-{name}", ["run", "scenario.json", "--out-dir", "."],
                      {"scenario.json": text}))
+    for name, (geometry, u0) in GEOMETRIES.items():
+        scenario = {"version": 1, "geometry": geometry, "schedule": {"kind": "constant",
+                    "value": 1.0}, "u0": u0, "max_iters": 500,
+                    "outputs": {"trace_csv": "trace.csv", "summary_json": "summary.json"}}
+        jobs.append((f"run-{name}", ["run", "scenario.json", "--out-dir", "."],
+                     {"scenario.json": json.dumps(scenario)}))
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import workloads
